@@ -24,10 +24,12 @@ import json
 import os
 import sys
 import time
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import partitions, theta
-from .identities import all_passed, report_json, report_text, verify_all
+from .identities import MIN_VERIFY_PREC, all_passed, report_json, report_text, verify_all
 from .registry import build_registry
 from .series import Series
 from .theta import GSpec, ThetaAtom
@@ -39,6 +41,24 @@ EXIT_INTERNAL = 3
 
 DEFAULT_CONFIG_PATH = "qdissect.conf"
 CONFIG_ENV_VAR = "QDISSECT_CONFIG"
+
+
+class UsageError(Exception):
+    """Bad input on the command line or in the config file (exit 2)."""
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Report a ValueError from validating user input as a usage error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from exc
 
 
 @dataclass
@@ -134,20 +154,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_target(args, config: CliConfig) -> Series:
+def _prec(args, config: CliConfig) -> int:
     prec = args.prec if args.prec is not None else config.default_prec
+    _check(prec >= 0, "--prec must be nonnegative")
+    return prec
+
+
+def _expand_target(args, config: CliConfig) -> Series:
+    prec = _prec(args, config)
+    if args.target in ("J", "Jbar", "g"):
+        _check(len(args.params) == 2, f"{args.target} takes two integers: a m")
+    else:
+        _check(not args.params, f"{args.target} takes no parameters")
     if args.target in ("J", "Jbar"):
-        if len(args.params) != 2:
-            raise ValueError(f"{args.target} takes two integers: a m")
-        a, m = args.params
-        return theta.theta_j(ThetaAtom(1 if args.target == "J" else -1, a, m), prec)
+        with _usage_errors():
+            atom = ThetaAtom(1 if args.target == "J" else -1, *args.params)
+        return theta.theta_j(atom, prec)
     if args.target == "g":
-        if len(args.params) != 2:
-            raise ValueError("g takes two integers: a m")
-        a, m = args.params
-        return theta.mock_g(GSpec(-1 if args.neg else 1, a, m), prec)
-    if args.params:
-        raise ValueError(f"{args.target} takes no parameters")
+        with _usage_errors():
+            spec = GSpec(-1 if args.neg else 1, *args.params)
+        return theta.mock_g(spec, prec)
     if args.target in ("f0", "f1"):
         return theta.eulerian_sum(args.target, prec)
     return partitions.partition_series(prec)
@@ -163,6 +189,10 @@ def _print_series(series: Series, as_json: bool, out) -> None:
 
 
 def _cmd_verify(args, config: CliConfig, out) -> int:
+    _check(
+        args.prec is None or args.prec >= MIN_VERIFY_PREC,
+        f"--prec must be at least {MIN_VERIFY_PREC}",
+    )
     registry = build_registry()
     reports = verify_all(registry, prec=args.prec, id_filter=args.id_pattern)
     payload = report_json(
@@ -186,6 +216,7 @@ def _cmd_verify(args, config: CliConfig, out) -> int:
 
 def _cmd_table(args, config: CliConfig, out) -> int:
     M, max_n = args.modulus, args.max_n
+    _check(M >= 1, "--modulus must be at least 1")
     series = partitions.count_series(args.stat, M, max_n + 1)
     rows = []
     for n in range(max_n + 1):
@@ -213,7 +244,9 @@ def _cmd_table(args, config: CliConfig, out) -> int:
 
 
 def _cmd_deviation(args, config: CliConfig, out) -> int:
-    prec = args.prec if args.prec is not None else config.default_prec
+    _check(args.modulus >= 1, "--modulus must be at least 1")
+    _check(0 <= args.a < args.modulus, f"--a must lie in [0, {args.modulus})")
+    prec = _prec(args, config)
     series = partitions.deviation_series(args.stat, args.a, args.modulus, prec)
     _print_series(series, args.json or config.output == "json", out)
     return EXIT_OK
@@ -222,6 +255,8 @@ def _cmd_deviation(args, config: CliConfig, out) -> int:
 def _cmd_expand(args, config: CliConfig, out) -> int:
     series = _expand_target(args, config)
     if args.command == "dissect":
+        _check(args.t >= 1, "--t must be at least 1")
+        _check(0 <= args.r < args.t, f"--r must lie in [0, {args.t})")
         series = series.dissect(args.t, args.r)
         if args.deflate:
             series = series.deflate(args.t, args.r)
@@ -266,7 +301,8 @@ def run_cli(argv=None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        config = load_config(args.config)
+        with _usage_errors("config: "):
+            config = load_config(args.config)
         handler = {
             "verify": _cmd_verify,
             "table": _cmd_table,
@@ -276,8 +312,12 @@ def run_cli(argv=None, out=None) -> int:
             "check-congruence": _cmd_congruence,
         }[args.command]
         return handler(args, config, out)
-    except (ValueError, OSError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -24,11 +24,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import partitions
-from .series import PrecisionError, Series, SeriesError
+from .series import Series
 
 SeriesBuilder = Callable[[int], Series]
 
 KINDS = ("equality", "support", "positivity", "inequality")
+
+MIN_VERIFY_PREC = 10
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,7 @@ class VerificationReport:
     first_mismatch: Optional[Mismatch] = None
     ms: int = 0
     notes: Tuple[str, ...] = ()
+    prec: int = 0  # the precision the entry ran at
 
     def to_json_obj(self) -> dict:
         fm = None
@@ -113,6 +116,8 @@ class VerificationReport:
             "verified_through": self.verified_through,
             "first_mismatch": fm,
             "ms": self.ms,
+            "notes": list(self.notes),
+            "prec": self.prec,
         }
 
 
@@ -155,6 +160,8 @@ JSON_REPORT_SCHEMA = {
                         },
                     },
                     "ms": {"type": "integer"},
+                    "notes": {"type": "array", "items": {"type": "string"}},
+                    "prec": {"type": "integer"},
                 },
             },
         },
@@ -226,14 +233,17 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
     """Run one entry at the given precision (default: the entry's own)."""
     if prec is None:
         prec = entry.default_prec
-    if prec < 10:
-        raise ValueError("verification precision must be at least 10")
+    if prec < MIN_VERIFY_PREC:
+        raise ValueError(
+            f"verification precision must be at least {MIN_VERIFY_PREC}"
+        )
     start = time.perf_counter()
 
     def finish(status, through, mismatch=None, notes=()):
         ms = int((time.perf_counter() - start) * 1000)
         return VerificationReport(
-            entry.id, entry.paper_label, status, through, mismatch, ms, tuple(notes)
+            entry.id, entry.paper_label, status, through, mismatch, ms,
+            tuple(notes), prec,
         )
 
     try:
@@ -287,7 +297,8 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
             Mismatch(outcome.exponent, str(outcome.lhs), str(outcome.rhs)),
             notes=outcome.notes,
         )
-    except (SeriesError, PrecisionError, ValueError, ZeroDivisionError) as exc:
+    except Exception as exc:
+        # one broken entry must not stop the run; the report names the error
         return finish("error", 0, notes=[f"{type(exc).__name__}: {exc}"])
 
 

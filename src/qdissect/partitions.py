@@ -1,21 +1,26 @@
 """Partition statistics: p(n), ranks, cranks, residue counts, deviations.
 
-Counting runs along two independent routes.  The combinatorial route
-enumerates partitions and reads each statistic off the parts; it is the
-brute-force oracle.  The generating-function route expands
+Residue counts come from the one-statistic generating functions.  For a
+fixed rank m (Atkin and Swinnerton-Dyer, 1954) or crank m (Garvan, 1988),
 
-    sum_n q^(n^2) / ((zq;q)_n (z^-1 q;q)_n)          (ranks)
-    prod_n (1-q^n) / ((1-z q^n)(1-z^-1 q^n))         (cranks)
+    sum_n N(m,n) q^n = (1/(q;q)_inf) sum_{k>=1} (-1)^(k-1) q^(e(k)+|m|k) (1-q^k)
 
-with z living in Z[z]/(z^M - 1), so the residue-class counts N(a,M;n)
-and C(a,M;n) fall out of the z^a component of each q-coefficient.
+with e(k) = k(3k-1)/2 for ranks and e(k) = k(k-1)/2 for cranks.  Summing
+the numerators over m = a (mod M) gives one sparse integer series num_a
+per residue class, and N(a,M;n) = sum_j num_a[j] p(n-j), so coefficient
+n needs only p(0..n) and the numerator terms below q^(n+1).
 
 Conventions (generating-function convention throughout):
-  * n=0: the empty partition counts with statistic 0 in both series.
-  * n=1 cranks: the product yields z + z^-1 - 1, not the single
-    combinatorial value crank((1)) = -1.  The oracle comparison skips
-    n=1 for cranks; everything downstream uses the product convention,
-    because every identity in scope is a statement about these series.
+  * n=0: the empty partition counts with statistic 0 in both tables.
+    The rank sum has no q^0 term, so count_series adds it (+1 at n=0,
+    a=0); the crank sum already contains it.
+  * n=1 cranks: the crank sum gives z + z^-1 - 1, not the single
+    combinatorial value crank((1)) = -1, with no special case.  The
+    enumeration oracle comparison skips n=1 for cranks; everything
+    downstream uses the sum, because every identity in scope is a
+    statement about these series.
+
+Exhaustive enumeration of partitions stays as the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, List, Tuple
 
 from .rings import CyclicLaurent, cyclic_ring, INTEGER, RATIONAL
@@ -145,52 +151,63 @@ def partition_series(prec: int) -> Series:
     )
 
 
-# -- generating-function counts ------------------------------------------------
+# -- residue counts from the one-statistic sums -------------------------------
 
 
-def _rank_counts(M: int, prec: int) -> List[CyclicLaurent]:
-    one = CyclicLaurent.one(M)
-    zero = CyclicLaurent.zero(M)
-    acc = [zero] * prec
-    if prec > 0:
-        acc[0] = one
-    term = [zero] * prec
-    if prec > 0:
-        term[0] = one
-    n = 1
-    while n * n < prec:
-        # term <- term * q^(2n-1) / ((1 - z q^n)(1 - z^-1 q^n))
-        shift = 2 * n - 1
-        term = [zero] * shift + term[: prec - shift]
-        for rot in (1, -1):
-            for k in range(n, prec):
-                prev = term[k - n]
-                if prev:
-                    term[k] = term[k] + prev.rotate(rot)
-        for k in range(n * n, prec):
-            if term[k]:
-                acc[k] = acc[k] + term[k]
-        n += 1
-    return acc
+def _sum_offset(stat: str, k: int) -> int:
+    """e(k): the q-exponent of the k-th term of the m=0 numerator."""
+    return k * (3 * k - 1) // 2 if stat == "rank" else k * (k - 1) // 2
 
 
-def _crank_counts(M: int, prec: int) -> List[CyclicLaurent]:
-    one = CyclicLaurent.one(M)
-    zero = CyclicLaurent.zero(M)
-    acc = [zero] * prec
-    if prec > 0:
-        acc[0] = one
-    for n in range(1, prec):
-        for k in range(prec - 1, n - 1, -1):
-            prev = acc[k - n]
-            if prev:
-                acc[k] = acc[k] - prev
-        for rot in (1, -1):
-            for k in range(n, prec):
-                prev = acc[k - n]
-                if prev:
-                    acc[k] = acc[k] + prev.rotate(rot)
-    return acc
+class _CountTable:
+    """Residue counts of one statistic mod M, known below ``series.prec``.
+
+    ``numerators[a]`` holds the q^j coefficients (j < series.prec) of the
+    class-a numerator as a dense list of plain ints, so each count is one
+    map(mul) against p(n), ..., p(0).  With p(0..n) they are all that
+    coefficient n needs, so the table grows by exactly the coefficients
+    asked for.
+    """
+
+    __slots__ = ("stat", "modulus", "numerators", "series")
+
+    def __init__(self, stat: str, M: int):
+        self.stat = stat
+        self.modulus = M
+        self.numerators = [[] for _ in range(M)]
+        self.series = Series.zero(cyclic_ring(M), 0)
+
+    def grow(self, prec: int) -> None:
+        """Compute the coefficients in [series.prec, prec) and widen."""
+        stat, M = self.stat, self.modulus
+        old = self.series.prec
+        partition_count(prec - 1)
+        pn = _pn_cache
+        nums = self.numerators
+        for num in nums:
+            # the slice, not an extend, also drops what an interrupted grow left
+            num[old:] = [0] * (prec - old)
+        coeffs = list(self.series.coeffs)
+        for n in range(old, prec):
+            # q^n terms of sum_k (-1)^(k-1) q^(e(k)+mk) (1-q^k) for m >= 0,
+            # credited to the classes of m and -m (the same class when
+            # 2m = 0 mod M, which then counts twice)
+            k = 1
+            while (r := n - _sum_offset(stat, k)) >= 0:
+                if r % k == 0:
+                    sign = 1 if k % 2 else -1
+                    for m, c in ((r // k, sign), (r // k - 1, -sign)):
+                        if m >= 0:
+                            nums[m % M][n] += c
+                            if m:
+                                nums[-m % M][n] += c
+                k += 1
+            window = pn[n::-1]
+            counts = [sum(map(mul, num, window)) for num in nums]
+            if n == 0 and stat == "rank":
+                counts[0] += 1  # the empty partition, absent from the rank sum
+            coeffs.append(CyclicLaurent(M, counts))
+        self.series = Series(cyclic_ring(M), 0, coeffs, prec)
 
 
 _count_cache: dict = {}
@@ -201,8 +218,15 @@ def count_series(stat: str, M: int, prec: int) -> Series:
     """Series over Z[z]/(z^M-1) whose q^n coefficient holds the residue
     counts of the statistic: index a is N(a,M;n) resp. C(a,M;n).
 
-    Cached per (stat, M); a larger request recomputes and replaces the
-    cache entry, smaller requests are served by truncation.
+    N(a,M;n) = sum_j num_a[j] p(n-j), where num_a is the sparse
+    numerator of the module docstring summed over m = a (mod M).  Both
+    series follow the generating-function convention: the empty
+    partition counts at n=0, a=0 (added by hand for ranks, part of the
+    crank sum), and the crank coefficient at n=1 is z + z^-1 - 1, as the
+    sum gives it.
+
+    Cached per (stat, M).  A wider request computes only the missing
+    coefficients, up to exactly prec; a narrower one is a truncation.
     """
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}")
@@ -210,15 +234,12 @@ def count_series(stat: str, M: int, prec: int) -> Series:
         raise ValueError("modulus must be >= 1")
     key = (stat, M)
     with _count_lock:
-        cached = _count_cache.get(key)
-        if cached is not None and cached.prec >= prec:
-            return cached.truncate(prec)
-        # grow geometrically so ascending one-at-a-time reads stay amortized
-        target = prec if cached is None else max(prec, 2 * cached.prec)
-        counts = _rank_counts(M, target) if stat == "rank" else _crank_counts(M, target)
-        series = Series(cyclic_ring(M), 0, counts, target)
-        _count_cache[key] = series
-        return series.truncate(prec)
+        table = _count_cache.get(key)
+        if table is None:
+            table = _count_cache[key] = _CountTable(stat, M)
+        if table.series.prec < prec:
+            table.grow(prec)
+        return table.series.truncate(prec)
 
 
 def rank_count_series(M: int, prec: int) -> Series:

@@ -73,3 +73,53 @@ def series_to_poly(series, lo=None, hi=None) -> dict:
     lo = series.min_exp if lo is None else lo
     hi = series.prec if hi is None else hi
     return {e: series.coeff(e) for e in range(lo, hi) if series.coeff(e)}
+
+
+# -- residue counts from the two-variable generating functions ----------------
+#
+# A coefficient of Z[z]/(z^M - 1) is a plain list of M ints; index r holds
+# the total coefficient of z^e over e = r (mod M).
+
+
+def _vadd(x: list, y: list) -> list:
+    return [a + b for a, b in zip(x, y)]
+
+
+def _zmul(v: list, e: int) -> list:
+    """v * z^e: a cyclic rotation of the residue vector."""
+    e %= len(v)
+    return v[-e:] + v[:-e] if e else v
+
+
+def rank_counts_eulerian(M: int, prec: int) -> list:
+    """Rank residue vectors for n < prec, from
+    sum_n q^(n^2) / ((zq;q)_n (z^-1 q;q)_n)."""
+    zero = [0] * M
+    acc = [[1] + [0] * (M - 1)] + [zero] * (prec - 1)
+    term = list(acc)
+    n = 1
+    while n * n < prec:
+        # term <- term * q^(2n-1) / ((1 - z q^n)(1 - z^-1 q^n))
+        shift = 2 * n - 1
+        term = [zero] * shift + term[: prec - shift]
+        for rot in (1, -1):
+            for k in range(n, prec):
+                term[k] = _vadd(term[k], _zmul(term[k - n], rot))
+        for k in range(n * n, prec):
+            acc[k] = _vadd(acc[k], term[k])
+        n += 1
+    return acc
+
+
+def crank_counts_product(M: int, prec: int) -> list:
+    """Crank residue vectors for n < prec, from
+    prod_n (1-q^n) / ((1-z q^n)(1-z^-1 q^n))."""
+    zero = [0] * M
+    acc = [[1] + [0] * (M - 1)] + [zero] * (prec - 1)
+    for n in range(1, prec):
+        for k in range(prec - 1, n - 1, -1):
+            acc[k] = [a - b for a, b in zip(acc[k], acc[k - n])]
+        for rot in (1, -1):
+            for k in range(n, prec):
+                acc[k] = _vadd(acc[k], _zmul(acc[k - n], rot))
+    return acc

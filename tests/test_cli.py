@@ -86,6 +86,15 @@ def test_verify_single_id_and_json_schema(tmp_path):
     assert json.loads(report_file.read_text()) == payload
 
 
+def test_json_report_gives_the_precision_each_entry_ran_at():
+    code, out = run(["verify", "--id", "rearr-1", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+    assert payload["results"][0]["prec"] == 200
+    assert payload["results"][0]["notes"] == []
+
+
 def test_verify_exit_code_on_failure(monkeypatch):
     entry = next(e for e in build_registry() if e.id == "rearr-2")
     broken = perturb_entry(entry, 42)
@@ -110,12 +119,28 @@ def test_usage_errors_exit_2():
     assert code == cli.EXIT_USAGE
 
 
-def test_internal_error_exit_3():
-    code, _ = run(["deviation", "rank", "--modulus", "4", "--a", "9",
-                   "--prec", "20"])
+def test_bad_input_exits_2(capsys):
+    for argv in (
+        ["expand", "J", "1"],  # wrong arity
+        ["expand", "J", "1", "0"],  # base exponent m must be positive
+        ["table", "rank", "--modulus", "0", "--max-n", "5"],
+        ["verify", "--prec", "5", "--id", "rearr-1"],
+        ["deviation", "rank", "--a", "9", "--modulus", "4", "--prec", "10"],
+        ["dissect", "pq", "--prec", "10", "--t", "5", "--r", "5"],
+    ):
+        code, _ = run(argv)
+        assert code == cli.EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken_registry():
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(cli, "build_registry", broken_registry)
+    code, _ = run(["verify"])
     assert code == cli.EXIT_INTERNAL
-    code, _ = run(["expand", "J", "1", "--prec", "10"])  # wrong arity
-    assert code == cli.EXIT_INTERNAL
+    assert "internal error: RuntimeError: injected fault" in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
@@ -140,7 +165,7 @@ def test_config_rejects_bad_values(tmp_path, monkeypatch):
     conf.write_text("default_prec = 3\n")
     monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(conf))
     code, _ = run(["expand", "pq"])
-    assert code == cli.EXIT_INTERNAL
+    assert code == cli.EXIT_USAGE
 
 
 def test_config_report_path(tmp_path, monkeypatch):

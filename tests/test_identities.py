@@ -181,6 +181,24 @@ def test_builder_exceptions_are_reported():
     assert "deliberate builder failure" in report.notes[0]
 
 
+def test_one_broken_entry_does_not_stop_the_run():
+    def boom(prec):
+        raise KeyError("missing atom")
+
+    def one(prec):
+        return Series.one(INTEGER, prec)
+
+    broken = IdentityEntry("broken", "broken", "equality", 50, (boom, one))
+    fine = IdentityEntry("fine", "fine", "equality", 50, (one, one))
+    reports = verify_all([broken, fine])
+    assert [r.status for r in reports] == ["error", "pass"]
+    payload = report_json(reports, 50, "t")
+    jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+    error = payload["results"][0]
+    assert error["notes"] == ["KeyError: 'missing atom'"]
+    assert error["prec"] == 50
+
+
 # -- registry completeness checklist -------------------------------------------
 #
 # Every statement the library is responsible for maps to registry entries

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qdissect import theta
+import oracles
+from qdissect import partitions, theta
 from qdissect.partitions import (
     Partition,
     count_series,
@@ -124,6 +125,22 @@ def test_generating_function_counts_match_enumeration_oracle():
             assert list(cranks.coeff(n).counts) == oracle_residue_counts("crank", M, n)
 
 
+def test_counts_match_two_variable_generating_functions():
+    # Independent of the one-statistic sums: the product and Eulerian
+    # generating functions expanded over plain residue vectors.  M=1 and
+    # M=2 put m and -m in the same class, so both are counted twice there.
+    P = 150
+    for stat, oracle in (
+        ("rank", oracles.rank_counts_eulerian),
+        ("crank", oracles.crank_counts_product),
+    ):
+        for M in range(1, 13):
+            table = count_series(stat, M, P)
+            want = oracle(M, P)
+            for n in range(P):
+                assert list(table.coeff(n).counts) == want[n], (stat, M, n)
+
+
 def test_count_symmetry():
     for stat in ("rank", "crank"):
         series = count_series(stat, 8, 40)
@@ -213,6 +230,16 @@ def test_concurrent_cache_reads_are_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(job, range(40)))
     assert all(r == partition_count(20) for r in results)
+
+
+def test_count_cache_grows_to_exactly_the_width_asked(monkeypatch):
+    monkeypatch.setattr(partitions, "_count_cache", {})
+    count_series("crank", 8, 305)
+    count_series("crank", 8, 306)
+    assert partitions._count_cache["crank", 8].series.prec == 306
+    for n in range(301):
+        residue_count("rank", 2, 5, n)
+        assert partitions._count_cache["rank", 5].series.prec == n + 1
 
 
 def test_rank_counts_against_single_rank_formula():
