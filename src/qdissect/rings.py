@@ -221,6 +221,28 @@ class Ring:
             return CyclicLaurent.one(self.modulus) * value
         raise RingError(f"cannot coerce {value!r} into {self.tag()}")
 
+    def coerce_all(self, values) -> tuple:
+        """Coerce a whole coefficient window, as ``coerce`` would each value.
+
+        One scan of the element types decides: when every value already
+        has the ring's own type (``int``, ``Fraction``, or a
+        ``CyclicLaurent`` of this modulus) the tuple is returned as it is.
+        Otherwise every value goes through ``coerce``, which raises
+        ``RingError`` on the first one that does not belong.
+        """
+        values = tuple(values)
+        if self.kind == "integer":
+            if all(type(c) is int for c in values):
+                return values
+        elif self.kind == "rational":
+            if all(type(c) is Fraction for c in values):
+                return values
+        elif all(
+            type(c) is CyclicLaurent and c.modulus == self.modulus for c in values
+        ):
+            return values
+        return tuple(self.coerce(c) for c in values)
+
     def invert_unit(self, value, exponent: int):
         """Invert a unit coefficient; names the offending exponent on failure."""
         if self.kind == "integer":

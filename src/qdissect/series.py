@@ -48,7 +48,7 @@ class Series:
     __slots__ = ("ring", "min_exp", "coeffs", "prec")
 
     def __init__(self, ring: Ring, min_exp: int, coeffs: Sequence, prec: int):
-        coeffs = tuple(ring.coerce(c) for c in coeffs)
+        coeffs = ring.coerce_all(coeffs)
         if min_exp > prec:
             raise SeriesError(f"min_exp {min_exp} exceeds prec {prec}")
         if len(coeffs) != prec - min_exp:

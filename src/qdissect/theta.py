@@ -3,7 +3,9 @@
 All special functions used by the verification registry are built here:
 
   * finite and infinite Pochhammer products (s*q^a; q^m)_n,
-  * the theta function j(s*q^a; q^m) in product and bilateral-sum form,
+  * the theta function j(s*q^a; q^m), expanded from the Jacobi triple
+    product's bilateral sum
+        j(x; q^m) = sum_n (-1)^n q^(m*n(n-1)/2) x^n,
     with automatic folding of atoms outside the canonical strip,
   * eta-quotient monomials  scale * q^shift * prod(j)/prod(j),
   * the universal mock theta function
@@ -18,6 +20,11 @@ Folding uses j(q*x;q) = -x^-1 j(x;q), iterated:
 
 which moves any exponent into 0 <= a0 < m.  For s=+1 and a0=0 the theta
 function vanishes identically and the exact zero series is returned.
+
+A canonical atom needs only the O(sqrt(prec/m)) terms of the sum whose
+exponent lies below prec; the product form
+(x; q^m)_inf (q^m/x; q^m)_inf (q^m; q^m)_inf serves as the independent
+oracle in the tests.
 
 Atom and mock-g expansions are memoized per (sign, a, m); the caches keep
 the widest window computed so far and serve narrower requests by
@@ -108,29 +115,10 @@ def pochhammer_infinite(sign: int, a: int, m: int, prec: int) -> Series:
             f"infinite Pochhammer needs a >= 1 (got a={a}): "
             "the product is not a formal series otherwise"
         )
-    return _poch_cached(sign, a, m, prec)
-
-
-_poch_cache: dict = {}
-_poch_lock = threading.Lock()
-
-
-def _poch_cached(sign: int, a: int, m: int, prec: int) -> Series:
-    key = (sign, a, m)
-    with _poch_lock:
-        hit = _poch_cache.get(key)
-        if hit is not None and hit.prec >= prec:
-            return hit.truncate(prec)
-        out = Series.one(INTEGER, prec)
-        e = a
-        while e < prec:
-            if e == 0:
-                out = out.scale(1 - sign)
-            else:
-                out = out.mul_binomial(-sign, e)
-            e += m
-        _poch_cache[key] = out
-        return out
+    out = Series.one(INTEGER, prec)
+    for e in range(a, prec, m):
+        out = out.mul_binomial(-sign, e)
+    return out
 
 
 # -- the theta function j ------------------------------------------------------
@@ -154,28 +142,21 @@ _atom_lock = threading.Lock()
 
 
 def _canonical_j(sign: int, a0: int, m: int, prec: int) -> Series:
-    """Triple product for an atom already in the strip 0 <= a0 < m."""
+    """j(sign*q^a0; q^m) for an atom already in the strip 0 <= a0 < m,
+    from the triple-product sum; the widest window is cached."""
     key = (sign, a0, m)
     with _atom_lock:
         hit = _atom_cache.get(key)
         if hit is not None and hit.prec >= prec:
             return hit.truncate(prec)
-        out = Series.one(INTEGER, prec)
-        for start, s in ((a0, sign), (m - a0, sign), (m, 1)):
-            e = start
-            while e < prec:
-                if e == 0:
-                    out = out.scale(1 - s)
-                else:
-                    out = out.mul_binomial(-s, e)
-                e += m
+        out = theta_j_sum(ThetaAtom(sign, a0, m), prec)
         _atom_cache[key] = out
         return out
 
 
 def cached_atoms() -> list:
-    """Canonical atoms evaluated so far (used by the triple-product
-    sum/product cross-check over everything the registry touched)."""
+    """Canonical atoms evaluated so far (the acceptance suite checks
+    each one the registry touched against the triple product)."""
     with _atom_lock:
         return [ThetaAtom(s, a, m) for (s, a, m) in _atom_cache]
 

@@ -54,6 +54,21 @@ def pochhammer_product(sign: int, a: int, m: int, prec: int) -> dict:
     return out
 
 
+def triple_product(sign: int, a0: int, m: int, prec: int) -> dict:
+    """j(sign*q^a0; q^m) for 0 <= a0 < m from the Jacobi triple product
+
+            (sign*q^a0; q^m)_inf (sign*q^(m-a0); q^m)_inf (q^m; q^m)_inf.
+
+    For a0 = 0 the first factor of (sign; q^m)_inf is the constant
+    1 - sign."""
+    if a0 == 0:
+        first = poly_scale(pochhammer_product(sign, m, m, prec), 1 - sign)
+    else:
+        first = pochhammer_product(sign, a0, m, prec)
+    out = poly_mul(first, pochhammer_product(sign, m - a0, m, prec), prec)
+    return poly_mul(out, pochhammer_product(1, m, m, prec), prec)
+
+
 def poly_invert(a: dict, prec: int) -> dict:
     """1/a for a with a[0] = +-1, by the defining recurrence."""
     lead = a.get(0)

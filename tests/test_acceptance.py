@@ -20,6 +20,8 @@ from qdissect.partitions import (
 )
 from qdissect.registry import build_registry
 
+import oracles
+
 FULL_RUN_BUDGET_SECONDS = 120
 
 
@@ -200,12 +202,17 @@ def test_criterion_10_toolkit_property_suite(full_run, registry):
     atoms = theta.cached_atoms()
     assert len(atoms) >= 40
     for atom in atoms:
-        cmp = theta.theta_j_sum(atom, 201).compare(theta.theta_j(atom, 201))
-        assert cmp.equal, f"sum/product disagree for {atom} at {cmp.exponent}"
+        j = theta.theta_j(atom, 201)
+        cmp = theta.theta_j_sum(atom, 201).compare(j)
+        assert cmp.equal, f"sum/theta_j disagree for {atom} at {cmp.exponent}"
+        product = oracles.triple_product(atom.sign, atom.a, atom.m, 201)
+        assert oracles.series_to_poly(j) == product, (
+            f"theta_j and the triple product disagree for {atom}"
+        )
     print(
         f"\nACCEPTANCE 10: PASS - {len(toolkit)} toolkit specializations pass; "
-        f"triple-product sum/product agree through q^200 for all "
-        f"{len(atoms)} atoms in play"
+        f"theta_j, the triple-product sum and the product agree through "
+        f"q^200 for all {len(atoms)} atoms in play"
     )
 
 

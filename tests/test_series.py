@@ -205,6 +205,24 @@ def test_compare_ring_mismatch():
         Series.one(INTEGER, 5).compare(Series.one(RATIONAL, 5))
 
 
+def test_constructor_checks_every_coefficient():
+    with pytest.raises(RingError):
+        Series(INTEGER, 0, [Fraction(1, 2)], 1)
+    with pytest.raises(RingError):
+        Series(INTEGER, 0, [1, 2, "3"], 3)
+    f = Series(INTEGER, 0, [1, Fraction(3)], 2)
+    assert f.coeffs == (1, 3) and type(f.coeffs[1]) is int
+    f = Series(RATIONAL, 0, [1, Fraction(1, 2)], 2)
+    assert f.coeffs == (Fraction(1), Fraction(1, 2))
+    assert all(type(c) is Fraction for c in f.coeffs)
+    ring = cyclic_ring(4)
+    f = Series(ring, 0, [ring.one, 2], 2)
+    assert f.coeffs[1] == CyclicLaurent(4, (2, 0, 0, 0))
+    assert type(f.coeffs[1]) is CyclicLaurent
+    with pytest.raises(RingError):
+        Series(ring, 0, [ring.one, CyclicLaurent.one(5)], 2)
+
+
 def test_coeff_window_discipline():
     f = S([1, 2], min_exp=3, prec=9)
     assert f.coeff(0) == 0  # below the window: known zero

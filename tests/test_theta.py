@@ -90,9 +90,27 @@ def test_theta_sum_lowest_terms():
     assert oracles.series_to_poly(s) == {0: 1, 5: -1, 20: -1}
 
 
+def _assert_canonical_matches_product(atom, prec):
+    """theta_j of the atom's canonical form equals the triple product,
+    over the whole window the folded atom asks of the kernel."""
+    canonical, _, d = fold_atom(atom)
+    got = theta_j(canonical, prec - d)
+    expected = oracles.triple_product(
+        canonical.sign, canonical.a, canonical.m, prec - d
+    )
+    assert oracles.series_to_poly(got) == expected, atom
+
+
 def test_sum_equals_product_for_folded_and_unfolded_atoms():
     for atom in (Jbar(1, 4), J(3, 2), Jbar(23, 16), J(-2, 5), Jbar(0, 8)):
         assert theta_j_sum(atom, 201).compare(theta_j(atom, 201)).equal
+        _assert_canonical_matches_product(atom, 201)
+
+
+def test_sum_bound_through_q800():
+    for atom in (J(1, 1), Jbar(0, 2), J(1, 5), Jbar(130, 16), J(5, 64)):
+        assert theta_j_sum(atom, 801).compare(theta_j(atom, 801)).equal
+        _assert_canonical_matches_product(atom, 801)
 
 
 def test_folding_prefactor_is_exact():
@@ -262,6 +280,7 @@ from hypothesis import given, settings, strategies as st
 def test_sum_product_agreement_random_atoms(sign, a, m):
     atom = ThetaAtom(sign, a, m)
     assert theta_j_sum(atom, 80).compare(theta_j(atom, 80)).equal
+    _assert_canonical_matches_product(atom, 80)
 
 
 @given(
