@@ -7,7 +7,7 @@ into, and a registry of dissection and rank-crank identities that is
 verified coefficient-by-coefficient to configurable truncation orders.
 """
 
-from .rings import CyclicLaurent, INTEGER, RATIONAL, Rational, cyclic_ring
+from .rings import CyclicLaurent, INTEGER, RATIONAL, cyclic_ring
 from .series import Comparison, PrecisionError, Series, SeriesError
 from .theta import (
     CombinatorSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "CyclicLaurent",
     "INTEGER",
     "RATIONAL",
-    "Rational",
     "cyclic_ring",
     "Comparison",
     "PrecisionError",

@@ -64,7 +64,6 @@ def _usage_errors(prefix: str = ""):
 @dataclass
 class CliConfig:
     default_prec: int = 120
-    enumeration_cap: int = partitions.DEFAULT_ENUMERATION_CAP
     output: str = "text"
     report_path: str = ""
 
@@ -93,8 +92,6 @@ def load_config(path: str | None = None) -> CliConfig:
     kwargs = {}
     if "default_prec" in values:
         kwargs["default_prec"] = int(values["default_prec"])
-    if "enumeration_cap" in values:
-        kwargs["enumeration_cap"] = int(values["enumeration_cap"])
     if "output" in values:
         kwargs["output"] = values["output"]
     if "report_path" in values:

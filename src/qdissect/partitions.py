@@ -167,15 +167,19 @@ class _CountTable:
     map(mul) against p(n), ..., p(0).  With p(0..n) they are all that
     coefficient n needs, so the table grows by exactly the coefficients
     asked for.
+
+    ``window`` is the truncation handed out last, so reading the M
+    classes of one n (``residue_count``) truncates the table once, not M
+    times.
     """
 
-    __slots__ = ("stat", "modulus", "numerators", "series")
+    __slots__ = ("stat", "modulus", "numerators", "series", "window")
 
     def __init__(self, stat: str, M: int):
         self.stat = stat
         self.modulus = M
         self.numerators = [[] for _ in range(M)]
-        self.series = Series.zero(cyclic_ring(M), 0)
+        self.series = self.window = Series.zero(cyclic_ring(M), 0)
 
     def grow(self, prec: int) -> None:
         """Compute the coefficients in [series.prec, prec) and widen."""
@@ -226,7 +230,8 @@ def count_series(stat: str, M: int, prec: int) -> Series:
     sum gives it.
 
     Cached per (stat, M).  A wider request computes only the missing
-    coefficients, up to exactly prec; a narrower one is a truncation.
+    coefficients, up to exactly prec; a narrower one is a truncation,
+    reused while the same width is asked again.
     """
     if stat not in _STATS:
         raise ValueError(f"unknown statistic {stat!r}")
@@ -239,7 +244,9 @@ def count_series(stat: str, M: int, prec: int) -> Series:
             table = _count_cache[key] = _CountTable(stat, M)
         if table.series.prec < prec:
             table.grow(prec)
-        return table.series.truncate(prec)
+        if table.window.prec != prec:
+            table.window = table.series.truncate(prec)
+        return table.window
 
 
 def rank_count_series(M: int, prec: int) -> Series:

@@ -10,36 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
-Rational = Fraction
-
-IntLike = Union[int, Fraction]
+from typing import Sequence
 
 
 class RingError(ValueError):
     """Raised on ring mismatches and non-unit inversions."""
-
-
-def rational_arith(lhs: Fraction, rhs: Fraction, op: str) -> Fraction:
-    """Exact rational arithmetic; ``op`` is one of add/sub/mul/div.
-
-    Division by zero raises ``ZeroDivisionError`` (never a sentinel).
-    Results are always in lowest terms with positive denominator, which
-    is guaranteed by ``fractions.Fraction`` itself.
-    """
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
-    if op == "add":
-        return lhs + rhs
-    if op == "sub":
-        return lhs - rhs
-    if op == "mul":
-        return lhs * rhs
-    if op == "div":
-        if rhs == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return lhs / rhs
-    raise ValueError(f"unknown op {op!r}")
 
 
 class CyclicLaurent:
@@ -164,11 +139,6 @@ class CyclicLaurent:
 
     def __repr__(self):
         return f"CyclicLaurent({self.modulus}, {self.counts})"
-
-
-def cyclic_embed(exponent: int, modulus: int) -> CyclicLaurent:
-    """Embed z^exponent into Z[z]/(z^modulus - 1)."""
-    return CyclicLaurent.z_power(exponent, modulus)
 
 
 @dataclass(frozen=True)

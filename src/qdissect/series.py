@@ -10,9 +10,10 @@ exponent below the reported bound.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice, repeat
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .rings import INTEGER, RATIONAL, Ring, RingError, ring_from_tag
@@ -148,7 +149,7 @@ class Series:
 
     def __repr__(self):
         terms = []
-        for e, c in itertools.islice(self.nonzero_items(), 8):
+        for e, c in islice(self.nonzero_items(), 8):
             terms.append(f"{self.ring.coeff_to_text(c)}*q^{e}")
         body = " + ".join(terms) if terms else "0"
         return f"<Series {self.ring.tag()} [{self.min_exp},{self.prec}) {body} ...>"
@@ -198,6 +199,13 @@ class Series:
         return self.__add__(-other)
 
     def __mul__(self, other):
+        """Cauchy product; the window is [min_a + min_b, min(prec_a + min_b,
+        prec_b + min_a)).
+
+        The sparser factor's nonzero coefficients are the rows: each one
+        adds a scaled slice of the other factor into the output, so the
+        cost is (nonzeros of the sparser factor) x (window length).
+        """
         if not isinstance(other, Series):
             return NotImplemented
         self._require_same_ring(other)
@@ -206,17 +214,21 @@ class Series:
         length = prec - min_exp
         if length <= 0:
             return Series.zero(self.ring, prec)
+        rows, dense = self.coeffs, other.coeffs
+        rows_at = list(compress(range(length), rows))
+        dense_at = list(compress(range(length), dense))
+        if len(dense_at) < len(rows_at):
+            rows, dense, rows_at = dense, rows, dense_at
         out = [self.ring.zero] * length
-        bcoeffs = other.coeffs
-        nb = len(bcoeffs)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            jmax = min(nb, length - i)
-            for j in range(jmax):
-                b = bcoeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        for i in rows_at:
+            # map stops with out[i:], so the row reads dense[: length - i]
+            c = rows[i]
+            if c == 1:
+                out[i:] = map(add, out[i:], dense)
+            elif c == -1:
+                out[i:] = map(sub, out[i:], dense)
+            else:
+                out[i:] = map(add, out[i:], map(mul, repeat(c), dense))
         return Series(self.ring, min_exp, out, prec)
 
     def scale(self, c) -> "Series":
@@ -275,25 +287,32 @@ class Series:
         result has window [-v, prec - 2v): relative precision is
         preserved, absolute precision shrinks by 2v.
         """
-        v = self.valuation()
-        if v is None:
+        nonzero = list(compress(range(len(self.coeffs)), self.coeffs))
+        if not nonzero:
             raise SeriesError(
                 f"cannot invert a series that vanishes through q^{self.prec - 1}"
             )
-        lead = self.coeff(v)
+        start = nonzero[0]
+        v = self.min_exp + start
+        lead = self.coeffs[start]
         lead_inv = self.ring.invert_unit(lead, v)
         n_rel = self.prec - v
-        a = [self.coeff(v + i) for i in range(n_rel)]
-        b = [self.ring.zero] * n_rel
+        # b[k] = -lead^-1 * sum a[j] b[k-j] over the nonzero a[j] with
+        # 1 <= j <= k; js ascends, so those are its first `used` entries
+        js = [i - start for i in nonzero[1:]]
+        aj = [self.coeffs[start + j] for j in js]
+        zero = self.ring.zero
+        b = [zero] * n_rel
         b[0] = lead_inv
+        used = 0
         for k in range(1, n_rel):
-            acc = self.ring.zero
-            for j in range(1, k + 1):
-                aj = a[j]
-                if aj:
-                    acc = acc + aj * b[k - j]
-            if acc:
-                b[k] = -(lead_inv * acc)
+            if used < len(js) and js[used] == k:
+                used += 1
+            if used:
+                b_kj = map(b.__getitem__, map(sub, repeat(k, used), js))
+                acc = sum(map(mul, aj, b_kj), zero)
+                if acc:
+                    b[k] = -(lead_inv * acc)
         return Series(self.ring, -v, b, self.prec - 2 * v)
 
     def truncate(self, prec: int) -> "Series":

@@ -38,6 +38,8 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 from typing import Iterable, Sequence, Tuple, Union
 
 from .rings import INTEGER, RATIONAL, Ring
@@ -261,9 +263,12 @@ def eta_quotient(
     """scale * q^shift * prod(numerator) / prod(denominator).
 
     Atoms may be given bare or as (atom, exponent) pairs.  Each
-    denominator atom is inverted separately, which keeps the precision
-    accounting local: every factor is computed just wide enough for the
-    product window to reach prec.
+    denominator atom is inverted separately (the inverses are cached per
+    atom), which keeps the precision accounting local: every factor is
+    computed just wide enough for the product window to reach prec.  The
+    running product starts from the first factor, so a quotient of k
+    factors costs k - 1 products, each walking the nonzeros of its
+    sparser side.
     """
     factors = []  # (atom, inverted, window valuation)
     for atom, e in _normalize_atoms(numerator):
@@ -282,11 +287,12 @@ def eta_quotient(
     if target <= total_val:
         # the quotient's valuation alone puts it beyond the window
         return Series.zero(ring, prec)
-    out = Series.one(INTEGER, target - total_val)
-    for atom, inverted, v in factors:
-        p = target - total_val + v
-        f = theta_j_inverse(atom, p) if inverted else theta_j(atom, p)
-        out = out * f
+    width = target - total_val
+    parts = [
+        theta_j_inverse(atom, width + v) if inverted else theta_j(atom, width + v)
+        for atom, inverted, v in factors
+    ]
+    out = reduce(mul, parts) if parts else Series.one(INTEGER, width)
     out = out.shift(shift)
     if out.prec < prec:
         raise SeriesError(

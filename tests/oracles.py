@@ -16,7 +16,7 @@ def poly_mul(a: dict, b: dict, prec: int) -> dict:
         for e2, c2 in b.items():
             e = e1 + e2
             if e < prec:
-                out[e] = out.get(e, 0) + c1 * c2
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
     return {e: c for e, c in out.items() if c}
 
 

@@ -287,6 +287,118 @@ def test_precision_never_overstated(xs, ys):
         assert inv_src.truncate(9).invert().coeff(e) == inv_src.invert().coeff(e)
 
 
+# -- the product and inverse kernels against the dict oracles ------------------
+
+KERNEL_RINGS = [INTEGER, RATIONAL, cyclic_ring(3)]
+DENSITIES = [0.05, 0.3, 1.0]
+
+
+def _random_coeff(rng, ring, bits=70):
+    """+-1 (the add/sub rows of the product) or a nonzero value of up to
+    `bits` bits."""
+    if rng.random() < 0.3:
+        return rng.choice([ring.one, -ring.one])
+
+    def big():
+        return rng.choice([-1, 1]) * rng.randrange(1, 2**bits)
+
+    if ring == RATIONAL:
+        return Fraction(big(), rng.randrange(1, 2**16))
+    if ring == INTEGER:
+        return big()
+    return CyclicLaurent(ring.modulus, [big() for _ in range(ring.modulus)])
+
+
+def _random_series(rng, ring, min_exp, length, density):
+    coeffs = [
+        _random_coeff(rng, ring) if rng.random() < density else ring.zero
+        for _ in range(length)
+    ]
+    return Series(ring, min_exp, coeffs, min_exp + length)
+
+
+def _check_product(a, b):
+    prod = a * b
+    assert prod.min_exp == a.min_exp + b.min_exp
+    assert prod.prec == min(a.prec + b.min_exp, b.prec + a.min_exp)
+    want = oracles.poly_mul(
+        oracles.series_to_poly(a), oracles.series_to_poly(b), prod.prec
+    )
+    assert oracles.series_to_poly(prod) == want
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_mul_matches_oracle(ring, density):
+    rng = random.Random(f"mul {ring.tag()} {density}")
+    for _ in range(20):
+        a = _random_series(rng, ring, rng.randint(-3, 3), rng.randint(1, 50), density)
+        b = _random_series(
+            rng, ring, rng.randint(-3, 3), rng.randint(1, 50), rng.choice(DENSITIES)
+        )
+        _check_product(a, b)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_mul_by_zero_and_single_monomials(ring):
+    rng = random.Random(f"monomials {ring.tag()}")
+    a = _random_series(rng, ring, -2, 40, 0.3)
+    zero = Series(ring, 1, [ring.zero] * 30, 31)
+    _check_product(a, zero)
+    _check_product(zero, a)
+    for c in (ring.one, -ring.one, _random_coeff(rng, ring)):
+        for e in (-3, 0, 5):
+            monomial = Series.monomial(ring, e, e + 35, c)
+            _check_product(a, monomial)
+            _check_product(monomial, a)
+
+
+def _check_inverse(f):
+    inv = f.invert()
+    v = f.valuation()
+    assert inv.min_exp == -v
+    assert inv.prec == f.prec - 2 * v
+    lead = f.coeff(v)
+    lead_inv = lead if f.ring == INTEGER else 1 / lead
+    g = {e - v: c * lead_inv for e, c in oracles.series_to_poly(f).items()}
+    want = {
+        k - v: c * lead_inv
+        for k, c in oracles.poly_invert(g, f.prec - v).items()
+    }
+    assert oracles.series_to_poly(inv) == want
+
+
+@pytest.mark.parametrize("density", [0.0] + DENSITIES)
+@pytest.mark.parametrize("ring", [INTEGER, RATIONAL], ids=lambda r: r.tag())
+def test_invert_matches_oracle(ring, density):
+    # valuation v in 0..3 below a window that may start at a negative
+    # exponent; density 0.0 inverts the single monomial lead * q^v
+    rng = random.Random(f"invert {ring.tag()} {density}")
+    for _ in range(20):
+        v = rng.randint(0, 3)
+        min_exp = rng.randint(-3, v)
+        tail = _random_series(rng, ring, v + 1, rng.randint(0, 50), density)
+        if ring == INTEGER:
+            lead = rng.choice([1, -1])
+        else:
+            lead = _random_coeff(rng, ring)
+        coeffs = [ring.zero] * (v - min_exp) + [lead] + list(tail.coeffs)
+        _check_inverse(Series(ring, min_exp, coeffs, tail.prec))
+
+
+def test_kernels_through_q800():
+    eta = theta.theta_j(theta.eta_atom(1), 800)
+    jbar = theta.theta_j(theta.Jbar(1, 2), 800)
+    prod = eta.invert() * jbar
+    assert (prod.min_exp, prod.prec) == (0, 800)
+    want = oracles.poly_mul(
+        oracles.poly_invert(oracles.series_to_poly(eta), 800),
+        oracles.series_to_poly(jbar),
+        800,
+    )
+    assert oracles.series_to_poly(prod) == want
+
+
 def test_json_round_trip_all_rings():
     samples = [
         S([1, -2, 0, 3], min_exp=-2, prec=4),
