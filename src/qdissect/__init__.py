@@ -10,12 +10,10 @@ verified coefficient-by-coefficient to configurable truncation orders.
 from .rings import CyclicLaurent, INTEGER, RATIONAL, cyclic_ring
 from .series import Comparison, PrecisionError, Series, SeriesError
 from .theta import (
-    CombinatorSpec,
     GSpec,
     J,
     Jbar,
     ThetaAtom,
-    combinator,
     eta_atom,
     eta_quotient,
     eulerian_sum,
@@ -61,12 +59,10 @@ __all__ = [
     "PrecisionError",
     "Series",
     "SeriesError",
-    "CombinatorSpec",
     "GSpec",
     "J",
     "Jbar",
     "ThetaAtom",
-    "combinator",
     "eta_atom",
     "eta_quotient",
     "eulerian_sum",

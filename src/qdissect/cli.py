@@ -192,6 +192,7 @@ def _cmd_verify(args, config: CliConfig, out) -> int:
     )
     registry = build_registry()
     reports = verify_all(registry, prec=args.prec, id_filter=args.id_pattern)
+    _check(bool(reports), f"no registry entry matches --id {args.id_pattern!r}")
     payload = report_json(
         reports,
         prec_default=args.prec if args.prec is not None else config.default_prec,
@@ -214,6 +215,7 @@ def _cmd_verify(args, config: CliConfig, out) -> int:
 def _cmd_table(args, config: CliConfig, out) -> int:
     M, max_n = args.modulus, args.max_n
     _check(M >= 1, "--modulus must be at least 1")
+    _check(max_n >= 0, "--max-n must be nonnegative")
     series = partitions.count_series(args.stat, M, max_n + 1)
     rows = []
     for n in range(max_n + 1):
@@ -264,6 +266,9 @@ def _cmd_expand(args, config: CliConfig, out) -> int:
 def _cmd_congruence(args, config: CliConfig, out) -> int:
     M = args.modulus
     residue, offset = {5: (4, 5), 7: (5, 7), 11: (6, 11)}[M]
+    letter = f"{offset}n+{residue}"
+    _check(args.max_arg >= residue,
+           f"--max must be at least {residue}, the first argument of {letter}")
     ok = True
     checked = 0
     n = residue
@@ -281,7 +286,6 @@ def _cmd_congruence(args, config: CliConfig, out) -> int:
                 ok = False
         checked += 1
         n += offset
-    letter = {5: "5n+4", 7: "7n+5", 11: "11n+6"}[M]
     status = "ok" if ok else "FAILED"
     out.write(
         f"congruence mod {M} on {letter}: {checked} arguments up to "

@@ -130,6 +130,12 @@ JSON_REPORT_SCHEMA = {
             "required": ["prec_default", "timestamp"],
             "properties": {
                 "prec_default": {"type": "integer"},
+                "prec_range": {
+                    "type": ["array", "null"],
+                    "items": {"type": "integer"},
+                    "minItems": 2,
+                    "maxItems": 2,
+                },
                 "timestamp": {"type": "string"},
             },
         },
@@ -325,8 +331,13 @@ def report_json(
     prec_default: int,
     timestamp: str,
 ) -> dict:
+    """The JSON report; ``run.prec_range`` is [min, max] of the precisions
+    the entries ran at, or null when no entry ran."""
+    precs = [r.prec for r in reports]
+    prec_range = [min(precs), max(precs)] if precs else None
     return {
-        "run": {"prec_default": prec_default, "timestamp": timestamp},
+        "run": {"prec_default": prec_default, "prec_range": prec_range,
+                "timestamp": timestamp},
         "results": [r.to_json_obj() for r in reports],
     }
 

@@ -26,7 +26,9 @@ Exhaustive enumeration of partitions stays as the brute-force oracle.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import mul
 from typing import Iterator, List, Tuple
@@ -292,12 +294,26 @@ def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:
     return Series.from_coeffs(RATIONAL, 0, coeffs, prec)
 
 
-def oracle_residue_counts(stat: str, M: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[int]:
-    """Residue counts by exhaustive enumeration (the independent oracle)."""
-    out = [0] * M
+@lru_cache(maxsize=None)
+def _statistic_histograms(n: int, cap: int) -> dict:
+    """{stat: Counter of statistic values} over the partitions of n, from
+    one enumeration; the empty partition counts with statistic 0."""
+    hist = {stat: Counter() for stat in _STATS}
     for p in enumerate_partitions(n, cap):
-        if p.parts:
-            out[p.statistic(stat) % M] += 1
-        else:
-            out[0] += 1
+        for stat in _STATS:
+            hist[stat][p.statistic(stat) if p.parts else 0] += 1
+    return hist
+
+
+def oracle_residue_counts(stat: str, M: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[int]:
+    """Residue counts by exhaustive enumeration (the independent oracle).
+
+    Each n is enumerated once for both statistics; every modulus bins the
+    same histogram of statistic values.
+    """
+    if stat not in _STATS:
+        raise ValueError(f"unknown statistic {stat!r}")
+    out = [0] * M
+    for value, k in _statistic_histograms(n, cap)[stat].items():
+        out[value % M] += k
     return out

@@ -43,9 +43,11 @@ MOCK_PREC = 100  # entries whose builders evaluate mock g
 
 # -- small builder DSL -----------------------------------------------------------
 #
-# A builder is a callable prec -> Series.  Most right-hand sides are sums
-# of terms scale * q^shift * (eta quotient | g | constant); the helpers
-# below keep those transcriptions close to how the statements are written.
+# A builder is a callable prec -> Series.  Every right-hand side is a
+# terms(...) sum of parts scale * q^shift * (eta quotient | g | constant |
+# deviation); the helpers below keep those transcriptions close to how
+# the statements are written, and the dissection families expand into
+# the same parts.
 
 
 def _quot(scale, shift, num=(), den=()):
@@ -62,7 +64,7 @@ def _g(scale, shift, sign, a, m):
         out = theta.mock_g(spec, prec - shift).shift(shift)
         if ring == RATIONAL:
             out = out.to_rational()
-        return out.scale(scale)
+        return out if scale == 1 else out.scale(scale)
 
     return term
 
@@ -77,6 +79,14 @@ def _const(value):
 def _monomial(value, exponent):
     def term(prec, ring):
         return Series.monomial(ring, exponent, prec, ring.coerce(value))
+
+    return term
+
+
+def _dev(scale, stat, a, M):
+    def term(prec, ring):
+        out = partitions.deviation_series(stat, a, M, prec)
+        return out if scale == 1 else out.scale(scale)
 
     return term
 
@@ -103,29 +113,72 @@ def deviation(stat, a, M):
     return lambda prec: partitions.deviation_series(stat, a, M, prec)
 
 
-def deviation_sum(stat, M):
-    def build(prec):
-        out = Series.zero(RATIONAL, prec)
-        for a in range(M):
-            out = out + partitions.deviation_series(stat, a, M, prec)
-        return out
-
-    return build
+def deviation_sum(stat, M, residues=None):
+    """Sum of D(a,M) (D_C for cranks) over the residues, all M by default."""
+    residues = range(M) if residues is None else residues
+    return terms(*(_dev(1, stat, a, M) for a in residues), ring=RATIONAL)
 
 
-def combo(*parts):
-    """Sum of (family, coefficients, scale) combinator evaluations."""
+# -- the dissection families ------------------------------------------------------
+#
+# Each theta family is (d, denominator atoms, one (shift, numerator atoms)
+# slot per coefficient), with the prefactor 1/d; each G family has one
+# (constant, shift, sign, a, m) slot per coefficient, standing for
+# constant + q^shift g(sign*q^a; q^m).
 
-    def build(prec):
-        out = Series.zero(RATIONAL, prec)
-        for family, coeffs, scale in parts:
-            piece = theta.combinator(theta.theta_comb(family, *coeffs), prec)
-            if scale != 1:
-                piece = piece.scale(Fraction(scale))
-            out = out + piece
-        return out
+_THETA_FAMILIES = {
+    "theta4": (4, (eta_atom(4),), (
+        (0, (Jbar(4, 8), Jbar(6, 16))), (2, (Jbar(0, 8), Jbar(14, 16))),
+        (1, (Jbar(4, 8), Jbar(14, 16))), (1, (Jbar(0, 8), Jbar(6, 16))))),
+    "theta8": (8, (eta_atom(4),), (
+        (0, (Jbar(4, 8), Jbar(28, 64))), (4, (Jbar(0, 8), Jbar(52, 64))),
+        (1, (Jbar(4, 8), Jbar(20, 64))), (1, (Jbar(0, 8), Jbar(28, 64))),
+        (2, (Jbar(0, 8), Jbar(20, 64))), (6, (Jbar(4, 8), Jbar(60, 64))),
+        (3, (Jbar(4, 8), Jbar(52, 64))), (7, (Jbar(0, 8), Jbar(60, 64))))),
+    "theta8prime": (2, (eta_atom(4),), (
+        (0, (J(4, 8), Jbar(28, 64))), (1, (J(4, 8), Jbar(20, 64))),
+        (6, (J(4, 8), Jbar(60, 64))), (3, (J(4, 8), Jbar(52, 64))))),
+    "theta5": (5, ((eta_atom(5), 2),), (
+        (0, ((J(10, 25), 3),)), (1, (J(5, 25), (J(10, 25), 2))),
+        (2, ((J(5, 25), 2), J(10, 25))), (3, ((J(5, 25), 3),)))),
+    "theta7": (7, (eta_atom(7),), (
+        (0, ((J(21, 49), 2),)), (1, (J(14, 49), J(21, 49))), (2, ((J(14, 49), 2),)),
+        (3, (J(7, 49), J(21, 49))), (4, (J(7, 49), J(14, 49))), (6, ((J(7, 49), 2),)))),
+}
 
-    return build
+_G_FAMILIES = {
+    "G4": ((-1, 2, -1, 2, 16), (0, 5, -1, 6, 16)),
+    "G8": ((1, 2, 1, 2, 16), (-1, 2, -1, 2, 16), (0, 5, 1, 6, 16), (0, 5, -1, 6, 16)),
+    "G5": ((0, 5, 1, 5, 25), (0, 8, 1, 10, 25)),
+    "G7": ((1, 7, 1, 7, 49), (0, 16, 1, 21, 49), (0, 13, 1, 14, 49)),
+}
+
+
+def family(name, coefficients, scale=1):
+    """The parts of scale * (a dissection family with these coefficients):
+    one per nonzero coefficient, two where a G slot carries a constant."""
+    if name in _THETA_FAMILIES:
+        d, den, slots = _THETA_FAMILIES[name]
+
+        def slot_parts(c, shift, num):
+            return [_quot(Fraction(c, d), shift, num, den)]
+    elif name in _G_FAMILIES:
+        slots = _G_FAMILIES[name]
+
+        def slot_parts(c, const, shift, sign, a, m):
+            return [_g(c, shift, sign, a, m)] + ([_const(const * c)] if const else [])
+    else:
+        raise ValueError(f"unknown dissection family {name!r}")
+    if len(coefficients) != len(slots):
+        raise ValueError(
+            f"{name} takes {len(slots)} coefficients, got {len(coefficients)}")
+    return [part for c, slot in zip(coefficients, slots) if c
+            for part in slot_parts(c * scale, *slot)]
+
+
+def combo(*families):
+    """Sum of (family, coefficients, scale) dissection families."""
+    return terms(*(part for f in families for part in family(*f)), ring=RATIONAL)
 
 
 def counts(parts, t=None, r=0, twist=False):
@@ -725,40 +778,30 @@ def _mod8_entries():
     # pairwise sums used by the four-way relations
     entries.append(_eq(
         "dev-crank-8-sum-01", "D_C(0,8) + D_C(1,8)",
-        [terms_sum_dev("crank", (0, 1)),
+        [deviation_sum("crank", 8, (0, 1)),
          combo(("theta8", (2, -2, 2, -2, -2, 2, 2, -2), 1),
                ("theta8prime", (1, 0, -1, 0), 1))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-8-sum-34", "D_C(3,8) + D_C(4,8)",
-        [terms_sum_dev("crank", (3, 4)),
+        [deviation_sum("crank", 8, (3, 4)),
          combo(("theta8", (2, -2, 2, -2, -2, 2, 2, -2), 1),
                ("theta8prime", (-1, 0, 1, 0), 1))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-8-sum-12", "D(1,8) + D(2,8)",
-        [terms_sum_dev("rank", (1, 2)),
+        [deviation_sum("rank", 8, (1, 2)),
          combo(("theta8", (6, -6, 2, -2, 2, -2, 2, -2), 1),
                ("G8", (-1, 1, 1, -1), half))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-8-sum-34", "D(3,8) + D(4,8)",
-        [terms_sum_dev("rank", (3, 4)),
+        [deviation_sum("rank", 8, (3, 4)),
          combo(("theta8", (-2, 2, 2, -2, 2, -2, -6, 6), 1),
                ("G8", (-1, -1, -1, 1), half))],
         MOCK_PREC))
 
     return entries
-
-
-def terms_sum_dev(stat, residues):
-    def build(prec):
-        out = Series.zero(RATIONAL, prec)
-        for a in residues:
-            out = out + partitions.deviation_series(stat, a, 8, prec)
-        return out
-
-    return build
 
 
 # -- group E: rank-crank relations ---------------------------------------------------
@@ -884,13 +927,7 @@ def _support_entries():
     def g_comb(shift, sign2):
         # q^shift [g(q^a;q^16) + sign2 * g(-q^a;q^16)] with a tied to shift
         a = 2 if shift == 2 else 6
-
-        def build(prec):
-            out = theta.mock_g(GSpec(1, a, 16), prec - shift).shift(shift)
-            other = theta.mock_g(GSpec(-1, a, 16), prec - shift).shift(shift)
-            return out + (other if sign2 == 1 else -other)
-
-        return build
+        return terms(_g(1, shift, 1, a, 16), _g(sign2, shift, -1, a, 16))
 
     J32 = eta_atom(32)
     combos = [
@@ -1014,9 +1051,7 @@ def _lewis_entries():
     # common quotient denominator of the 4-dissection, deflated q^4 -> q
     DEN16 = [(J(2, 16), 2), J(4, 16), (J(6, 16), 2), J(8, 16)]
 
-    def dev_diff(prec):
-        lhs = partitions.deviation_series(N, 0, 8, prec)
-        return lhs - partitions.deviation_series(C, 0, 8, prec)
+    dev_diff = terms(_dev(1, N, 0, 8), _dev(-1, C, 0, 8), ring=RATIONAL)
 
     entries.append(_eq(
         "lewis-dissection", "4-dissection of D(0,8) - D_C(0,8)",

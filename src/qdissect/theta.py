@@ -10,9 +10,7 @@ All special functions used by the verification registry are built here:
   * eta-quotient monomials  scale * q^shift * prod(j)/prod(j),
   * the universal mock theta function
         g(x;q) = x^-1 (-1 + sum_{n>=0} q^(n^2) / ((x)_{n+1} (q/x)_n)),
-  * the Eulerian sums defining the fifth-order functions f0 and f1,
-  * the fixed linear combinators (theta4/G4, theta8/G8, theta8', theta5/G5,
-    theta7/G7) that package the 2-, 4-, 5- and 7-dissection statements.
+  * the Eulerian sums defining the fifth-order functions f0 and f1.
 
 Folding uses j(q*x;q) = -x^-1 j(x;q), iterated:
 
@@ -26,10 +24,11 @@ exponent lies below prec; the product form
 (x; q^m)_inf (q^m/x; q^m)_inf (q^m; q^m)_inf serves as the independent
 oracle in the tests.
 
-Atom and mock-g expansions are memoized per (sign, a, m); the caches keep
-the widest window computed so far and serve narrower requests by
-truncation.  Cache access is lock-guarded, so concurrent verification
-tasks may share them.
+Canonical atoms, their inverses and mock-g specializations share one
+memo keyed by (kind, sign, a, m).  It keeps the widest window computed so
+far and serves narrower requests by truncation; a wider request is
+computed outside the lock and replaces the entry.  Concurrent
+verification tasks may share it.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Callable, Iterable, Tuple, Union
 
 from .rings import INTEGER, RATIONAL, Ring
 from .series import Series, SeriesError
@@ -139,28 +137,41 @@ def fold_atom(atom: ThetaAtom) -> Tuple[ThetaAtom, int, int]:
     return ThetaAtom(atom.sign, a0, atom.m), scale, d
 
 
-_atom_cache: dict = {}
-_atom_lock = threading.Lock()
+_memo: dict = {}
+_memo_lock = threading.Lock()
 
 
-def _canonical_j(sign: int, a0: int, m: int, prec: int) -> Series:
-    """j(sign*q^a0; q^m) for an atom already in the strip 0 <= a0 < m,
-    from the triple-product sum; the widest window is cached."""
-    key = (sign, a0, m)
-    with _atom_lock:
-        hit = _atom_cache.get(key)
-        if hit is not None and hit.prec >= prec:
-            return hit.truncate(prec)
-        out = theta_j_sum(ThetaAtom(sign, a0, m), prec)
-        _atom_cache[key] = out
-        return out
+def _widest(key: tuple, prec: int, compute: Callable[[int], Series]) -> Series:
+    """The memo entry for key, truncated to prec.
+
+    A missing or narrower entry is computed as compute(prec) outside the
+    lock; the result is returned and kept unless a wider one landed first.
+    """
+    with _memo_lock:
+        hit = _memo.get(key)
+    if hit is not None and hit.prec >= prec:
+        return hit.truncate(prec)
+    out = compute(prec)
+    with _memo_lock:
+        hit = _memo.get(key)
+        if hit is None or hit.prec < out.prec:
+            _memo[key] = out
+    return out
+
+
+def _canonical_j(atom: ThetaAtom, prec: int) -> Series:
+    """j(atom) for an atom already in the strip 0 <= a < m, from the
+    triple-product sum."""
+    return _widest(("j", atom.sign, atom.a, atom.m), prec,
+                   lambda p: theta_j_sum(atom, p))
 
 
 def cached_atoms() -> list:
     """Canonical atoms evaluated so far (the acceptance suite checks
     each one the registry touched against the triple product)."""
-    with _atom_lock:
-        return [ThetaAtom(s, a, m) for (s, a, m) in _atom_cache]
+    with _memo_lock:
+        keys = list(_memo)
+    return [ThetaAtom(s, a, m) for kind, s, a, m in keys if kind == "j"]
 
 
 def theta_j(atom: ThetaAtom, prec: int) -> Series:
@@ -172,7 +183,7 @@ def theta_j(atom: ThetaAtom, prec: int) -> Series:
     canonical, scale, d = fold_atom(atom)
     if canonical.sign == 1 and canonical.a == 0:
         return Series.zero(INTEGER, prec)
-    body = _canonical_j(canonical.sign, canonical.a, canonical.m, prec - d)
+    body = _canonical_j(canonical, prec - d)
     out = body.shift(d)
     return out if scale == 1 else out.scale(scale)
 
@@ -182,25 +193,10 @@ def theta_j_inverse(atom: ThetaAtom, prec: int) -> Series:
     canonical, scale, d = fold_atom(atom)
     if canonical.sign == 1 and canonical.a == 0:
         raise SeriesError(f"cannot invert the zero theta series {atom}")
-    inv = _canonical_inv(canonical.sign, canonical.a, canonical.m, prec + d)
+    inv = _widest(("inv", canonical.sign, canonical.a, canonical.m), prec + d,
+                  lambda p: _canonical_j(canonical, max(p, 1)).invert())
     out = inv.shift(-d)
     return out if scale == 1 else out.scale(scale)
-
-
-_inv_cache: dict = {}
-_inv_lock = threading.Lock()
-
-
-def _canonical_inv(sign: int, a0: int, m: int, prec: int) -> Series:
-    key = (sign, a0, m)
-    with _inv_lock:
-        hit = _inv_cache.get(key)
-        if hit is not None and hit.prec >= prec:
-            return hit.truncate(prec)
-    inv = _canonical_j(sign, a0, m, max(prec, 1)).invert()
-    with _inv_lock:
-        _inv_cache[key] = inv
-    return inv
 
 
 def theta_j_sum(atom: ThetaAtom, prec: int, base_sign: int = 1) -> Series:
@@ -308,10 +304,6 @@ def eta_quotient(
 
 # -- the universal mock theta function g ----------------------------------------
 
-_g_cache: dict = {}
-_g_lock = threading.Lock()
-
-
 def mock_g(spec: GSpec, prec: int) -> Series:
     """g(sign*q^a; q^m) with stored window [-a, prec).
 
@@ -319,11 +311,11 @@ def mock_g(spec: GSpec, prec: int) -> Series:
     prefactor still leaves every coefficient below prec exact; the bound
     is pinned by a unit test comparing prec N against 2N.
     """
-    key = (spec.sign, spec.a, spec.m)
-    with _g_lock:
-        hit = _g_cache.get(key)
-        if hit is not None and hit.prec >= prec:
-            return hit.truncate(prec)
+    return _widest(("g", spec.sign, spec.a, spec.m), prec,
+                   lambda p: _mock_g_sum(spec, p))
+
+
+def _mock_g_sum(spec: GSpec, prec: int) -> Series:
     s, a, m = spec.sign, spec.a, spec.m
     inner_prec = prec + a
     acc = Series.constant(INTEGER, -1, inner_prec)
@@ -338,11 +330,7 @@ def mock_g(spec: GSpec, prec: int) -> Series:
         acc = acc + term
         n += 1
     out = acc.shift(-a)
-    if s == -1:
-        out = out.scale(-1)
-    with _g_lock:
-        _g_cache[key] = out
-    return out
+    return out.scale(-1) if s == -1 else out
 
 
 def eulerian_sum(kind: str, prec: int) -> Series:
@@ -366,149 +354,3 @@ def eulerian_sum(kind: str, prec: int) -> Series:
         acc = acc + term
         n += 1
     return acc
-
-
-# -- dissection combinators ------------------------------------------------------
-
-# Each theta family is a list of (shift, numerator atoms) sharing a fixed
-# rational prefactor over a common denominator atom list; each G family
-# is a list of (constant, shift, g-spec) triples.
-
-_THETA_FAMILIES = {
-    "theta4": (
-        Fraction(1, 4),
-        (eta_atom(4),),
-        (
-            (0, (Jbar(4, 8), Jbar(6, 16))),
-            (2, (Jbar(0, 8), Jbar(14, 16))),
-            (1, (Jbar(4, 8), Jbar(14, 16))),
-            (1, (Jbar(0, 8), Jbar(6, 16))),
-        ),
-    ),
-    "theta8": (
-        Fraction(1, 8),
-        (eta_atom(4),),
-        (
-            (0, (Jbar(4, 8), Jbar(28, 64))),
-            (4, (Jbar(0, 8), Jbar(52, 64))),
-            (1, (Jbar(4, 8), Jbar(20, 64))),
-            (1, (Jbar(0, 8), Jbar(28, 64))),
-            (2, (Jbar(0, 8), Jbar(20, 64))),
-            (6, (Jbar(4, 8), Jbar(60, 64))),
-            (3, (Jbar(4, 8), Jbar(52, 64))),
-            (7, (Jbar(0, 8), Jbar(60, 64))),
-        ),
-    ),
-    "theta8prime": (
-        Fraction(1, 2),
-        (eta_atom(4),),
-        (
-            (0, (J(4, 8), Jbar(28, 64))),
-            (1, (J(4, 8), Jbar(20, 64))),
-            (6, (J(4, 8), Jbar(60, 64))),
-            (3, (J(4, 8), Jbar(52, 64))),
-        ),
-    ),
-    "theta5": (
-        Fraction(1, 5),
-        ((eta_atom(5), 2),),
-        (
-            (0, ((J(10, 25), 3),)),
-            (1, (J(5, 25), (J(10, 25), 2))),
-            (2, ((J(5, 25), 2), J(10, 25))),
-            (3, ((J(5, 25), 3),)),
-        ),
-    ),
-    "theta7": (
-        Fraction(1, 7),
-        (eta_atom(7),),
-        (
-            (0, ((J(21, 49), 2),)),
-            (1, (J(14, 49), J(21, 49))),
-            (2, ((J(14, 49), 2),)),
-            (3, (J(7, 49), J(21, 49))),
-            (4, (J(7, 49), J(14, 49))),
-            (6, ((J(7, 49), 2),)),
-        ),
-    ),
-}
-
-# (constant term, q-shift, g spec) per slot.
-_G_FAMILIES = {
-    "G4": (
-        (-1, 2, GSpec(-1, 2, 16)),
-        (0, 5, GSpec(-1, 6, 16)),
-    ),
-    "G8": (
-        (1, 2, GSpec(1, 2, 16)),
-        (-1, 2, GSpec(-1, 2, 16)),
-        (0, 5, GSpec(1, 6, 16)),
-        (0, 5, GSpec(-1, 6, 16)),
-    ),
-    "G5": (
-        (0, 5, GSpec(1, 5, 25)),
-        (0, 8, GSpec(1, 10, 25)),
-    ),
-    "G7": (
-        (1, 7, GSpec(1, 7, 49)),
-        (0, 16, GSpec(1, 21, 49)),
-        (0, 13, GSpec(1, 14, 49)),
-    ),
-}
-
-FAMILY_ARITIES = {
-    "theta4": 4,
-    "G4": 2,
-    "theta8": 8,
-    "G8": 4,
-    "theta8prime": 4,
-    "theta5": 4,
-    "G5": 2,
-    "theta7": 6,
-    "G7": 3,
-}
-
-
-@dataclass(frozen=True)
-class CombinatorSpec:
-    """A named linear combinator with its coefficient vector."""
-
-    family: str
-    coefficients: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if self.family not in FAMILY_ARITIES:
-            raise ValueError(f"unknown combinator family {self.family!r}")
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        if len(coeffs) != FAMILY_ARITIES[self.family]:
-            raise ValueError(
-                f"{self.family} takes {FAMILY_ARITIES[self.family]} "
-                f"coefficients, got {len(coeffs)}"
-            )
-        object.__setattr__(self, "coefficients", coeffs)
-
-
-def combinator(spec: CombinatorSpec, prec: int) -> Series:
-    """Evaluate a combinator as a rational series with window [.., prec)."""
-    out = Series.zero(RATIONAL, prec)
-    if spec.family in _THETA_FAMILIES:
-        prefactor, den, terms = _THETA_FAMILIES[spec.family]
-        for c, (shift, num) in zip(spec.coefficients, terms):
-            if not c:
-                continue
-            out = out + eta_quotient(
-                num, den, shift=shift, scale=prefactor * c, prec=prec, ring=RATIONAL
-            )
-        return out
-    for c, (const, shift, gspec) in zip(spec.coefficients, _G_FAMILIES[spec.family]):
-        if not c:
-            continue
-        term = mock_g(gspec, prec - shift).shift(shift).to_rational().scale(c)
-        if const:
-            term = term + Series.constant(RATIONAL, Fraction(const) * c, prec)
-        out = out + term
-    return out
-
-
-def theta_comb(family: str, *coefficients) -> CombinatorSpec:
-    return CombinatorSpec(family, tuple(Fraction(c) for c in coefficients))

@@ -95,6 +95,20 @@ def test_json_report_gives_the_precision_each_entry_ran_at():
     assert payload["results"][0]["notes"] == []
 
 
+def test_run_header_gives_the_precision_range_that_ran():
+    for argv, expected in (
+        (["verify", "--json"], [76, 200]),
+        (["verify", "--id", "rearr-1", "--json"], [200, 200]),
+        (["verify", "--id", "rearr-*", "--prec", "150", "--json"], [150, 150]),
+    ):
+        code, out = run(argv)
+        assert code == 0, argv
+        payload = json.loads(out)
+        jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+        assert payload["run"]["prec_range"] == expected, argv
+        assert payload["run"]["prec_default"] == (150 if "--prec" in argv else 120)
+
+
 def test_verify_exit_code_on_failure(monkeypatch):
     entry = next(e for e in build_registry() if e.id == "rearr-2")
     broken = perturb_entry(entry, 42)
@@ -110,6 +124,9 @@ def test_check_congruence():
         assert code == 0 and out.strip().endswith("ok")
     code, out = run(["check-congruence", "11", "--max", "50"])
     assert code == 0
+    # the smallest --max reaches the first argument of the progression
+    code, out = run(["check-congruence", "5", "--max", "4"])
+    assert code == 0 and "1 arguments up to 4: ok" in out
 
 
 def test_usage_errors_exit_2():
@@ -127,6 +144,12 @@ def test_bad_input_exits_2(capsys):
         ["verify", "--prec", "5", "--id", "rearr-1"],
         ["deviation", "rank", "--a", "9", "--modulus", "4", "--prec", "10"],
         ["dissect", "pq", "--prec", "10", "--t", "5", "--r", "5"],
+        ["verify", "--id", "no-such-entry"],  # an empty selection is no pass
+        ["table", "rank", "--modulus", "5", "--max-n", "-1"],
+        ["table", "rank", "--modulus", "5", "--max-n", "-1", "--json"],
+        ["check-congruence", "5", "--max", "-3"],
+        ["check-congruence", "7", "--max", "4"],  # below 5, the first 7n+5
+        ["check-congruence", "11", "--max", "5"],  # below 6, the first 11n+6
     ):
         code, _ = run(argv)
         assert code == cli.EXIT_USAGE, argv

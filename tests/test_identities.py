@@ -56,6 +56,12 @@ def test_empty_filter_is_a_pass(registry):
     jsonschema.validate(payload, JSON_REPORT_SCHEMA)
 
 
+def test_prec_range_is_null_when_nothing_ran():
+    payload = report_json([], prec_default=100, timestamp="t")
+    assert payload["run"]["prec_range"] is None
+    jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+
+
 def test_single_entry_verification(registry):
     by_id = {e.id: e for e in registry}
     report = verify_identity(by_id["NC-8"], prec=60)
@@ -303,7 +309,7 @@ CHECKLIST_CONSTRUCTORS = {
     "theta function j, product and sum sides": ("qdissect.theta", "theta_j"),
     "universal mock theta g": ("qdissect.theta", "mock_g"),
     "Eulerian f0/f1 sums": ("qdissect.theta", "eulerian_sum"),
-    "dissection combinators (all nine families)": ("qdissect.theta", "combinator"),
+    "dissection combinators (all nine families)": ("qdissect.registry", "family"),
     "rank counting generating function": ("qdissect.partitions", "rank_count_series"),
     "crank counting generating function": ("qdissect.partitions", "crank_count_series"),
     "deviation series": ("qdissect.partitions", "deviation_series"),

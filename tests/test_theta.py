@@ -1,10 +1,10 @@
 import pytest
 
-from qdissect.rings import INTEGER
+from qdissect.rings import INTEGER, RATIONAL
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
+from qdissect.registry import family, terms
 from qdissect.theta import (
-    CombinatorSpec,
     GSpec,
     J,
     Jbar,
@@ -217,23 +217,22 @@ def test_gsplit_instance_matches_direct_evaluation():
 
 
 def test_combinator_zero_and_arity():
-    spec = CombinatorSpec("theta4", (0, 0, 0, 0))
-    assert theta.combinator(spec, 50).is_zero()
+    assert terms(*family("theta4", (0, 0, 0, 0)), ring=RATIONAL)(50).is_zero()
     with pytest.raises(ValueError):
-        CombinatorSpec("theta4", (1, 2, 3))
+        family("theta4", (1, 2, 3))
     with pytest.raises(ValueError):
-        CombinatorSpec("G5", (1, 2, 3))
+        family("G5", (1, 2, 3))
 
 
 def test_combinator_matches_crank_deviation():
-    lhs = theta.combinator(CombinatorSpec("theta4", (-1, -1, 1, 1)), 101)
+    lhs = terms(*family("theta4", (-1, -1, 1, 1)), ring=RATIONAL)(101)
     rhs = partitions.deviation_series("crank", 1, 4, 101)
     assert lhs.compare(rhs).equal
 
 
 def test_combinator_with_g_part_matches_rank_deviation():
-    lhs = theta.combinator(CombinatorSpec("theta5", (2, 2, -1, 1)), 101).scale(2)
-    lhs = lhs + theta.combinator(CombinatorSpec("G5", (-1, 0)), 101).scale(2)
+    lhs = terms(*family("theta5", (2, 2, -1, 1), 2), *family("G5", (-1, 0), 2),
+                ring=RATIONAL)(101)
     rhs = partitions.deviation_series("rank", 0, 5, 101)
     assert lhs.compare(rhs).equal
 
@@ -246,19 +245,32 @@ def test_negative_base_sum():
     assert lhs.compare(rhs).equal
 
 
-def test_concurrent_atom_cache():
+def test_concurrent_atom_cache(monkeypatch):
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
+    monkeypatch.setattr(theta, "_memo", {})
     atoms = [J(1, 4), Jbar(2, 7), J(3, 8), Jbar(1, 2)]
 
     def job(k):
         atom = atoms[k % len(atoms)]
+        theta.theta_j_inverse(atom, 40 + (k % 7))
         return theta_j(atom, 40 + (k % 5)).coeff(30)
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(job, range(32)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(job, range(32)))
+    finally:
+        sys.setswitchinterval(interval)
     for k, value in enumerate(results):
         assert value == theta_j(atoms[k % len(atoms)], 40).coeff(30)
+    # the widest request was 46 for both kinds; a narrower result stored
+    # over a wider one would leave less
+    for atom in atoms:
+        for kind in ("j", "inv"):
+            assert theta._memo[(kind, atom.sign, atom.a, atom.m)].prec == 46
 
 
 def test_euler_odd_even_product_relation():
@@ -266,6 +278,42 @@ def test_euler_odd_even_product_relation():
     lhs = pochhammer_infinite(1, 2, 2, 80)
     rhs = pochhammer_infinite(1, 1, 1, 80) * pochhammer_infinite(-1, 1, 1, 80)
     assert lhs.compare(rhs).equal
+
+
+def test_one_memo_keeps_the_widest_window(monkeypatch):
+    monkeypatch.setattr(theta, "_memo", {})
+    # an inverse memoizes its atom too; a g specialization is no atom
+    theta.theta_j_inverse(J(3, 11), 40)
+    mock_g(GSpec(-1, 5, 13), 40)
+    assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
+
+    calls = []
+    real = theta.theta_j_sum
+
+    def counting(atom, prec, base_sign=1):
+        calls.append(prec)
+        return real(atom, prec, base_sign)
+
+    monkeypatch.setattr(theta, "theta_j_sum", counting)
+    wide = theta_j(J(2, 9), 80)
+    assert calls == [80]
+    assert theta_j(J(2, 9), 30) == wide.truncate(30)
+    assert calls == [80]  # narrower: a truncation, nothing computed
+    assert theta_j(J(2, 9), 120).truncate(80) == wide
+    assert calls == [80, 120]  # wider: computed once and replaces the entry
+    assert theta._memo[("j", 1, 2, 9)].prec == 120
+    theta_j(J(2, 9), 100)
+    assert calls == [80, 120]
+
+    # a wider window that lands while a narrower one computes is kept
+    def racing(atom, prec, base_sign=1):
+        if prec == 30:
+            theta_j(J(5, 17), 90)
+        return real(atom, prec, base_sign)
+
+    monkeypatch.setattr(theta, "theta_j_sum", racing)
+    theta_j(J(5, 17), 30)
+    assert theta._memo[("j", 1, 5, 17)].prec == 90
 
 
 from hypothesis import given, settings, strategies as st
