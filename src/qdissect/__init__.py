@@ -34,6 +34,7 @@ from .partitions import (
     rank_count_series,
     residue_count,
     residue_series,
+    scaled_deviation,
 )
 from .identities import (
     CountSelector,
@@ -81,6 +82,7 @@ __all__ = [
     "rank_count_series",
     "residue_count",
     "residue_series",
+    "scaled_deviation",
     "CountSelector",
     "IdentityEntry",
     "VerificationReport",

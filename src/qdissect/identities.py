@@ -11,6 +11,12 @@ An equality entry may carry more than two builders: every series is
 compared against the first, which is how chained equalities such as the
 four-way rank-crank relations are represented under a single stable id.
 
+Every builder returns an integer series.  A statement with rational
+coefficients is stored multiplied through by its ``denominator`` d;
+comparing d*LHS with d*RHS is the same test because d != 0, and a
+mismatch is printed back in the statement's own units as the reduced
+fraction v/d.
+
 Precision discipline: an entry passes only if the comparison window
 actually reaches the requested precision.  A narrower window is reported
 as an error, never as a pass.
@@ -20,10 +26,12 @@ from __future__ import annotations
 
 import fnmatch
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
 from . import partitions
+from .rings import RATIONAL
 from .series import Series
 
 SeriesBuilder = Callable[[int], Series]
@@ -67,6 +75,10 @@ class IdentityEntry:
     ineq_t: int = 1
     ineq_r: int = 0
     ineq_threshold: int = 0
+    # every builder returns denominator * (its side of the statement)
+    denominator: int = 1
+    # (t, r) when the builders index the arguments t*n + r by n
+    progression: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -81,6 +93,24 @@ class IdentityEntry:
             self.ineq_lhs is None or self.ineq_rhs is None
         ):
             raise ValueError("inequality entries need both count selectors")
+
+    def argument_bound(self, prec: int) -> Tuple[str, int]:
+        """(unit, bound) of a run at prec: every argument below bound is
+        compared.  In the progression unit, index n stands for argument
+        t*n + r, so the bound is t*prec + r; otherwise it is prec."""
+        inequality = self.kind == "inequality"
+        progression = (self.ineq_t, self.ineq_r) if inequality else self.progression
+        if progression is None:
+            return "q", prec
+        t, r = progression
+        return "progression", t * prec + r
+
+    def coeff_text(self, value) -> str:
+        """A coefficient of a builder in the statement's own units: the
+        reduced num/den fraction value/denominator when denominator > 1."""
+        if self.denominator == 1:
+            return str(value)
+        return RATIONAL.coeff_to_text(Fraction(value, self.denominator))
 
 
 @dataclass(frozen=True)
@@ -100,25 +130,11 @@ class VerificationReport:
     ms: int = 0
     notes: Tuple[str, ...] = ()
     prec: int = 0  # the precision the entry ran at
+    unit: str = "q"  # what prec counts: q-exponents or progression indices
+    argument_bound: int = 0  # arguments below this bound were asked for
 
     def to_json_obj(self) -> dict:
-        fm = None
-        if self.first_mismatch is not None:
-            fm = {
-                "exponent": self.first_mismatch.exponent,
-                "lhs": self.first_mismatch.lhs,
-                "rhs": self.first_mismatch.rhs,
-            }
-        return {
-            "id": self.id,
-            "paper_label": self.paper_label,
-            "status": self.status,
-            "verified_through": self.verified_through,
-            "first_mismatch": fm,
-            "ms": self.ms,
-            "notes": list(self.notes),
-            "prec": self.prec,
-        }
+        return dict(asdict(self), notes=list(self.notes))
 
 
 JSON_REPORT_SCHEMA = {
@@ -168,6 +184,8 @@ JSON_REPORT_SCHEMA = {
                     "ms": {"type": "integer"},
                     "notes": {"type": "array", "items": {"type": "string"}},
                     "prec": {"type": "integer"},
+                    "unit": {"enum": ["q", "progression"]},
+                    "argument_bound": {"type": "integer"},
                 },
             },
         },
@@ -244,13 +262,17 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
             f"verification precision must be at least {MIN_VERIFY_PREC}"
         )
     start = time.perf_counter()
+    unit, bound = entry.argument_bound(prec)
 
     def finish(status, through, mismatch=None, notes=()):
         ms = int((time.perf_counter() - start) * 1000)
         return VerificationReport(
             entry.id, entry.paper_label, status, through, mismatch, ms,
-            tuple(notes), prec,
+            tuple(notes), prec, unit, bound,
         )
+
+    def mismatch(exponent, lhs, rhs):
+        return Mismatch(exponent, entry.coeff_text(lhs), entry.coeff_text(rhs))
 
     try:
         if entry.kind == "equality":
@@ -259,16 +281,8 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
                 other = other_builder(prec)
                 cmp = reference.compare(other)
                 if not cmp.equal:
-                    ring = reference.ring
-                    return finish(
-                        "fail",
-                        cmp.exponent,
-                        Mismatch(
-                            cmp.exponent,
-                            ring.coeff_to_text(cmp.lhs),
-                            ring.coeff_to_text(cmp.rhs),
-                        ),
-                    )
+                    return finish("fail", cmp.exponent,
+                                  mismatch(cmp.exponent, cmp.lhs, cmp.rhs))
                 if cmp.verified_through < prec:
                     return finish(
                         "error",
@@ -300,7 +314,7 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
         return finish(
             "fail",
             outcome.exponent,
-            Mismatch(outcome.exponent, str(outcome.lhs), str(outcome.rhs)),
+            mismatch(outcome.exponent, outcome.lhs, outcome.rhs),
             notes=outcome.notes,
         )
     except Exception as exc:
@@ -358,7 +372,8 @@ def report_text(reports: Sequence[VerificationReport]) -> str:
 
 
 def perturb_entry(entry: IdentityEntry, exponent: int, amount: int = 1) -> IdentityEntry:
-    """Clone an entry with its last builder perturbed by amount*q^exponent.
+    """Clone an entry with its last builder perturbed by amount*q^exponent,
+    in the statement's own units (the builder gains denominator*amount).
 
     Fault-injection helper: a perturbed clone must fail at exactly the
     perturbed exponent while every untouched entry still passes.
@@ -370,21 +385,8 @@ def perturb_entry(entry: IdentityEntry, exponent: int, amount: int = 1) -> Ident
 
     def perturbed(prec: int) -> Series:
         built = last(prec)
-        bump = Series.monomial(built.ring, exponent, built.prec, built.ring.coerce(amount))
+        bump = Series.monomial(built.ring, exponent, built.prec,
+                               built.ring.coerce(amount * entry.denominator))
         return built + bump
 
-    return IdentityEntry(
-        id=entry.id,
-        paper_label=entry.paper_label,
-        kind=entry.kind,
-        default_prec=entry.default_prec,
-        builders=entry.builders[:-1] + (perturbed,),
-        support_t=entry.support_t,
-        support_allowed=entry.support_allowed,
-        positive_from=entry.positive_from,
-        ineq_lhs=entry.ineq_lhs,
-        ineq_rhs=entry.ineq_rhs,
-        ineq_t=entry.ineq_t,
-        ineq_r=entry.ineq_r,
-        ineq_threshold=entry.ineq_threshold,
-    )
+    return replace(entry, builders=entry.builders[:-1] + (perturbed,))

@@ -7,8 +7,14 @@ fixed rank m (Atkin and Swinnerton-Dyer, 1954) or crank m (Garvan, 1988),
 
 with e(k) = k(3k-1)/2 for ranks and e(k) = k(k-1)/2 for cranks.  Summing
 the numerators over m = a (mod M) gives one sparse integer series num_a
-per residue class, and N(a,M;n) = sum_j num_a[j] p(n-j), so coefficient
-n needs only p(0..n) and the numerator terms below q^(n+1).
+per residue class with N_a(q) (q;q)_inf = num_a(q).  By Euler's
+pentagonal theorem that is the recurrence
+
+    N_a[n] = num_a[n] + N_a[n-1] + N_a[n-2] - N_a[n-5] - N_a[n-7] + ...
+
+over the generalized pentagonal numbers, the same one p(n) satisfies
+(the case num = 1), so coefficient n needs only num_a[n] and about
+2 sqrt(2n/3) earlier counts.
 
 Conventions (generating-function convention throughout):
   * n=0: the empty partition counts with statistic 0 in both tables.
@@ -26,11 +32,11 @@ Exhaustive enumeration of partitions stays as the brute-force oracle.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from operator import mul
 from typing import Iterator, List, Tuple
 
 from .rings import CyclicLaurent, cyclic_ring, INTEGER, RATIONAL
@@ -117,6 +123,25 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[Par
     return [Partition(parts) for parts in _descending(n, n if n else 1)]
 
 
+def _pentagonal(limit: int) -> Tuple[List[int], List[int]]:
+    """The generalized pentagonal numbers 0 < k(3k+-1)/2 < limit, ascending,
+    split by the sign (-1)^(k-1) of their term."""
+    signed: Tuple[List[int], List[int]] = ([], [])
+    k = 1
+    while (g := k * (3 * k - 1) // 2) < limit:
+        signed[1 - k % 2].extend(x for x in (g, g + k) if x < limit)
+        k += 1
+    return signed
+
+
+def _euler_step(rows: List[List[int]], n: int, pentagonal) -> List[int]:
+    """The q^n coefficient of row * (1 - (q;q)_inf) for each row, read
+    from row[0..n-1]; pentagonal = _pentagonal(limit) with limit > n."""
+    plus, minus = ([n - g for g in side[:bisect_right(side, n)]] for side in pentagonal)
+    return [sum(map(row.__getitem__, plus)) - sum(map(row.__getitem__, minus))
+            for row in rows]
+
+
 _pn_cache: List[int] = [1]
 _pn_lock = threading.Lock()
 
@@ -126,23 +151,10 @@ def partition_count(n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     with _pn_lock:
-        while len(_pn_cache) <= n:
-            m = len(_pn_cache)
-            total = 0
-            k = 1
-            while True:
-                g1 = k * (3 * k - 1) // 2
-                g2 = k * (3 * k + 1) // 2
-                if g1 > m and g2 > m:
-                    break
-                term = 0
-                if g1 <= m:
-                    term += _pn_cache[m - g1]
-                if g2 <= m:
-                    term += _pn_cache[m - g2]
-                total += term if k % 2 else -term
-                k += 1
-            _pn_cache.append(total)
+        if len(_pn_cache) <= n:
+            pentagonal = _pentagonal(n + 1)
+            for m in range(len(_pn_cache), n + 1):
+                _pn_cache.extend(_euler_step([_pn_cache], m, pentagonal))
         return _pn_cache[n]
 
 
@@ -164,52 +176,57 @@ def _sum_offset(stat: str, k: int) -> int:
 class _CountTable:
     """Residue counts of one statistic mod M, known below ``series.prec``.
 
-    ``numerators[a]`` holds the q^j coefficients (j < series.prec) of the
-    class-a numerator as a dense list of plain ints, so each count is one
-    map(mul) against p(n), ..., p(0).  With p(0..n) they are all that
-    coefficient n needs, so the table grows by exactly the coefficients
-    asked for.
+    ``rows[a]`` holds N_a[n] for n < series.prec as plain ints, the state
+    of the pentagonal recurrence; the rank table's +1 at n=0, a=0 is not
+    part of that state (it would leak into every later count) and is
+    added where counts are handed out.  The numerator term num_a[n] is
+    needed only at step n, so it is not kept, and the table grows by
+    exactly the coefficients asked for.
 
     ``window`` is the truncation handed out last, so reading the M
     classes of one n (``residue_count``) truncates the table once, not M
     times.
     """
 
-    __slots__ = ("stat", "modulus", "numerators", "series", "window")
+    __slots__ = ("stat", "modulus", "rows", "series", "window")
 
     def __init__(self, stat: str, M: int):
         self.stat = stat
         self.modulus = M
-        self.numerators = [[] for _ in range(M)]
+        self.rows = [[] for _ in range(M)]
         self.series = self.window = Series.zero(cyclic_ring(M), 0)
 
     def grow(self, prec: int) -> None:
         """Compute the coefficients in [series.prec, prec) and widen."""
         stat, M = self.stat, self.modulus
         old = self.series.prec
-        partition_count(prec - 1)
-        pn = _pn_cache
-        nums = self.numerators
-        for num in nums:
-            # the slice, not an extend, also drops what an interrupted grow left
-            num[old:] = [0] * (prec - old)
+        rows = self.rows
+        for row in rows:
+            del row[old:]  # what an interrupted grow left
+        # q^n terms of sum_k (-1)^(k-1) q^(e(k)+mk) (1-q^k) for m >= 0,
+        # credited to the classes of m and -m (the same class when
+        # 2m = 0 mod M, which then counts twice): at n = e(k) + jk the
+        # class of j gets the sign, the class of j - 1 its opposite
+        nums = [[0] * M for _ in range(old, prec)]
+        k = 1
+        while (e := _sum_offset(stat, k)) < prec:
+            sign = 1 if k % 2 else -1
+            first = e + k * max(0, -((e - old) // k))  # e + jk >= old
+            for n in range(first, prec, k):
+                j = (n - e) // k
+                num = nums[n - old]
+                for m, c in ((j, sign), (j - 1, -sign)):
+                    if m >= 0:
+                        num[m % M] += c
+                        if m:
+                            num[-m % M] += c
+            k += 1
+        pentagonal = _pentagonal(prec)
         coeffs = list(self.series.coeffs)
-        for n in range(old, prec):
-            # q^n terms of sum_k (-1)^(k-1) q^(e(k)+mk) (1-q^k) for m >= 0,
-            # credited to the classes of m and -m (the same class when
-            # 2m = 0 mod M, which then counts twice)
-            k = 1
-            while (r := n - _sum_offset(stat, k)) >= 0:
-                if r % k == 0:
-                    sign = 1 if k % 2 else -1
-                    for m, c in ((r // k, sign), (r // k - 1, -sign)):
-                        if m >= 0:
-                            nums[m % M][n] += c
-                            if m:
-                                nums[-m % M][n] += c
-                k += 1
-            window = pn[n::-1]
-            counts = [sum(map(mul, num, window)) for num in nums]
+        for n, num in zip(range(old, prec), nums):
+            for row, c, step in zip(rows, num, _euler_step(rows, n, pentagonal)):
+                row.append(c + step)
+            counts = [row[n] for row in rows]
             if n == 0 and stat == "rank":
                 counts[0] += 1  # the empty partition, absent from the rank sum
             coeffs.append(CyclicLaurent(M, counts))
@@ -220,32 +237,37 @@ _count_cache: dict = {}
 _count_lock = threading.Lock()
 
 
+def _table(stat: str, M: int, prec: int) -> _CountTable:
+    """The cached table of (stat, M), grown to at least prec; call with
+    _count_lock held."""
+    if stat not in _STATS:
+        raise ValueError(f"unknown statistic {stat!r}")
+    if M < 1:
+        raise ValueError("modulus must be >= 1")
+    table = _count_cache.get((stat, M))
+    if table is None:
+        table = _count_cache[stat, M] = _CountTable(stat, M)
+    if table.series.prec < prec:
+        table.grow(prec)
+    return table
+
+
 def count_series(stat: str, M: int, prec: int) -> Series:
     """Series over Z[z]/(z^M-1) whose q^n coefficient holds the residue
     counts of the statistic: index a is N(a,M;n) resp. C(a,M;n).
 
-    N(a,M;n) = sum_j num_a[j] p(n-j), where num_a is the sparse
-    numerator of the module docstring summed over m = a (mod M).  Both
-    series follow the generating-function convention: the empty
-    partition counts at n=0, a=0 (added by hand for ranks, part of the
-    crank sum), and the crank coefficient at n=1 is z + z^-1 - 1, as the
-    sum gives it.
+    N_a(q) (q;q)_inf = num_a(q), where num_a is the sparse numerator of
+    the module docstring summed over m = a (mod M).  Both series follow
+    the generating-function convention: the empty partition counts at
+    n=0, a=0 (added by hand for ranks, part of the crank sum), and the
+    crank coefficient at n=1 is z + z^-1 - 1, as the sum gives it.
 
     Cached per (stat, M).  A wider request computes only the missing
     coefficients, up to exactly prec; a narrower one is a truncation,
     reused while the same width is asked again.
     """
-    if stat not in _STATS:
-        raise ValueError(f"unknown statistic {stat!r}")
-    if M < 1:
-        raise ValueError("modulus must be >= 1")
-    key = (stat, M)
     with _count_lock:
-        table = _count_cache.get(key)
-        if table is None:
-            table = _count_cache[key] = _CountTable(stat, M)
-        if table.series.prec < prec:
-            table.grow(prec)
+        table = _table(stat, M, prec)
         if table.window.prec != prec:
             table.window = table.series.truncate(prec)
         return table.window
@@ -269,13 +291,24 @@ def residue_count(stat: str, a: int, M: int, n: int) -> int:
 
 
 def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
-    """Integer series sum_n N(a,M;n) q^n (resp. cranks)."""
+    """Integer series sum_n N(a,M;n) q^n (resp. cranks), read from the
+    table's rows."""
     if not 0 <= a < M:
         raise ValueError(f"residue {a} out of range for modulus {M}")
-    counts = count_series(stat, M, prec)
+    with _count_lock:
+        column = _table(stat, M, prec).rows[a][:max(prec, 0)]
+    if column and stat == "rank" and a == 0:
+        column[0] += 1  # the empty partition, absent from the rank sum
+    return Series.from_coeffs(INTEGER, 0, column, prec)
+
+
+def scaled_deviation(stat: str, a: int, M: int, prec: int) -> Series:
+    """M times the deviation: sum_n (M N(a,M;n) - p(n)) q^n, an integer
+    series (resp. cranks)."""
+    counts = residue_series(stat, a, M, prec).coeffs
+    partition_count(len(counts))  # fills _pn_cache past every n read below
     return Series.from_coeffs(
-        INTEGER, 0, [c.counts[a] for c in counts.coeffs], prec
-    )
+        INTEGER, 0, [M * c - p for c, p in zip(counts, _pn_cache)], prec)
 
 
 def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:
@@ -284,14 +317,8 @@ def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:
     The n=0 coefficient is [a=0] - 1/M: the empty partition carries
     statistic 0 in the generating-function convention.
     """
-    if not 0 <= a < M:
-        raise ValueError(f"residue {a} out of range for modulus {M}")
-    counts = count_series(stat, M, prec)
-    coeffs = [
-        Fraction(c.counts[a]) - Fraction(partition_count(n), M)
-        for n, c in enumerate(counts.coeffs)
-    ]
-    return Series.from_coeffs(RATIONAL, 0, coeffs, prec)
+    scaled = scaled_deviation(stat, a, M, prec).coeffs
+    return Series.from_coeffs(RATIONAL, 0, [Fraction(c, M) for c in scaled], prec)
 
 
 @lru_cache(maxsize=None)

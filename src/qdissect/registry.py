@@ -30,15 +30,20 @@ against the first.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import partitions, theta
 from .identities import CountSelector, IdentityEntry
-from .rings import INTEGER, RATIONAL
+from .rings import INTEGER
 from .series import Series
 from .theta import GSpec, J, Jbar, eta_atom
 
 THETA_PREC = 200  # theta-only entries (cheap, sparse expansions)
 MOCK_PREC = 100  # entries whose builders evaluate mock g
+
+# atoms and numerators shared by many statements
+J4, J32 = eta_atom(4), eta_atom(32)
+Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 
 
 # -- small builder DSL -----------------------------------------------------------
@@ -48,61 +53,69 @@ MOCK_PREC = 100  # entries whose builders evaluate mock g
 # deviation); the helpers below keep those transcriptions close to how
 # the statements are written, and the dissection families expand into
 # the same parts.
+#
+# Scales are exact rationals, but every series is built over the
+# integers: an entry's denominator d is the lcm of the denominators of
+# its parts' scales, derived when the registry is built, and each part
+# contributes the integer multiple d*scale of its integer series.  A
+# deviation D(a,M) enters as (1/M) * (M*D(a,M)), so it contributes M.
 
 
 def _quot(scale, shift, num=(), den=()):
-    def term(prec, ring):
-        return theta.eta_quotient(num, den, shift, scale, prec, ring)
-
-    return term
+    return scale, lambda prec: theta.eta_quotient(num, den, shift, prec=prec)
 
 
 def _g(scale, shift, sign, a, m):
     spec = GSpec(sign, a, m)
-
-    def term(prec, ring):
-        out = theta.mock_g(spec, prec - shift).shift(shift)
-        if ring == RATIONAL:
-            out = out.to_rational()
-        return out if scale == 1 else out.scale(scale)
-
-    return term
+    return scale, lambda prec: theta.mock_g(spec, prec - shift).shift(shift)
 
 
 def _const(value):
-    def term(prec, ring):
-        return Series.constant(ring, value, prec)
-
-    return term
+    return value, lambda prec: Series.one(INTEGER, prec)
 
 
 def _monomial(value, exponent):
-    def term(prec, ring):
-        return Series.monomial(ring, exponent, prec, ring.coerce(value))
-
-    return term
+    return value, lambda prec: Series.monomial(INTEGER, exponent, prec)
 
 
 def _dev(scale, stat, a, M):
-    def term(prec, ring):
-        out = partitions.deviation_series(stat, a, M, prec)
-        return out if scale == 1 else out.scale(scale)
-
-    return term
+    return Fraction(scale, M), lambda prec: partitions.scaled_deviation(stat, a, M, prec)
 
 
-def terms(*parts, ring=INTEGER):
-    def build(prec):
-        out = Series.zero(ring, prec)
-        for part in parts:
-            out = out + part(prec, ring)
-        return out
+class Terms:
+    """A side of a statement: the sum of scale * build(prec) over its
+    (scale, build) parts, where the scale is an int or a Fraction and
+    build returns an integer series."""
 
-    return build
+    __slots__ = ("parts", "denominator")
+
+    def __init__(self, parts):
+        self.parts = tuple(parts)
+        self.denominator = lcm(*[scale.denominator for scale, _ in self.parts])
+
+    def at(self, d):
+        """The integer builder of d times this side; raises ValueError
+        when d does not clear a scale."""
+        if d % self.denominator:
+            raise ValueError(f"denominator {d} does not clear the scales "
+                             f"of this side (their lcm is {self.denominator})")
+        scaled = [(scale.numerator * d // scale.denominator, build)
+                  for scale, build in self.parts]
+        if len(scaled) == 1 and scaled[0][0] == 1:
+            return scaled[0][1]
+
+        def built(prec):
+            out = Series.zero(INTEGER, prec)
+            for k, build in scaled:
+                piece = build(prec)
+                out = out + (piece if k == 1 else piece.scale(k))
+            return out
+
+        return built
 
 
-def zero_series(ring=INTEGER):
-    return lambda prec: Series.constant(ring, 0, prec)
+def terms(*parts):
+    return Terms(parts)
 
 
 def atom_series(atom):
@@ -110,13 +123,13 @@ def atom_series(atom):
 
 
 def deviation(stat, a, M):
-    return lambda prec: partitions.deviation_series(stat, a, M, prec)
+    return terms(_dev(1, stat, a, M))
 
 
 def deviation_sum(stat, M, residues=None):
     """Sum of D(a,M) (D_C for cranks) over the residues, all M by default."""
     residues = range(M) if residues is None else residues
-    return terms(*(_dev(1, stat, a, M) for a in residues), ring=RATIONAL)
+    return terms(*(_dev(1, stat, a, M) for a in residues))
 
 
 # -- the dissection families ------------------------------------------------------
@@ -178,7 +191,7 @@ def family(name, coefficients, scale=1):
 
 def combo(*families):
     """Sum of (family, coefficients, scale) dissection families."""
-    return terms(*(part for f in families for part in family(*f)), ring=RATIONAL)
+    return terms(*(part for f in families for part in family(*f)))
 
 
 def counts(parts, t=None, r=0, twist=False):
@@ -200,8 +213,34 @@ def counts(parts, t=None, r=0, twist=False):
     return build
 
 
-def _eq(entry_id, label, builders, prec):
-    return IdentityEntry(entry_id, label, "equality", prec, tuple(builders))
+def _entry(entry_id, label, kind, prec, sides, **fields):
+    """An entry whose sides are multiplied through by their common
+    denominator; a side that is not a terms(...) sum is an integer builder."""
+    sides = [side if isinstance(side, Terms) else terms((1, side)) for side in sides]
+    d = lcm(*(side.denominator for side in sides))
+    return IdentityEntry(entry_id, label, kind, prec, tuple(side.at(d) for side in sides),
+                         denominator=d, **fields)
+
+
+def _eq(entry_id, label, sides, prec, **fields):
+    return _entry(entry_id, label, "equality", prec, sides, **fields)
+
+
+def _dev_lines(stat, M, k, lines):
+    """The k-dissection entries of D(a,M) (D_C for cranks), for lines
+    {a: dissection families}; for 0 < a < M - a the entry also states
+    D(a,M) = D(M-a,M)."""
+    letter = "D" if stat == "rank" else "D_C"
+    return [_eq(f"dev-{stat}-{a}-{M}", f"{letter}({a},{M}) {k}-dissection",
+                [deviation(stat, a, M)]
+                + ([deviation(stat, M - a, M)] if 0 < a < M - a else [])
+                + [combo(*families)], MOCK_PREC)
+            for a, families in lines.items()]
+
+
+def _dev_sum(stat, M):
+    return _eq(f"dev-{stat}-{M}-sum", f"{stat} deviations mod {M} sum to zero",
+               [deviation_sum(stat, M), terms()], MOCK_PREC)
 
 
 # -- group A: toolkit -------------------------------------------------------------
@@ -408,7 +447,7 @@ def _toolkit_entries():
                    _quot(s, 1 - a, [theta.ThetaAtom(s, a, 4), theta.ThetaAtom(s, 1 + a, 8)]),
                    _quot(-1, 0, [eta_atom(1), theta.ThetaAtom(-s, 3 + a, 4),
                                  theta.ThetaAtom(s, 3 + a, 8)], [eta_atom(4)])),
-             zero_series(INTEGER)],
+             terms()],
             THETA_PREC,
         ))
         entries.append(_eq(
@@ -419,7 +458,7 @@ def _toolkit_entries():
                    _quot(-1, 0, [theta.ThetaAtom(-s, 2 + a, 4), theta.ThetaAtom(-s, 1 + a, 8)]),
                    _quot(-s, a, [eta_atom(1), theta.ThetaAtom(s, 3 + a, 4),
                                  theta.ThetaAtom(-s, 7 + a, 8)], [eta_atom(4)])),
-             zero_series(INTEGER)],
+             terms()],
             THETA_PREC,
         ))
 
@@ -510,68 +549,57 @@ def _deviation_entries():
         [deviation("rank", 2, 4),
          combo(("theta4", (-1, -1, 5, -3), 1), ("G4", (0, -1), 2))],
         MOCK_PREC))
-    entries.append(_eq(
-        "dev-rank-4-sum", "rank deviations mod 4 sum to zero",
-        [deviation_sum("rank", 4), zero_series(RATIONAL)], MOCK_PREC))
+    entries.append(_dev_sum("rank", 4))
 
     # crank deviations mod 4
-    for a, coeffs in [(0, (3, -1, 1, -3)), (1, (-1, -1, 1, 1)), (2, (-1, 3, -3, 1))]:
-        legs = [deviation("crank", a, 4)]
-        if a == 1:
-            legs.append(deviation("crank", 3, 4))
-        legs.append(combo(("theta4", coeffs, 1)))
-        entries.append(_eq(
-            f"dev-crank-{a}-4", f"D_C({a},4) 2-dissection", legs, MOCK_PREC))
-    entries.append(_eq(
-        "dev-crank-4-sum", "crank deviations mod 4 sum to zero",
-        [deviation_sum("crank", 4), zero_series(RATIONAL)], MOCK_PREC))
+    entries += _dev_lines("crank", 4, 2, {
+        a: [("theta4", coeffs, 1)]
+        for a, coeffs in [(0, (3, -1, 1, -3)), (1, (-1, -1, 1, 1)), (2, (-1, 3, -3, 1))]})
+    entries.append(_dev_sum("crank", 4))
 
     # mod 4 rank proposition (g on base q^16) and its first-stage form (base q^4)
-    J4 = eta_atom(4)
-    q14 = [J(1, 2), J(1, 4)]
-    q14bar = [Jbar(1, 2), Jbar(1, 4)]
     entries.append(_eq(
         "dev-rank-0-4-pre", "D(0,4) via g(-q^2;q^16)",
         [deviation("rank", 0, 4),
          terms(_const(2), _g(-2, 2, -1, 2, 16),
                _quot(-2, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-               _quot(Fraction(1, 2), 0, q14bar, [J4]),
-               _quot(Fraction(1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(1, 2), 0, Q14BAR, [J4]),
+               _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-1-4-pre", "D(1,4) via g(-q^2;q^16), g(-q^6;q^16)",
         [deviation("rank", 1, 4),
          terms(_const(-1), _g(1, 2, -1, 2, 16), _g(1, 5, -1, 6, 16),
                _quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4]),
-               _quot(Fraction(-1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(-1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4-pre", "D(2,4) via g(-q^6;q^16)",
         [deviation("rank", 2, 4),
          terms(_g(-2, 5, -1, 6, 16),
                _quot(2, 1, [Jbar(4, 8), Jbar(2, 16)], [J4]),
-               _quot(Fraction(-1, 2), 0, q14bar, [J4]),
-               _quot(Fraction(1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(-1, 2), 0, Q14BAR, [J4]),
+               _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-0-4-base", "D(0,4) via g(+-q;q^4)",
         [deviation("rank", 0, 4),
          terms(_g(1, 1, -1, 1, 4), _g(-1, 1, 1, 1, 4),
-               _quot(Fraction(1, 2), 0, q14bar, [J4]),
-               _quot(Fraction(1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(1, 2), 0, Q14BAR, [J4]),
+               _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-1-4-base", "D(1,4) via g(-q;q^4)",
         [deviation("rank", 1, 4),
          terms(_g(-1, 1, -1, 1, 4),
-               _quot(Fraction(-1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(-1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4-base", "D(2,4) via g(+-q;q^4)",
         [deviation("rank", 2, 4),
          terms(_g(1, 1, -1, 1, 4), _g(1, 1, 1, 1, 4),
-               _quot(Fraction(-1, 2), 0, q14bar, [J4]),
-               _quot(Fraction(1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(-1, 2), 0, Q14BAR, [J4]),
+               _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4-alt", "D(2,4), the Jbar_{1,2}J_{2,4}/J1 form",
@@ -579,7 +607,7 @@ def _deviation_entries():
          terms(_g(-2, 5, -1, 6, 16),
                _quot(2, 1, [Jbar(4, 8), Jbar(2, 16)], [J4]),
                _quot(Fraction(-1, 2), 0, [Jbar(1, 2), J(2, 4)], [eta_atom(1)]),
-               _quot(Fraction(1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
 
     # crank mod 4 first stage
@@ -587,7 +615,7 @@ def _deviation_entries():
         "dev-crank-0-4-pre", "D_C(0,4) = (1/2) J_{1,2}Jbar_{1,4}/J4 + (1/4) J_{1,2}J_{1,4}/J4",
         [deviation("crank", 0, 4),
          terms(_quot(Fraction(1, 2), 0, [J(1, 2), Jbar(1, 4)], [J4]),
-               _quot(Fraction(1, 4), 0, q14, [J4]), ring=RATIONAL)],
+               _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
 
     # split rewrites connecting the two shapes (theta only)
@@ -601,10 +629,10 @@ def _deviation_entries():
                   _quot(1, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]))
     entries.append(_eq(
         "split-rw-1", "J_{1,2}J_{1,4}/J4 two-square split",
-        [terms(_quot(1, 0, q14, [J4])), pair1], THETA_PREC))
+        [terms(_quot(1, 0, Q14, [J4])), pair1], THETA_PREC))
     entries.append(_eq(
         "split-rw-2", "Jbar_{1,2}Jbar_{1,4}/J4 two-square split",
-        [terms(_quot(1, 0, q14bar, [J4])), pair2], THETA_PREC))
+        [terms(_quot(1, 0, Q14BAR, [J4])), pair2], THETA_PREC))
     entries.append(_eq(
         "split-rw-3", "Jbar_{4,8}J_{1,4}/J4 two-square split",
         [terms(_quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4])),
@@ -634,28 +662,16 @@ _D8_THETA = {
 _DC8_THETA = {
     0: ((3, -1, 1, -3, -1, 3, 1, -3), (1, -1, -1, 1)),
     1: ((-1, -1, 1, 1, -1, -1, 1, 1), (0, 1, 0, -1)),
-    2: ((-1, 3, -3, 1, 3, -1, -3, 1), None),
+    2: ((-1, 3, -3, 1, 3, -1, -3, 1), (0, 0, 0, 0)),
     3: ((-1, -1, 1, 1, -1, -1, 1, 1), (0, -1, 0, 1)),
     4: ((3, -1, 1, -3, -1, 3, 1, -3), (-1, 1, 1, -1)),
 }
 
 
 def _mod8_entries():
-    entries = []
-    J4 = eta_atom(4)
-    q14 = [J(1, 2), J(1, 4)]
-    q14bar = [Jbar(1, 2), Jbar(1, 4)]
-
-    for a, (theta_coeffs, g_coeffs, g_scale) in _D8_THETA.items():
-        legs = [deviation("rank", a, 8)]
-        if a in (1, 2, 3):
-            legs.append(deviation("rank", 8 - a, 8))
-        legs.append(combo(("theta8", theta_coeffs, 1), ("G8", g_coeffs, g_scale)))
-        entries.append(_eq(
-            f"dev-rank-{a}-8", f"D({a},8) 2-dissection", legs, MOCK_PREC))
-    entries.append(_eq(
-        "dev-rank-8-sum", "rank deviations mod 8 sum to zero",
-        [deviation_sum("rank", 8), zero_series(RATIONAL)], MOCK_PREC))
+    entries = _dev_lines("rank", 8, 2, {
+        a: [("theta8", tc, 1), ("G8", gc, gs)] for a, (tc, gc, gs) in _D8_THETA.items()})
+    entries.append(_dev_sum("rank", 8))
 
     # first-stage forms of the rank deviations mod 8
     half = Fraction(1, 2)
@@ -667,33 +683,33 @@ def _mod8_entries():
         0: terms(_const(2), _g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
                  _quot(-1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                  _quot(-1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(quarter, 0, q14bar, [J4]),
-                 _quot(eighth, 0, q14, [J4]),
-                 _quot(half, 0, extra8, extra8_den), ring=RATIONAL),
+                 _quot(quarter, 0, Q14BAR, [J4]),
+                 _quot(eighth, 0, Q14, [J4]),
+                 _quot(half, 0, extra8, extra8_den)),
         1: terms(_const(-1), _g(-half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
                  _g(half, 5, 1, 6, 16), _g(half, 5, -1, 6, 16),
                  _quot(half, 0, [Jbar(4, 8), J(1, 4)], [J4]),
                  _quot(-half, 1, [Jbar(4, 8), J(2, 16)], [J4]),
                  _quot(half, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(-eighth, 0, q14, [J4]),
-                 _quot(half, 1, [Jbar(1, 2), J(14, 16)], [J4]), ring=RATIONAL),
+                 _quot(-eighth, 0, Q14, [J4]),
+                 _quot(half, 1, [Jbar(1, 2), J(14, 16)], [J4])),
         2: terms(_g(-1, 5, -1, 6, 16),
                  _quot(1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-                 _quot(-quarter, 0, q14bar, [J4]),
-                 _quot(eighth, 0, q14, [J4]), ring=RATIONAL),
+                 _quot(-quarter, 0, Q14BAR, [J4]),
+                 _quot(eighth, 0, Q14, [J4])),
         3: terms(_g(half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
                  _g(-half, 5, 1, 6, 16), _g(half, 5, -1, 6, 16),
                  _quot(half, 0, [Jbar(4, 8), J(1, 4)], [J4]),
                  _quot(half, 1, [Jbar(4, 8), J(2, 16)], [J4]),
                  _quot(-half, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(-eighth, 0, q14, [J4]),
-                 _quot(-half, 1, [Jbar(1, 2), J(2, 16)], [J4]), ring=RATIONAL),
+                 _quot(-eighth, 0, Q14, [J4]),
+                 _quot(-half, 1, [Jbar(1, 2), J(2, 16)], [J4])),
         4: terms(_g(-1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
                  _quot(-1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                  _quot(1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(quarter, 0, q14bar, [J4]),
-                 _quot(eighth, 0, q14, [J4]),
-                 _quot(-half, 0, extra8, extra8_den), ring=RATIONAL),
+                 _quot(quarter, 0, Q14BAR, [J4]),
+                 _quot(eighth, 0, Q14, [J4]),
+                 _quot(-half, 0, extra8, extra8_den)),
     }
     for a, rhs in pre_forms.items():
         entries.append(_eq(
@@ -727,19 +743,9 @@ def _mod8_entries():
         entries.append(_eq(entry_id, label, [lhs, rhs], THETA_PREC))
 
     # crank deviations mod 8: 4-dissections
-    for a, (theta_coeffs, prime_coeffs) in _DC8_THETA.items():
-        legs = [deviation("crank", a, 8)]
-        if a in (1, 2, 3):
-            legs.append(deviation("crank", 8 - a, 8))
-        parts = [("theta8", theta_coeffs, 1)]
-        if prime_coeffs is not None:
-            parts.append(("theta8prime", prime_coeffs, 1))
-        legs.append(combo(*parts))
-        entries.append(_eq(
-            f"dev-crank-{a}-8", f"D_C({a},8) 4-dissection", legs, MOCK_PREC))
-    entries.append(_eq(
-        "dev-crank-8-sum", "crank deviations mod 8 sum to zero",
-        [deviation_sum("crank", 8), zero_series(RATIONAL)], MOCK_PREC))
+    entries += _dev_lines("crank", 8, 4, {
+        a: [("theta8", tc, 1), ("theta8prime", pc, 1)] for a, (tc, pc) in _DC8_THETA.items()})
+    entries.append(_dev_sum("crank", 8))
 
     # first-stage crank forms
     entries.append(_eq(
@@ -748,7 +754,7 @@ def _mod8_entries():
          terms(_quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
                _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]),
                _quot(quarter, 0, [J(1, 2), Jbar(1, 4)], [J4]),
-               _quot(eighth, 0, q14, [J4]), ring=RATIONAL)],
+               _quot(eighth, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-0-8-mid", "D_C(0,8) 2-dissected",
@@ -758,13 +764,13 @@ def _mod8_entries():
                _quot(eighth, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
                _quot(Fraction(-3, 8), 1, [Jbar(0, 8), Jbar(6, 16)], [J4]),
                _quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
-               _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]), ring=RATIONAL)],
+               _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-2-8-pre", "D_C(2,8) before 2-dissection",
         [deviation("crank", 2, 8),
          terms(_quot(-quarter, 0, [J(1, 2), Jbar(1, 4)], [J4]),
-               _quot(eighth, 0, q14, [J4]), ring=RATIONAL)],
+               _quot(eighth, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-2-8-mid", "D_C(2,8) 2-dissected",
@@ -772,7 +778,7 @@ def _mod8_entries():
          terms(_quot(-eighth, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                _quot(Fraction(3, 8), 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
                _quot(Fraction(-3, 8), 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-               _quot(eighth, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]), ring=RATIONAL)],
+               _quot(eighth, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]))],
         MOCK_PREC))
 
     # pairwise sums used by the four-way relations
@@ -814,7 +820,7 @@ def _rank_crank_entries():
 
     def nc(entry_id, label, t, r, legs, prec):
         builders = [counts(parts, t=t, r=r) for parts in legs]
-        entries.append(_eq(entry_id, label, builders, prec))
+        entries.append(_eq(entry_id, label, builders, prec, progression=(t, r)))
 
     N, C = "rank", "crank"
     nc("NC-8", "Lewis/Santa-Gadea (8)", 2, 0,
@@ -845,7 +851,7 @@ def _rank_crank_entries():
         "N(0,4;2n) - N(2,4;2n) = (-1)^n [N(0,8;2n) - N(4,8;2n)]",
         [counts([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=0),
          counts([(1, N, 0, 8), (-1, N, 4, 8)], t=2, r=0, twist=True)],
-        EVEN_PREC))
+        EVEN_PREC, progression=(2, 0)))
     entries.append(_eq(
         "rank-diff-mod4-odd",
         "N(0,4;2n+1) - N(2,4;2n+1) = (-1)^n [N(0,8;2n+1) + 2N(1,8;2n+1) "
@@ -853,9 +859,8 @@ def _rank_crank_entries():
         [counts([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=1),
          counts([(1, N, 0, 8), (2, N, 1, 8), (-2, N, 3, 8), (-1, N, 4, 8)],
                 t=2, r=1, twist=True)],
-        EVEN_PREC))
+        EVEN_PREC, progression=(2, 1)))
 
-    J4 = eta_atom(4)
     entries.append(_eq(
         "rank-diff-04-gf",
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) + 2q^5 g(-q^6;q^16) "
@@ -929,7 +934,6 @@ def _support_entries():
         a = 2 if shift == 2 else 6
         return terms(_g(1, shift, 1, a, 16), _g(sign2, shift, -1, a, 16))
 
-    J32 = eta_atom(32)
     combos = [
         ("g2-plus", "q^2[g(q^2;q^16) + g(-q^2;q^16)]", g_comb(2, 1), 2,
          terms(_g(-2, 18, -1, 20, 64),
@@ -946,9 +950,9 @@ def _support_entries():
     ]
     for entry_id, label, lhs, residue, rhs in combos:
         entries.append(_eq(entry_id, label + " expansion", [lhs, rhs], MOCK_PREC))
-        entries.append(IdentityEntry(
+        entries.append(_entry(
             f"{entry_id}-support", label + f" supported on {residue} mod 4",
-            "support", MOCK_PREC, (lhs,), support_t=4,
+            "support", MOCK_PREC, [lhs], support_t=4,
             support_allowed=frozenset([residue])))
 
     return entries
@@ -984,39 +988,16 @@ _M7_CRANK = {
 def _mod57_entries():
     entries = []
 
-    for a, (tc, ts, gc, gs) in _M5_RANK.items():
-        legs = [deviation("rank", a, 5)]
-        if a:
-            legs.append(deviation("rank", 5 - a, 5))
-        legs.append(combo(("theta5", tc, ts), ("G5", gc, gs)))
-        entries.append(_eq(f"dev-rank-{a}-5", f"D({a},5) 5-dissection", legs, MOCK_PREC))
-    for a, (tc, ts) in _M5_CRANK.items():
-        legs = [deviation("crank", a, 5)]
-        if a:
-            legs.append(deviation("crank", 5 - a, 5))
-        legs.append(combo(("theta5", tc, ts)))
-        entries.append(_eq(f"dev-crank-{a}-5", f"D_C({a},5) 5-dissection", legs, MOCK_PREC))
-    entries.append(_eq("dev-rank-5-sum", "rank deviations mod 5 sum to zero",
-                       [deviation_sum("rank", 5), zero_series(RATIONAL)], MOCK_PREC))
-    entries.append(_eq("dev-crank-5-sum", "crank deviations mod 5 sum to zero",
-                       [deviation_sum("crank", 5), zero_series(RATIONAL)], MOCK_PREC))
-
-    for a, (tc, ts, gc, gs) in _M7_RANK.items():
-        legs = [deviation("rank", a, 7)]
-        if a:
-            legs.append(deviation("rank", 7 - a, 7))
-        legs.append(combo(("theta7", tc, ts), ("G7", gc, gs)))
-        entries.append(_eq(f"dev-rank-{a}-7", f"D({a},7) 7-dissection", legs, MOCK_PREC))
-    for a, (tc, ts) in _M7_CRANK.items():
-        legs = [deviation("crank", a, 7)]
-        if a:
-            legs.append(deviation("crank", 7 - a, 7))
-        legs.append(combo(("theta7", tc, ts)))
-        entries.append(_eq(f"dev-crank-{a}-7", f"D_C({a},7) 7-dissection", legs, MOCK_PREC))
-    entries.append(_eq("dev-rank-7-sum", "rank deviations mod 7 sum to zero",
-                       [deviation_sum("rank", 7), zero_series(RATIONAL)], MOCK_PREC))
-    entries.append(_eq("dev-crank-7-sum", "crank deviations mod 7 sum to zero",
-                       [deviation_sum("crank", 7), zero_series(RATIONAL)], MOCK_PREC))
+    entries += _dev_lines("rank", 5, 5, {
+        a: [("theta5", tc, ts), ("G5", gc, gs)] for a, (tc, ts, gc, gs) in _M5_RANK.items()})
+    entries += _dev_lines("crank", 5, 5, {
+        a: [("theta5", tc, ts)] for a, (tc, ts) in _M5_CRANK.items()})
+    entries += [_dev_sum("rank", 5), _dev_sum("crank", 5)]
+    entries += _dev_lines("rank", 7, 7, {
+        a: [("theta7", tc, ts), ("G7", gc, gs)] for a, (tc, ts, gc, gs) in _M7_RANK.items()})
+    entries += _dev_lines("crank", 7, 7, {
+        a: [("theta7", tc, ts)] for a, (tc, ts) in _M7_CRANK.items()})
+    entries += [_dev_sum("rank", 7), _dev_sum("crank", 7)]
 
     entries.append(_eq(
         "theta-product-5", "J_{1,5}J_{2,5} = J1 J5",
@@ -1046,30 +1027,24 @@ def _mod57_entries():
 def _lewis_entries():
     entries = []
     N, C = "rank", "crank"
-    J32 = eta_atom(32)
-    J4 = eta_atom(4)
-    # common quotient denominator of the 4-dissection, deflated q^4 -> q
+    # common quotient denominator of the 4-dissection, and deflated q^4 -> q
+    DEN64 = [(J(8, 64), 2), J(16, 64), (J(24, 64), 2), J(32, 64)]
     DEN16 = [(J(2, 16), 2), J(4, 16), (J(6, 16), 2), J(8, 16)]
 
-    dev_diff = terms(_dev(1, N, 0, 8), _dev(-1, C, 0, 8), ring=RATIONAL)
+    dev_diff = terms(_dev(1, N, 0, 8), _dev(-1, C, 0, 8))
 
     entries.append(_eq(
         "lewis-dissection", "4-dissection of D(0,8) - D_C(0,8)",
         [dev_diff,
          terms(_g(2, 12, -1, 12, 64),
                _quot(-2, 8, [(Jbar(4, 64), 2), (Jbar(20, 64), 2), Jbar(28, 64),
-                             (eta_atom(64), 2)],
-                     [(J(8, 64), 2), J(16, 64), (J(24, 64), 2), J(32, 64)]),
+                             (eta_atom(64), 2)], DEN64),
                _quot(2, 1, [(Jbar(12, 64), 2), Jbar(20, 64), (Jbar(28, 64), 2),
-                            (eta_atom(64), 2)],
-                     [(J(8, 64), 2), J(16, 64), (J(24, 64), 2), J(32, 64)]),
+                            (eta_atom(64), 2)], DEN64),
                _quot(-2, 10, [(Jbar(4, 64), 2), Jbar(12, 64), Jbar(20, 64),
-                              Jbar(28, 64), (eta_atom(64), 2)],
-                     [(J(8, 64), 2), J(16, 64), (J(24, 64), 2), J(32, 64)]),
+                              Jbar(28, 64), (eta_atom(64), 2)], DEN64),
                _quot(2, 7, [Jbar(4, 64), (Jbar(12, 64), 2), Jbar(20, 64),
-                            Jbar(28, 64), (eta_atom(64), 2)],
-                     [(J(8, 64), 2), J(16, 64), (J(24, 64), 2), J(32, 64)]),
-               ring=RATIONAL)],
+                            Jbar(28, 64), (eta_atom(64), 2)], DEN64))],
         MOCK_PREC))
 
     entries.append(_eq(
@@ -1083,8 +1058,7 @@ def _lewis_entries():
                _quot(2, 1, [Jbar(8, 32), Jbar(28, 64)], [J4]),
                _quot(-1, 5, [Jbar(0, 32), Jbar(20, 64)], [J4]),
                _quot(-1, 10, [Jbar(0, 32), Jbar(60, 64)], [J4]),
-               _quot(1, 7, [Jbar(0, 32), Jbar(52, 64)], [J4]),
-               ring=RATIONAL)],
+               _quot(1, 7, [Jbar(0, 32), Jbar(52, 64)], [J4]))],
         MOCK_PREC))
 
     # reduction identities, written in the q^4-deflated variable
@@ -1154,7 +1128,7 @@ def _lewis_entries():
         [terms(_quot(1, 0, [J(1, 8), (J(6, 16), 2)]),
                _quot(-1, 0, [Jbar(4, 8), Jbar(7, 16), Jbar(3, 16)]),
                _quot(1, 1, [Jbar(2, 8), Jbar(13, 16), Jbar(3, 16)])),
-         zero_series(INTEGER)],
+         terms()],
         THETA_PREC))
 
     entries.append(_eq(
@@ -1162,12 +1136,12 @@ def _lewis_entries():
         "sum (N(0,8;4n+3) - C(0,8;4n+3)) q^n = q Jbar_{0,8} Jbar_{13,16}/J1",
         [counts([(1, N, 0, 8), (-1, C, 0, 8)], t=4, r=3),
          terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))],
-        101))
+        101, progression=(4, 3)))
 
-    entries.append(IdentityEntry(
+    entries.append(_entry(
         "lewis-positivity", "q Jbar_{0,8} Jbar_{13,16}/J1 has positive coefficients",
         "positivity", 151,
-        (terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)])),),
+        [terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))],
         positive_from=1))
 
     ineqs = [

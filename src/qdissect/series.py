@@ -11,12 +11,11 @@ exponent below the reported bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, islice, repeat
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .rings import INTEGER, RATIONAL, Ring, RingError, ring_from_tag
+from .rings import Ring, RingError, ring_from_tag
 
 
 class SeriesError(ValueError):
@@ -161,14 +160,6 @@ class Series:
             raise RingError(
                 f"ring mismatch: {self.ring.tag()} vs {other.ring.tag()}"
             )
-
-    def to_rational(self) -> "Series":
-        """Promote an integer series into the rational ring."""
-        if self.ring == RATIONAL:
-            return self
-        if self.ring != INTEGER:
-            raise RingError("only integer series promote to rationals")
-        return Series(RATIONAL, self.min_exp, [Fraction(c) for c in self.coeffs], self.prec)
 
     # -- arithmetic ---------------------------------------------------------
 

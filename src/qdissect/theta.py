@@ -7,7 +7,7 @@ All special functions used by the verification registry are built here:
     product's bilateral sum
         j(x; q^m) = sum_n (-1)^n q^(m*n(n-1)/2) x^n,
     with automatic folding of atoms outside the canonical strip,
-  * eta-quotient monomials  scale * q^shift * prod(j)/prod(j),
+  * eta-quotient monomials  q^shift * prod(j)/prod(j),
   * the universal mock theta function
         g(x;q) = x^-1 (-1 + sum_{n>=0} q^(n^2) / ((x)_{n+1} (q/x)_n)),
   * the Eulerian sums defining the fifth-order functions f0 and f1.
@@ -40,7 +40,7 @@ from functools import reduce
 from operator import mul
 from typing import Callable, Iterable, Tuple, Union
 
-from .rings import INTEGER, RATIONAL, Ring
+from .rings import INTEGER
 from .series import Series, SeriesError
 
 
@@ -252,11 +252,9 @@ def eta_quotient(
     numerator: Iterable[AtomLike] = (),
     denominator: Iterable[AtomLike] = (),
     shift: int = 0,
-    scale=1,
     prec: int = 0,
-    ring: Ring = INTEGER,
 ) -> Series:
-    """scale * q^shift * prod(numerator) / prod(denominator).
+    """q^shift * prod(numerator) / prod(denominator).
 
     Atoms may be given bare or as (atom, exponent) pairs.  Each
     denominator atom is inverted separately (the inverses are cached per
@@ -271,7 +269,7 @@ def eta_quotient(
         canonical, _, d = fold_atom(atom)
         if canonical.sign == 1 and canonical.a == 0:
             # a vanishing theta factor kills the whole quotient exactly
-            return Series.constant(ring, 0, prec)
+            return Series.constant(INTEGER, 0, prec)
         factors.extend([(atom, False, d)] * e)
     for atom, e in _normalize_atoms(denominator):
         canonical, _, d = fold_atom(atom)
@@ -282,7 +280,7 @@ def eta_quotient(
     target = prec - shift
     if target <= total_val:
         # the quotient's valuation alone puts it beyond the window
-        return Series.zero(ring, prec)
+        return Series.zero(INTEGER, prec)
     width = target - total_val
     parts = [
         theta_j_inverse(atom, width + v) if inverted else theta_j(atom, width + v)
@@ -294,12 +292,7 @@ def eta_quotient(
         raise SeriesError(
             f"eta quotient window ends at {out.prec}, needed {prec}"
         )
-    out = out.truncate(prec)
-    if ring == RATIONAL:
-        out = out.to_rational()
-    if scale != 1:
-        out = out.scale(scale)
-    return out
+    return out.truncate(prec)
 
 
 # -- the universal mock theta function g ----------------------------------------

@@ -7,6 +7,7 @@ from qdissect.identities import (
     JSON_REPORT_SCHEMA,
     CountSelector,
     IdentityEntry,
+    Mismatch,
     inequality_check,
     perturb_entry,
     positivity_check,
@@ -83,6 +84,35 @@ def test_report_json_schema(registry):
     assert all(r["status"] == "pass" for r in payload["results"])
 
 
+def test_results_name_their_unit(registry):
+    reports = {r.id: r for r in verify_all(registry, prec=60, id_filter="[Nrl]*")}
+    assert reports["NC-8"].unit == "progression"
+    assert reports["lewis-positivity-id"].unit == "progression"
+    assert reports["lewis-ineq-0"].unit == "progression"
+    assert reports["rank-diff-mod4-odd"].unit == "progression"
+    assert reports["rearr-1"].unit == "q"
+    assert reports["rank-diff-04-gf"].unit == "q"
+    assert reports["lewis-000"].unit == "q"
+    payload = report_json(list(reports.values()), 60, "t")
+    jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+    assert {r["unit"] for r in payload["results"]} == {"q", "progression"}
+
+
+def test_results_give_their_argument_bound(registry):
+    # t*prec + r on a progression t*n + r, the q-exponent bound otherwise
+    by_id = {e.id: e for e in registry}
+    for entry_id, prec, bound in (
+        ("NC-8", 60, 120), ("NC-9", None, 2 * 151 + 1), ("NC-13", 60, 243),
+        ("lewis-positivity-id", None, 4 * 101 + 3), ("lewis-ineq-1", 60, 242),
+        ("rearr-1", None, 200), ("dev-rank-0-4", 60, 60),
+    ):
+        report = verify_identity(by_id[entry_id], prec=prec)
+        assert report.argument_bound == bound, entry_id
+        assert report.to_json_obj()["argument_bound"] == bound
+    payload = report_json([report], 60, "t")
+    jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+
+
 def test_determinism_modulo_timing(registry):
     selected = "dev-rank-*-4"
     a = report_json(verify_all(registry, id_filter=selected), 100, "t")
@@ -105,6 +135,19 @@ def test_fault_injection_equality(registry):
         report = verify_identity(broken)
         assert report.status == "fail"
         assert report.first_mismatch.exponent == exponent
+
+
+@pytest.mark.parametrize("entry_id, exponent, lhs, rhs", [
+    ("dev-rank-0-4", 61, "1443/4", "1447/4"),
+    ("dev-crank-2-8", 72, "3097/8", "3105/8"),
+    ("lewis-dissection", 40, "-66/1", "-65/1"),
+])
+def test_perturbed_mismatch_reads_in_the_statements_units(registry, entry_id, exponent, lhs, rhs):
+    # a clone perturbed by +q^e differs by exactly 1 at e, printed as num/den
+    by_id = {e.id: e for e in registry}
+    report = verify_identity(perturb_entry(by_id[entry_id], exponent))
+    assert report.status == "fail"
+    assert report.first_mismatch == Mismatch(exponent, lhs, rhs)
 
 
 def test_fault_injection_support(registry):

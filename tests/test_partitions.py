@@ -16,8 +16,9 @@ from qdissect.partitions import (
     rank_count_series,
     residue_count,
     residue_series,
+    scaled_deviation,
 )
-from qdissect.rings import RATIONAL
+from qdissect.rings import INTEGER, RATIONAL
 from qdissect.series import Series
 
 
@@ -197,6 +198,24 @@ def test_deviations_sum_to_zero():
             for a in range(M):
                 total = total + deviation_series(stat, a, M, 80)
             assert total.is_zero()
+
+
+def test_scaled_deviation_is_modulus_times_deviation():
+    # the integer M*D(a,M) the registry uses, against the rational
+    # deviation through q^300 and the enumeration oracle through q^30
+    for stat in ("rank", "crank"):
+        for M in (4, 5, 7, 8):
+            for a in range(M):
+                scaled = scaled_deviation(stat, a, M, 301)
+                assert scaled.ring == INTEGER and scaled.prec == 301
+                rational = deviation_series(stat, a, M, 301)
+                for n in range(301):
+                    assert scaled.coeff(n) == M * rational.coeff(n), (stat, M, a, n)
+                for n in range(31):
+                    if stat == "crank" and n == 1:
+                        continue  # the generating-function anomaly at n=1
+                    want = M * oracle_residue_counts(stat, M, n)[a] - partition_count(n)
+                    assert scaled.coeff(n) == want, (stat, M, a, n)
 
 
 def test_deviation_vanishes_on_ramanujan_progression():

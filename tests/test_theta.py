@@ -1,6 +1,6 @@
 import pytest
 
-from qdissect.rings import INTEGER, RATIONAL
+from qdissect.rings import INTEGER
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
 from qdissect.registry import family, terms
@@ -217,7 +217,9 @@ def test_gsplit_instance_matches_direct_evaluation():
 
 
 def test_combinator_zero_and_arity():
-    assert terms(*family("theta4", (0, 0, 0, 0)), ring=RATIONAL)(50).is_zero()
+    zero = terms(*family("theta4", (0, 0, 0, 0)))
+    assert zero.denominator == 1
+    assert zero.at(1)(50).is_zero()
     with pytest.raises(ValueError):
         family("theta4", (1, 2, 3))
     with pytest.raises(ValueError):
@@ -225,15 +227,22 @@ def test_combinator_zero_and_arity():
 
 
 def test_combinator_matches_crank_deviation():
-    lhs = terms(*family("theta4", (-1, -1, 1, 1)), ring=RATIONAL)(101)
-    rhs = partitions.deviation_series("crank", 1, 4, 101)
+    # 4 * (the theta4 line) against 4 * D_C(1,4), over the integers
+    side = terms(*family("theta4", (-1, -1, 1, 1)))
+    assert side.denominator == 4
+    lhs = side.at(4)(101)
+    rhs = partitions.scaled_deviation("crank", 1, 4, 101)
+    assert lhs.ring == rhs.ring == INTEGER
     assert lhs.compare(rhs).equal
 
 
 def test_combinator_with_g_part_matches_rank_deviation():
-    lhs = terms(*family("theta5", (2, 2, -1, 1), 2), *family("G5", (-1, 0), 2),
-                ring=RATIONAL)(101)
-    rhs = partitions.deviation_series("rank", 0, 5, 101)
+    # 5 * (the theta5 + G5 line) against 5 * D(0,5), over the integers
+    side = terms(*family("theta5", (2, 2, -1, 1), 2), *family("G5", (-1, 0), 2))
+    assert side.denominator == 5
+    lhs = side.at(5)(101)
+    rhs = partitions.scaled_deviation("rank", 0, 5, 101)
+    assert lhs.ring == rhs.ring == INTEGER
     assert lhs.compare(rhs).equal
 
 
