@@ -129,6 +129,12 @@ class Series:
     def is_zero(self) -> bool:
         return self.valuation() is None
 
+    def _window(self, lo: int, hi: int) -> tuple:
+        """The coefficients at lo <= e < hi, for lo <= min_exp and
+        hi <= prec: zeros below min_exp, then a slice of the window."""
+        pad = min(self.min_exp, hi) - lo
+        return (self.ring.zero,) * pad + self.coeffs[: max(hi - self.min_exp, 0)]
+
     def nonzero_items(self):
         for i, c in enumerate(self.coeffs):
             if c:
@@ -140,9 +146,7 @@ class Series:
         if self.ring != other.ring or self.prec != other.prec:
             return False
         lo = min(self.min_exp, other.min_exp)
-        return all(
-            self.coeff(e) == other.coeff(e) for e in range(lo, self.prec)
-        )
+        return self._window(lo, self.prec) == other._window(lo, self.prec)
 
     __hash__ = None
 
@@ -173,12 +177,11 @@ class Series:
             min_exp = prec
         out = [self.ring.zero] * (prec - min_exp)
         for s in (self, other):
-            for i, c in enumerate(s.coeffs):
-                e = s.min_exp + i
-                if e >= prec:
-                    break
-                if c:
-                    out[e - min_exp] = out[e - min_exp] + c
+            # s holds exponents [s.min_exp, prec) at out[i : i + n]
+            n = prec - s.min_exp
+            if n > 0:
+                i = s.min_exp - min_exp
+                out[i : i + n] = map(add, out[i : i + n], s.coeffs[:n])
         return Series(self.ring, min_exp, out, prec)
 
     def __neg__(self):
@@ -400,12 +403,14 @@ class Series:
                 f"empty comparison window (precs {self.prec}, {other.prec})"
             )
         lo = min(self.min_exp, other.min_exp)
-        for e in range(lo, upper):
-            a = self.coeff(e)
-            b = other.coeff(e)
-            if a != b:
-                return Comparison(False, upper, e, a, b)
-        return Comparison(True, upper)
+        mine = self._window(lo, upper)
+        theirs = other._window(lo, upper)
+        if mine == theirs:
+            return Comparison(True, upper)
+        e, a, b = next(
+            (lo + i, a, b) for i, (a, b) in enumerate(zip(mine, theirs)) if a != b
+        )
+        return Comparison(False, upper, e, a, b)
 
     # -- serialization ---------------------------------------------------------
 

@@ -24,9 +24,11 @@ exponent lies below prec; the product form
 (x; q^m)_inf (q^m/x; q^m)_inf (q^m; q^m)_inf serves as the independent
 oracle in the tests.
 
-Canonical atoms, their inverses and mock-g specializations share one
-memo keyed by (kind, sign, a, m).  It keeps the widest window computed so
-far and serves narrower requests by truncation; a wider request is
+Canonical atoms, their inverses, mock-g specializations and whole eta
+quotients share one memo, keyed by (kind, sign, a, m) for the first three
+and by ("quot", numerator, denominator, shift) for quotients.  It keeps
+the widest window computed so far and serves narrower requests by
+truncation, so a repeated quotient costs no products; a wider request is
 computed outside the lock and replaces the entry.  Concurrent
 verification tasks may share it.
 """
@@ -171,7 +173,7 @@ def cached_atoms() -> list:
     each one the registry touched against the triple product)."""
     with _memo_lock:
         keys = list(_memo)
-    return [ThetaAtom(s, a, m) for kind, s, a, m in keys if kind == "j"]
+    return [ThetaAtom(*key[1:]) for key in keys if key[0] == "j"]
 
 
 def theta_j(atom: ThetaAtom, prec: int) -> Series:
@@ -256,22 +258,31 @@ def eta_quotient(
 ) -> Series:
     """q^shift * prod(numerator) / prod(denominator).
 
-    Atoms may be given bare or as (atom, exponent) pairs.  Each
-    denominator atom is inverted separately (the inverses are cached per
-    atom), which keeps the precision accounting local: every factor is
-    computed just wide enough for the product window to reach prec.  The
-    running product starts from the first factor, so a quotient of k
-    factors costs k - 1 products, each walking the nonzeros of its
-    sparser side.
+    Atoms may be given bare or as (atom, exponent) pairs.  The quotient
+    goes through the shared memo under ("quot", numerator, denominator,
+    shift), so a repeated or narrower request is a truncation of the
+    widest window computed so far.  A new or wider one inverts each
+    denominator atom separately (the inverses are memoized per atom),
+    which keeps the precision accounting local: every factor is computed
+    just wide enough for the product window to reach prec.  The running
+    product starts from the first factor, so a quotient of k factors
+    costs k - 1 products, each walking the nonzeros of its sparser side.
     """
+    num = tuple(_normalize_atoms(numerator))
+    den = tuple(_normalize_atoms(denominator))
+    return _widest(("quot", num, den, shift), prec,
+                   lambda p: _quotient_product(num, den, shift, p))
+
+
+def _quotient_product(num: tuple, den: tuple, shift: int, prec: int) -> Series:
     factors = []  # (atom, inverted, window valuation)
-    for atom, e in _normalize_atoms(numerator):
+    for atom, e in num:
         canonical, _, d = fold_atom(atom)
         if canonical.sign == 1 and canonical.a == 0:
             # a vanishing theta factor kills the whole quotient exactly
             return Series.constant(INTEGER, 0, prec)
         factors.extend([(atom, False, d)] * e)
-    for atom, e in _normalize_atoms(denominator):
+    for atom, e in den:
         canonical, _, d = fold_atom(atom)
         if canonical.sign == 1 and canonical.a == 0:
             raise SeriesError(f"division by the vanishing theta series {atom}")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdissect.rings import INTEGER, RATIONAL, RingError, cyclic_ring, CyclicLaurent
-from qdissect.series import PrecisionError, Series, SeriesError
+from qdissect.series import Comparison, PrecisionError, Series, SeriesError
 from qdissect import theta
 from qdissect.partitions import enumerate_partitions
 
@@ -351,6 +351,122 @@ def test_mul_by_zero_and_single_monomials(ring):
             monomial = Series.monomial(ring, e, e + 35, c)
             _check_product(a, monomial)
             _check_product(monomial, a)
+
+
+# -- addition and comparison against the dict oracle ---------------------------
+
+
+def _poly(series):
+    """Nonzero coefficients read straight off the stored window."""
+    return {series.min_exp + i: c for i, c in enumerate(series.coeffs) if c}
+
+
+def _window_of(ring, poly, lo, hi):
+    return Series(ring, lo, [poly.get(e, ring.zero) for e in range(lo, hi)], hi)
+
+
+def _oracle_first_mismatch(a, b):
+    zero = a.ring.zero
+    pa, pb = _poly(a), _poly(b)
+    for e in range(min(a.min_exp, b.min_exp), min(a.prec, b.prec)):
+        if pa.get(e, zero) != pb.get(e, zero):
+            return e, pa.get(e, zero), pb.get(e, zero)
+    return None
+
+
+def _window_pairs(ring, rng):
+    """Pairs over random windows, then the edge cases by name."""
+    pairs = []
+    for _ in range(40):
+        base = {e: _random_coeff(rng, ring) for e in range(-6, 30)
+                if rng.random() < 0.4}
+        other = dict(base)
+        if rng.random() < 0.6:
+            other[rng.randrange(-6, 30)] = _random_coeff(rng, ring)
+        lo_a, lo_b = rng.randint(-6, 8), rng.randint(-6, 8)
+        pairs.append((
+            _window_of(ring, base, lo_a, lo_a + rng.randint(0, 20)),
+            _window_of(ring, other, lo_b, lo_b + rng.randint(0, 20)),
+        ))
+    f = {e: _random_coeff(rng, ring) for e in range(3, 25)}
+    g = dict(f)
+    g[1] = _random_coeff(rng, ring)
+    h = dict(f)
+    h[19] = h[19] + ring.one
+    named = [
+        (_window_of(ring, f, -3, 12), _window_of(ring, f, 2, 15)),  # offset starts
+        (_window_of(ring, f, 0, 10), _window_of(ring, f, 10, 20)),  # b at a's prec
+        (_window_of(ring, f, 0, 10), _window_of(ring, f, 14, 20)),  # b beyond it
+        (_window_of(ring, f, 0, 10), Series.zero(ring, 7)),  # an empty window
+        (Series.zero(ring, 5), Series.zero(ring, 9)),  # two empty windows
+        (_window_of(ring, f, 3, 20), _window_of(ring, g, 0, 20)),  # below a's start
+        (_window_of(ring, f, 0, 20), _window_of(ring, h, -2, 25)),  # at upper - 1
+        (_window_of(ring, f, -2, 20), _window_of(ring, f, 3, 20)),  # equal, padded
+    ]
+    pairs += named
+    return pairs + [(b, a) for a, b in pairs]
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_add_matches_oracle(ring):
+    for a, b in _window_pairs(ring, random.Random(f"add {ring.tag()}")):
+        total = a + b
+        prec = min(a.prec, b.prec)
+        assert total.prec == prec
+        assert total.min_exp == min(a.min_exp, b.min_exp, prec)
+        want = {}
+        for e, c in list(_poly(a).items()) + list(_poly(b).items()):
+            if e < prec:
+                want[e] = want[e] + c if e in want else c
+        assert _poly(total) == {e: c for e, c in want.items() if c}
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_compare_matches_oracle(ring):
+    for a, b in _window_pairs(ring, random.Random(f"compare {ring.tag()}")):
+        upper = min(a.prec, b.prec)
+        if upper <= min(a.min_exp, b.min_exp):
+            with pytest.raises(PrecisionError):
+                a.compare(b)
+            continue
+        cmp = a.compare(b)
+        assert cmp.verified_through == upper
+        first = _oracle_first_mismatch(a, b)
+        if first is None:
+            assert cmp == Comparison(True, upper)
+        else:
+            assert cmp == Comparison(False, upper, *first)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_eq_matches_oracle(ring):
+    pairs = _window_pairs(ring, random.Random(f"eq {ring.tag()}"))
+    for a, b in pairs:
+        assert (a == b) == (a.prec == b.prec and _poly(a) == _poly(b))
+        w = min(a.prec, b.prec)
+        a, b = a.truncate(w), b.truncate(w)
+        assert (a == b) == (_poly(a) == _poly(b))
+        assert (a == b) == (_oracle_first_mismatch(a, b) is None)
+    a, b = pairs[-1]  # the padded pair: equal, though the windows differ
+    assert a == b and a.min_exp != b.min_exp
+    other = RATIONAL if ring != RATIONAL else INTEGER
+    assert Series.zero(ring, 5) != Series.zero(other, 5)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_compare_first_mismatch_edges(ring):
+    f = {e: ring.one for e in range(3, 25)}
+    c = _random_coeff(random.Random(f"edges {ring.tag()}"), ring)
+    lhs = _window_of(ring, f, 3, 20)
+    rhs = _window_of(ring, {**f, 1: c}, 0, 20)
+    # below lhs's start, where lhs is a known zero
+    assert lhs.compare(rhs) == Comparison(False, 20, 1, ring.zero, c)
+    assert rhs.compare(lhs) == Comparison(False, 20, 1, c, ring.zero)
+    # at upper - 1, the last exponent both windows know
+    rhs = _window_of(ring, {**f, 19: ring.one + ring.one}, -2, 25)
+    assert lhs.compare(rhs) == Comparison(False, 20, 19, ring.one, ring.one + ring.one)
+    assert lhs != rhs.truncate(20)
+    assert lhs.truncate(19).compare(rhs) == Comparison(True, 19)
 
 
 def _check_inverse(f):

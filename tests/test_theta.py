@@ -261,10 +261,14 @@ def test_concurrent_atom_cache(monkeypatch):
     monkeypatch.setattr(theta, "_memo", {})
     atoms = [J(1, 4), Jbar(2, 7), J(3, 8), Jbar(1, 2)]
 
+    def quotient(i, prec):
+        return eta_quotient([atoms[i]], [atoms[(i + 1) % len(atoms)]], prec=prec)
+
     def job(k):
-        atom = atoms[k % len(atoms)]
-        theta.theta_j_inverse(atom, 40 + (k % 7))
-        return theta_j(atom, 40 + (k % 5)).coeff(30)
+        i = k % len(atoms)
+        theta.theta_j_inverse(atoms[i], 40 + (k % 7))
+        quotient(i, 40 + (k % 3))
+        return theta_j(atoms[i], 40 + (k % 5)).coeff(30)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -280,6 +284,15 @@ def test_concurrent_atom_cache(monkeypatch):
     for atom in atoms:
         for kind in ("j", "inv"):
             assert theta._memo[(kind, atom.sign, atom.a, atom.m)].prec == 46
+    # each quotient was asked for at 40, 41 and 42
+    quots = [key for key in theta._memo if key[0] == "quot"]
+    assert len(quots) == len(atoms)
+    assert all(theta._memo[key].prec == 42 for key in quots)
+    stored = [quotient(i, 42) for i in range(len(atoms))]
+    monkeypatch.setattr(theta, "_memo", {})
+    for i, got in enumerate(stored):
+        fresh = quotient(i, 42)
+        assert (got.min_exp, got.coeffs) == (fresh.min_exp, fresh.coeffs)
 
 
 def test_euler_odd_even_product_relation():
@@ -294,6 +307,10 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
     # an inverse memoizes its atom too; a g specialization is no atom
     theta.theta_j_inverse(J(3, 11), 40)
     mock_g(GSpec(-1, 5, 13), 40)
+    assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
+    # nor is a quotient, though its key also has four fields
+    eta_quotient([(J(3, 11), 2)], [J(3, 11)], shift=1, prec=30)
+    assert any(key[0] == "quot" for key in theta._memo)
     assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
 
     calls = []
@@ -323,6 +340,88 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
     monkeypatch.setattr(theta, "theta_j_sum", racing)
     theta_j(J(5, 17), 30)
     assert theta._memo[("j", 1, 5, 17)].prec == 90
+
+
+QUOTIENT = ([J(1, 5), (Jbar(2, 7), 2)], [J(1, 4), eta_atom(1)], 3)
+
+
+def _fresh_quotient(monkeypatch, numerator, denominator, shift, prec):
+    """The quotient computed on an empty memo, leaving the caller's memo
+    as it was."""
+    saved = theta._memo
+    monkeypatch.setattr(theta, "_memo", {})
+    try:
+        return eta_quotient(numerator, denominator, shift, prec)
+    finally:
+        monkeypatch.setattr(theta, "_memo", saved)
+
+
+def _same_window(a, b):
+    return (a.ring, a.min_exp, a.prec, a.coeffs) == (b.ring, b.min_exp, b.prec, b.coeffs)
+
+
+def test_quotient_memo_serves_truncations(monkeypatch):
+    monkeypatch.setattr(theta, "_memo", {})
+    products = []
+    real = Series.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", counting)
+    num, den, shift = QUOTIENT
+    wide = eta_quotient(num, den, shift, 80)
+    assert len(products) == 4  # five factors, four products
+    assert (wide.min_exp, wide.prec) == (shift, 80)
+
+    del products[:]
+    assert _same_window(eta_quotient(num, den, shift, 80), wide)
+    assert products == []  # repeated: nothing multiplied
+    narrow = eta_quotient(num, den, shift, 50)
+    assert products == []  # narrower: a truncation
+    assert _same_window(narrow, _fresh_quotient(monkeypatch, num, den, shift, 50))
+    del products[:]
+
+    wider = eta_quotient(num, den, shift, 120)
+    assert len(products) == 4  # wider: computed once ...
+    assert _same_window(wider.truncate(80), wide)
+    key = ("quot", tuple(theta._normalize_atoms(num)),
+           tuple(theta._normalize_atoms(den)), shift)
+    assert theta._memo[key].prec == 120  # ... and replaces the entry
+    del products[:]
+    eta_quotient(num, den, shift, 100)
+    assert products == []
+
+
+def test_quotient_memo_keys_tell_quotients_apart(monkeypatch):
+    monkeypatch.setattr(theta, "_memo", {})
+    num, den, shift = QUOTIENT
+    base = eta_quotient(num, den, shift, 60)
+    variants = [
+        # shift only
+        (eta_quotient(num, den, shift + 1, 60), base.shift(1).truncate(60)),
+        # one atom's exponent only
+        (eta_quotient([J(1, 5), (Jbar(2, 7), 3)], den, shift, 60),
+         base * theta_j(Jbar(2, 7), 60)),
+        # the denominator only
+        (eta_quotient(num, den[:1], shift, 60), base * theta_j(eta_atom(1), 60)),
+    ]
+    for got, want in variants:
+        assert not got.compare(base).equal
+        assert got.compare(want).equal
+    assert sum(key[0] == "quot" for key in theta._memo) == 4
+
+
+def test_quotient_memo_vanishing_factors(monkeypatch):
+    monkeypatch.setattr(theta, "_memo", {})
+    for _ in range(2):  # the second call is served from the memo
+        zero = eta_quotient([J(1, 4), J(0, 3)], [J(1, 5)], prec=20)
+        assert zero.prec == 20 and zero.is_zero()
+    before = dict(theta._memo)
+    with pytest.raises(SeriesError):
+        eta_quotient([J(1, 4)], [J(1, 5), J(6, 3)], prec=20)
+    assert theta._memo.keys() == before.keys()
 
 
 from hypothesis import given, settings, strategies as st
