@@ -217,9 +217,8 @@ def _cmd_table(args, config: CliConfig, out) -> int:
     _check(M >= 1, "--modulus must be at least 1")
     _check(max_n >= 0, "--max-n must be nonnegative")
     series = partitions.count_series(args.stat, M, max_n + 1)
-    rows = []
-    for n in range(max_n + 1):
-        rows.append((n, list(series.coeff(n).counts), partitions.partition_count(n)))
+    pn = partitions.partition_series(max_n + 1).coeffs
+    rows = [(n, list(series.coeff(n).counts), pn[n]) for n in range(max_n + 1)]
     if args.json or config.output == "json":
         json.dump(
             {"stat": args.stat, "modulus": M,
@@ -273,8 +272,9 @@ def _cmd_congruence(args, config: CliConfig, out) -> int:
     checked = 0
     n = residue
     prec = args.max_arg + 1
+    pn = partitions.partition_series(prec).coeffs
     while n <= args.max_arg:
-        p = partitions.partition_count(n)
+        p = pn[n]
         if p % M:
             out.write(f"FAIL p({n}) = {p} is not divisible by {M}\n")
             ok = False

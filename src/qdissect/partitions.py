@@ -12,9 +12,11 @@ pentagonal theorem that is the recurrence
 
     N_a[n] = num_a[n] + N_a[n-1] + N_a[n-2] - N_a[n-5] - N_a[n-7] + ...
 
-over the generalized pentagonal numbers, the same one p(n) satisfies
-(the case num = 1), so coefficient n needs only num_a[n] and about
-2 sqrt(2n/3) earlier counts.
+over the generalized pentagonal numbers, so coefficient n needs only
+num_a[n] and about 2 sqrt(2n/3) earlier counts.  p(n) is the crank
+table mod 1: with one class, C(0,1;n) counts every partition of n (at
+n=1 the sum's z + z^-1 - 1 is 1), so p(n) shares the tables' one cache
+and one lock.
 
 Conventions (generating-function convention throughout):
   * n=0: the empty partition counts with statistic 0 in both tables.
@@ -140,29 +142,6 @@ def _euler_step(rows: List[List[int]], n: int, pentagonal) -> List[int]:
     plus, minus = ([n - g for g in side[:bisect_right(side, n)]] for side in pentagonal)
     return [sum(map(row.__getitem__, plus)) - sum(map(row.__getitem__, minus))
             for row in rows]
-
-
-_pn_cache: List[int] = [1]
-_pn_lock = threading.Lock()
-
-
-def partition_count(n: int) -> int:
-    """p(n) by Euler's pentagonal-number recurrence."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    with _pn_lock:
-        if len(_pn_cache) <= n:
-            pentagonal = _pentagonal(n + 1)
-            for m in range(len(_pn_cache), n + 1):
-                _pn_cache.extend(_euler_step([_pn_cache], m, pentagonal))
-        return _pn_cache[n]
-
-
-def partition_series(prec: int) -> Series:
-    """The generating function sum p(n) q^n as an integer series."""
-    return Series.from_coeffs(
-        INTEGER, 0, [partition_count(n) for n in range(max(prec, 0))], max(prec, 0)
-    )
 
 
 # -- residue counts from the one-statistic sums -------------------------------
@@ -302,13 +281,27 @@ def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
     return Series.from_coeffs(INTEGER, 0, column, prec)
 
 
+def partition_count(n: int) -> int:
+    """p(n), read from the crank table mod 1: C(0,1;n) = p(n) for every n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    with _count_lock:
+        return _table("crank", 1, n + 1).rows[0][n]
+
+
+def partition_series(prec: int) -> Series:
+    """The generating function sum p(n) q^n as an integer series."""
+    return residue_series("crank", 0, 1, max(prec, 0))
+
+
 def scaled_deviation(stat: str, a: int, M: int, prec: int) -> Series:
     """M times the deviation: sum_n (M N(a,M;n) - p(n)) q^n, an integer
     series (resp. cranks)."""
     counts = residue_series(stat, a, M, prec).coeffs
-    partition_count(len(counts))  # fills _pn_cache past every n read below
+    with _count_lock:
+        pn = _table("crank", 1, len(counts)).rows[0][:len(counts)]
     return Series.from_coeffs(
-        INTEGER, 0, [M * c - p for c, p in zip(counts, _pn_cache)], prec)
+        INTEGER, 0, [M * c - p for c, p in zip(counts, pn)], prec)
 
 
 def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:

@@ -16,17 +16,23 @@ Folding uses j(q*x;q) = -x^-1 j(x;q), iterated:
 
     j(s*q^(a0+mk); q^m) = (-1)^k s^k q^(-m*k(k-1)/2 - a0*k) j(s*q^a0; q^m)
 
-which moves any exponent into 0 <= a0 < m.  For s=+1 and a0=0 the theta
-function vanishes identically and the exact zero series is returned.
+which moves any exponent into 0 <= a0 < m; _normal_form applies it once
+per atom.  For s=+1 and a0=0 the theta function vanishes identically:
+the exact zero series is returned, and dividing by it raises.
 
 A canonical atom needs only the O(sqrt(prec/m)) terms of the sum whose
 exponent lies below prec; the product form
 (x; q^m)_inf (q^m/x; q^m)_inf (q^m; q^m)_inf serves as the independent
 oracle in the tests.
 
-Canonical atoms, their inverses, mock-g specializations and whole eta
-quotients share one memo, keyed by (kind, sign, a, m) for the first three
-and by ("quot", numerator, denominator, shift) for quotients.  It keeps
+Every theta value -- an atom, its inverse, a whole eta quotient -- is
+reached through one normal form, (unit, shift, ((sign, a, m, k), ...)):
+unit * q^shift * prod j(sign*q^a; q^m)^k with every atom folded into
+the strip and the exponents of both sides merged.  That tuple is the
+memo key, so one quotient however written is computed once; a canonical
+atom (1, 0, ((sign, a, m, 1),)) is the triple-product sum, its inverse
+the k = -1 entry, and any other key the product of those entries.
+Mock-g specializations share the memo under ("g", sign, a, m).  It keeps
 the widest window computed so far and serves narrower requests by
 truncation, so a repeated quotient costs no products; a wider request is
 computed outside the lock and replaces the entry.  Concurrent
@@ -40,7 +46,7 @@ import threading
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Callable, Iterable, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 from .rings import INTEGER
 from .series import Series, SeriesError
@@ -123,20 +129,42 @@ def pochhammer_infinite(sign: int, a: int, m: int, prec: int) -> Series:
     return out
 
 
-# -- the theta function j ------------------------------------------------------
+# -- the theta function j and eta quotients --------------------------------------
+
+AtomLike = Union[ThetaAtom, Tuple[ThetaAtom, int]]
 
 
-def fold_atom(atom: ThetaAtom) -> Tuple[ThetaAtom, int, int]:
-    """Reduce an atom into the canonical strip 0 <= a < m.
+def _normal_form(numerator: Iterable[AtomLike], denominator: Iterable[AtomLike],
+                 shift: int) -> Optional[tuple]:
+    """The memo key of q^shift * prod(numerator) / prod(denominator).
 
-    Returns (canonical atom, unit scale, monomial exponent d) with
-
-        j(atom) = scale * q^d * j(canonical).
+    Returns (unit, shift, factors): the quotient equals unit * q^shift *
+    prod j(sign*q^a; q^m)^k over the sorted factors (sign, a, m, k), each
+    atom in the strip 0 <= a < m and each k != 0.  Every atom is folded
+    once and the exponents of both sides merged, so atom order, repeated
+    atoms, an atom on both sides and a folded atom give one key.  None
+    when a numerator atom vanishes identically; a vanishing denominator
+    atom raises.
     """
-    k, a0 = divmod(atom.a, atom.m)
-    scale = 1 if k % 2 == 0 else -atom.sign
-    d = -atom.m * (k * (k - 1) // 2) - a0 * k
-    return ThetaAtom(atom.sign, a0, atom.m), scale, d
+    unit = 1
+    exponents: dict = {}
+    for side, atoms in ((1, numerator), (-1, denominator)):
+        for item in atoms:
+            atom, e = (item, 1) if isinstance(item, ThetaAtom) else item
+            if e < 1:
+                raise ValueError("atom exponents must be positive")
+            sign, m = atom.sign, atom.m
+            k, a = divmod(atom.a, m)
+            if sign == 1 and a == 0:
+                if side == 1:
+                    return None
+                raise SeriesError(f"division by the vanishing theta series {atom}")
+            if sign == 1 and k % 2 and e % 2:
+                unit = -unit
+            shift -= side * e * (m * (k * (k - 1) // 2) + a * k)
+            exponents[sign, a, m] = exponents.get((sign, a, m), 0) + side * e
+    factors = tuple(sorted((*atom, k) for atom, k in exponents.items() if k))
+    return unit, shift, factors
 
 
 _memo: dict = {}
@@ -161,11 +189,29 @@ def _widest(key: tuple, prec: int, compute: Callable[[int], Series]) -> Series:
     return out
 
 
-def _canonical_j(atom: ThetaAtom, prec: int) -> Series:
-    """j(atom) for an atom already in the strip 0 <= a < m, from the
-    triple-product sum."""
-    return _widest(("j", atom.sign, atom.a, atom.m), prec,
-                   lambda p: theta_j_sum(atom, p))
+def _quotient(key: tuple, prec: int) -> Series:
+    """The quotient with normal form key, through the memo."""
+    return _widest(key, prec, lambda p: _quotient_product(key, p))
+
+
+def _quotient_product(key: tuple, prec: int) -> Series:
+    unit, shift, factors = key
+    width = prec - shift
+    if width <= 0:
+        # the monomial alone puts the quotient beyond the window
+        return Series.zero(INTEGER, prec)
+    if (unit, shift) == (1, 0) and len(factors) == 1 and abs(factors[0][3]) == 1:
+        sign, a, m, k = factors[0]
+        if k == 1:
+            return theta_j_sum(ThetaAtom(sign, a, m), prec)
+        return _quotient((1, 0, ((sign, a, m, 1),)), prec).invert()
+    # canonical atoms and their inverses have valuation 0, so every
+    # factor is needed through the same width
+    parts = [_quotient((1, 0, ((sign, a, m, 1 if k > 0 else -1),)), width)
+             for sign, a, m, k in factors for _ in range(abs(k))]
+    out = reduce(mul, parts) if parts else Series.one(INTEGER, width)
+    out = out.shift(shift)
+    return out if unit == 1 else out.scale(unit)
 
 
 def cached_atoms() -> list:
@@ -173,32 +219,42 @@ def cached_atoms() -> list:
     each one the registry touched against the triple product)."""
     with _memo_lock:
         keys = list(_memo)
-    return [ThetaAtom(*key[1:]) for key in keys if key[0] == "j"]
+    singles = [key[2][0] for key in keys if key[:2] == (1, 0) and len(key[2]) == 1]
+    return [ThetaAtom(sign, a, m) for sign, a, m, k in singles if k == 1]
+
+
+def eta_quotient(
+    numerator: Iterable[AtomLike] = (),
+    denominator: Iterable[AtomLike] = (),
+    shift: int = 0,
+    prec: int = 0,
+) -> Series:
+    """q^shift * prod(numerator) / prod(denominator), with window ending
+    at prec.
+
+    Atoms may be given bare or as (atom, exponent) pairs.  The quotient
+    goes through the shared memo under its normal form, so a repeated or
+    narrower request, however written, is a truncation of the widest
+    window computed so far.  A new or wider one multiplies the memoized
+    canonical atoms and atom inverses, each through prec minus the
+    normal form's shift; a quotient of k factors costs k - 1 products,
+    each walking the nonzeros of its sparser side.
+    """
+    key = _normal_form(numerator, denominator, shift)
+    if key is None:
+        # a vanishing theta factor kills the whole quotient exactly
+        return Series.constant(INTEGER, 0, prec)
+    return _quotient(key, prec)
 
 
 def theta_j(atom: ThetaAtom, prec: int) -> Series:
-    """j(sign*q^a; q^m) as an integer series with window reaching prec.
-
-    Atoms outside the canonical strip are folded first; the vanishing
-    case sign=+1, a = 0 mod m returns the exact zero series.
-    """
-    canonical, scale, d = fold_atom(atom)
-    if canonical.sign == 1 and canonical.a == 0:
-        return Series.zero(INTEGER, prec)
-    body = _canonical_j(canonical, prec - d)
-    out = body.shift(d)
-    return out if scale == 1 else out.scale(scale)
+    """j(sign*q^a; q^m) as an integer series with window ending at prec."""
+    return eta_quotient([atom], prec=prec)
 
 
 def theta_j_inverse(atom: ThetaAtom, prec: int) -> Series:
-    """1 / j(atom) with window reaching prec; leading unit required."""
-    canonical, scale, d = fold_atom(atom)
-    if canonical.sign == 1 and canonical.a == 0:
-        raise SeriesError(f"cannot invert the zero theta series {atom}")
-    inv = _widest(("inv", canonical.sign, canonical.a, canonical.m), prec + d,
-                  lambda p: _canonical_j(canonical, max(p, 1)).invert())
-    out = inv.shift(-d)
-    return out if scale == 1 else out.scale(scale)
+    """1 / j(atom) with window ending at prec; leading unit required."""
+    return eta_quotient(denominator=[atom], prec=prec)
 
 
 def theta_j_sum(atom: ThetaAtom, prec: int, base_sign: int = 1) -> Series:
@@ -230,80 +286,6 @@ def theta_j_sum(atom: ThetaAtom, prec: int, base_sign: int = 1) -> Series:
     for e, c in coeffs.items():
         window[e - min_exp] = c
     return Series(INTEGER, min_exp, window, prec)
-
-
-# -- eta quotients ---------------------------------------------------------------
-
-AtomLike = Union[ThetaAtom, Tuple[ThetaAtom, int]]
-
-
-def _normalize_atoms(atoms: Iterable[AtomLike]) -> list:
-    out = []
-    for item in atoms:
-        if isinstance(item, ThetaAtom):
-            out.append((item, 1))
-        else:
-            atom, e = item
-            if e < 1:
-                raise ValueError("atom exponents must be positive")
-            out.append((atom, e))
-    return out
-
-
-def eta_quotient(
-    numerator: Iterable[AtomLike] = (),
-    denominator: Iterable[AtomLike] = (),
-    shift: int = 0,
-    prec: int = 0,
-) -> Series:
-    """q^shift * prod(numerator) / prod(denominator).
-
-    Atoms may be given bare or as (atom, exponent) pairs.  The quotient
-    goes through the shared memo under ("quot", numerator, denominator,
-    shift), so a repeated or narrower request is a truncation of the
-    widest window computed so far.  A new or wider one inverts each
-    denominator atom separately (the inverses are memoized per atom),
-    which keeps the precision accounting local: every factor is computed
-    just wide enough for the product window to reach prec.  The running
-    product starts from the first factor, so a quotient of k factors
-    costs k - 1 products, each walking the nonzeros of its sparser side.
-    """
-    num = tuple(_normalize_atoms(numerator))
-    den = tuple(_normalize_atoms(denominator))
-    return _widest(("quot", num, den, shift), prec,
-                   lambda p: _quotient_product(num, den, shift, p))
-
-
-def _quotient_product(num: tuple, den: tuple, shift: int, prec: int) -> Series:
-    factors = []  # (atom, inverted, window valuation)
-    for atom, e in num:
-        canonical, _, d = fold_atom(atom)
-        if canonical.sign == 1 and canonical.a == 0:
-            # a vanishing theta factor kills the whole quotient exactly
-            return Series.constant(INTEGER, 0, prec)
-        factors.extend([(atom, False, d)] * e)
-    for atom, e in den:
-        canonical, _, d = fold_atom(atom)
-        if canonical.sign == 1 and canonical.a == 0:
-            raise SeriesError(f"division by the vanishing theta series {atom}")
-        factors.extend([(atom, True, -d)] * e)
-    total_val = sum(v for _, _, v in factors)
-    target = prec - shift
-    if target <= total_val:
-        # the quotient's valuation alone puts it beyond the window
-        return Series.zero(INTEGER, prec)
-    width = target - total_val
-    parts = [
-        theta_j_inverse(atom, width + v) if inverted else theta_j(atom, width + v)
-        for atom, inverted, v in factors
-    ]
-    out = reduce(mul, parts) if parts else Series.one(INTEGER, width)
-    out = out.shift(shift)
-    if out.prec < prec:
-        raise SeriesError(
-            f"eta quotient window ends at {out.prec}, needed {prec}"
-        )
-    return out.truncate(prec)
 
 
 # -- the universal mock theta function g ----------------------------------------

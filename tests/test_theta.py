@@ -1,6 +1,9 @@
+from functools import reduce
+from operator import mul
+
 import pytest
 
-from qdissect.rings import INTEGER
+from qdissect.rings import INTEGER, RingError
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
 from qdissect.registry import family, terms
@@ -12,7 +15,6 @@ from qdissect.theta import (
     eta_atom,
     eta_quotient,
     eulerian_sum,
-    fold_atom,
     mock_g,
     pochhammer_finite,
     pochhammer_infinite,
@@ -90,10 +92,22 @@ def test_theta_sum_lowest_terms():
     assert oracles.series_to_poly(s) == {0: 1, 5: -1, 20: -1}
 
 
+def _canonical(atom):
+    """(unit, shift, canonical atom) of the atom's normal form, so that
+    j(atom) = unit * q^shift * j(canonical atom)."""
+    unit, shift, ((sign, a, m, k),) = theta._normal_form([atom], (), 0)
+    assert k == 1 and 0 <= a < m
+    return unit, shift, ThetaAtom(sign, a, m)
+
+
 def _assert_canonical_matches_product(atom, prec):
     """theta_j of the atom's canonical form equals the triple product,
     over the whole window the folded atom asks of the kernel."""
-    canonical, _, d = fold_atom(atom)
+    if theta._normal_form([atom], (), 0) is None:
+        # j(q^(mk); q^m) vanishes: so does the product, through (1; q^m)
+        assert oracles.triple_product(atom.sign, atom.a % atom.m, atom.m, prec) == {}
+        return
+    _, d, canonical = _canonical(atom)
     got = theta_j(canonical, prec - d)
     expected = oracles.triple_product(
         canonical.sign, canonical.a, canonical.m, prec - d
@@ -116,11 +130,14 @@ def test_sum_bound_through_q800():
 def test_folding_prefactor_is_exact():
     # j(q^(a+m) x; q^m) = -x^-1 j(x;q^m) iterated: check the monomial
     for atom in (J(9, 4), Jbar(-5, 3), J(-1, 6), Jbar(130, 16)):
-        canonical, scale, d = fold_atom(atom)
-        assert 0 <= canonical.a < canonical.m
-        lhs = theta_j(atom, 40)
-        rhs = theta_j(canonical, 40 - d).shift(d).scale(scale)
+        scale, d, canonical = _canonical(atom)
+        lhs = theta_j_sum(atom, 40)  # the unfolded atom
+        rhs = theta_j_sum(canonical, 40 - d).shift(d).scale(scale)
         assert lhs.compare(rhs).equal
+        assert theta_j(atom, 40).compare(lhs).equal
+        # the denominator folds by the same law, inverted
+        sign, a, m = canonical.sign, canonical.a, canonical.m
+        assert theta._normal_form((), [atom], 0) == (scale, -d, ((sign, a, m, -1),))
 
 
 def test_eta_quotient_cancellation():
@@ -279,15 +296,17 @@ def test_concurrent_atom_cache(monkeypatch):
         sys.setswitchinterval(interval)
     for k, value in enumerate(results):
         assert value == theta_j(atoms[k % len(atoms)], 40).coeff(30)
-    # the widest request was 46 for both kinds; a narrower result stored
-    # over a wider one would leave less
+    # the widest request was 46 for an atom and its inverse; a narrower
+    # result stored over a wider one would leave less
     for atom in atoms:
-        for kind in ("j", "inv"):
-            assert theta._memo[(kind, atom.sign, atom.a, atom.m)].prec == 46
+        for key in (theta._normal_form([atom], (), 0), theta._normal_form((), [atom], 0)):
+            assert theta._memo[key].prec == 46
     # each quotient was asked for at 40, 41 and 42
-    quots = [key for key in theta._memo if key[0] == "quot"]
-    assert len(quots) == len(atoms)
+    quots = [theta._normal_form([atoms[i]], [atoms[(i + 1) % len(atoms)]], 0)
+             for i in range(len(atoms))]
+    assert len(set(quots)) == len(atoms)
     assert all(theta._memo[key].prec == 42 for key in quots)
+    assert len(theta._memo) == 3 * len(atoms)
     stored = [quotient(i, 42) for i in range(len(atoms))]
     monkeypatch.setattr(theta, "_memo", {})
     for i, got in enumerate(stored):
@@ -308,9 +327,12 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
     theta.theta_j_inverse(J(3, 11), 40)
     mock_g(GSpec(-1, 5, 13), 40)
     assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
-    # nor is a quotient, though its key also has four fields
+    # nor is a quotient or a folded atom, though each normal form has
+    # the one factor j(q^3; q^11)
     eta_quotient([(J(3, 11), 2)], [J(3, 11)], shift=1, prec=30)
-    assert any(key[0] == "quot" for key in theta._memo)
+    theta_j(J(14, 11), 30)
+    assert (1, 1, ((1, 3, 11, 1),)) in theta._memo
+    assert (-1, -3, ((1, 3, 11, 1),)) in theta._memo
     assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
 
     calls = []
@@ -327,7 +349,7 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
     assert calls == [80]  # narrower: a truncation, nothing computed
     assert theta_j(J(2, 9), 120).truncate(80) == wide
     assert calls == [80, 120]  # wider: computed once and replaces the entry
-    assert theta._memo[("j", 1, 2, 9)].prec == 120
+    assert theta._memo[(1, 0, ((1, 2, 9, 1),))].prec == 120
     theta_j(J(2, 9), 100)
     assert calls == [80, 120]
 
@@ -339,7 +361,7 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
 
     monkeypatch.setattr(theta, "theta_j_sum", racing)
     theta_j(J(5, 17), 30)
-    assert theta._memo[("j", 1, 5, 17)].prec == 90
+    assert theta._memo[(1, 0, ((1, 5, 17, 1),))].prec == 90
 
 
 QUOTIENT = ([J(1, 5), (Jbar(2, 7), 2)], [J(1, 4), eta_atom(1)], 3)
@@ -360,16 +382,22 @@ def _same_window(a, b):
     return (a.ring, a.min_exp, a.prec, a.coeffs) == (b.ring, b.min_exp, b.prec, b.coeffs)
 
 
+def _count_calls(monkeypatch, method):
+    """A list that gets one entry per call of the Series method."""
+    calls = []
+    real = getattr(Series, method)
+
+    def counting(self, *args):
+        calls.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(Series, method, counting)
+    return calls
+
+
 def test_quotient_memo_serves_truncations(monkeypatch):
     monkeypatch.setattr(theta, "_memo", {})
-    products = []
-    real = Series.__mul__
-
-    def counting(self, other):
-        products.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(Series, "__mul__", counting)
+    products = _count_calls(monkeypatch, "__mul__")
     num, den, shift = QUOTIENT
     wide = eta_quotient(num, den, shift, 80)
     assert len(products) == 4  # five factors, four products
@@ -386,8 +414,7 @@ def test_quotient_memo_serves_truncations(monkeypatch):
     wider = eta_quotient(num, den, shift, 120)
     assert len(products) == 4  # wider: computed once ...
     assert _same_window(wider.truncate(80), wide)
-    key = ("quot", tuple(theta._normalize_atoms(num)),
-           tuple(theta._normalize_atoms(den)), shift)
+    key = theta._normal_form(num, den, shift)
     assert theta._memo[key].prec == 120  # ... and replaces the entry
     del products[:]
     eta_quotient(num, den, shift, 100)
@@ -410,18 +437,78 @@ def test_quotient_memo_keys_tell_quotients_apart(monkeypatch):
     for got, want in variants:
         assert not got.compare(base).equal
         assert got.compare(want).equal
-    assert sum(key[0] == "quot" for key in theta._memo) == 4
+    keys = {
+        theta._normal_form(num, den, shift),
+        theta._normal_form(num, den, shift + 1),
+        theta._normal_form([J(1, 5), (Jbar(2, 7), 3)], den, shift),
+        theta._normal_form(num, den[:1], shift),
+    }
+    assert len(keys) == 4 and keys <= theta._memo.keys()
+    # the rest are the canonical atoms and inverses they multiply
+    assert all(key[:2] == (1, 0) and len(key[2]) == 1
+               for key in theta._memo.keys() - keys)
 
 
 def test_quotient_memo_vanishing_factors(monkeypatch):
     monkeypatch.setattr(theta, "_memo", {})
-    for _ in range(2):  # the second call is served from the memo
+    for _ in range(2):  # the normal form alone says zero: nothing is stored
         zero = eta_quotient([J(1, 4), J(0, 3)], [J(1, 5)], prec=20)
-        assert zero.prec == 20 and zero.is_zero()
+        assert _same_window(zero, Series.constant(INTEGER, 0, 20))
+    assert theta._memo == {}
+    eta_quotient([J(1, 4)], prec=20)
     before = dict(theta._memo)
     with pytest.raises(SeriesError):
         eta_quotient([J(1, 4)], [J(1, 5), J(6, 3)], prec=20)
     assert theta._memo.keys() == before.keys()
+    # a lead that is no unit cannot be inverted, and nothing is stored
+    with pytest.raises(RingError):
+        theta.theta_j_inverse(Jbar(0, 4), 20)
+    assert theta._normal_form((), [Jbar(0, 4)], 0) not in theta._memo
+
+
+A, B = J(1, 5), Jbar(2, 7)
+SPELLINGS = [
+    # atoms in another order
+    (([B, A, J(3, 8)], [J(1, 4)], 2), ([A, J(3, 8), B], [J(1, 4)], 2)),
+    # a repeated atom against one atom with an exponent
+    (([(A, 2)], [J(1, 4)], 0), ([A, A], [J(1, 4)], 0)),
+    # an atom on both sides against none
+    (([A], (), 0), ([A, B], [B], 0)),
+    # a folded atom against its canonical one: J(6,5)^2 = q^-2 J(1,5)^2
+    (([(A, 2)], [B], 0), ([(J(6, 5), 2)], [B], 2)),
+]
+
+
+@pytest.mark.parametrize("first, second", SPELLINGS)
+def test_quotient_memo_key_ignores_how_it_is_written(monkeypatch, first, second):
+    monkeypatch.setattr(theta, "_memo", {})
+    assert theta._normal_form(*first) == theta._normal_form(*second)
+    eta_quotient(*first, 60)
+    keys = set(theta._memo)
+    products = _count_calls(monkeypatch, "__mul__")
+    inverses = _count_calls(monkeypatch, "invert")
+    got = eta_quotient(*second, 60)
+    assert products == [] and inverses == []
+    assert set(theta._memo) == keys
+    assert _same_window(got, _fresh_quotient(monkeypatch, *second, 60))
+
+
+def test_every_window_ends_at_prec():
+    # 1/j(q^-7; q^3) = -q^12 / j(q^2; q^3): zero through q^10, known to q^10
+    inverse = theta.theta_j_inverse(J(-7, 3), 10)
+    assert inverse.prec == 10 and inverse.is_zero()
+    # the shift alone puts the quotient beyond the window
+    beyond = eta_quotient([J(1, 5), J(2, 5)], shift=30, prec=20)
+    assert beyond.prec == 20 and beyond.is_zero()
+    atoms = (J(1, 5), J(-7, 3), Jbar(9, 4), J(0, 3), Jbar(0, 6), J(30, 7))
+    for atom in atoms:
+        for prec in (0, 1, 7, 40):
+            assert theta_j(atom, prec).prec == prec
+            if theta._normal_form([atom], (), 0) is not None and atom.a % atom.m:
+                assert theta.theta_j_inverse(atom, prec).prec == prec
+            for shift in (-9, 0, 5, 50):
+                got = eta_quotient([atom, (J(1, 4), 2)], [Jbar(3, 8)], shift, prec)
+                assert got.prec == prec
 
 
 from hypothesis import given, settings, strategies as st
@@ -452,3 +539,46 @@ def test_two_square_split_random(sign, a, m):
     second = theta_j(Jbar(3 * m + 2 * a, 4 * m), 80 - a).shift(a)
     rhs = rhs + (second.scale(-1) if sign == 1 else second)
     assert lhs.compare(rhs).equal
+
+
+ATOM = st.builds(ThetaAtom, st.sampled_from([1, -1]),
+                 st.integers(min_value=-8, max_value=8),
+                 st.integers(min_value=1, max_value=5))
+INVERTIBLE = ATOM.filter(lambda atom: atom.a % atom.m)
+
+
+def _unfolded_quotient(num, den, shift, prec):
+    """The quotient from the triple-product sums of the atoms as given,
+    each expanded with the same relative precision, so the product's
+    window ends at prec; None when that window is empty."""
+    valuation = {atom: theta_j_sum(atom, 1).min_exp for atom, _ in num + den}
+    total = (sum(e * valuation[atom] for atom, e in num)
+             - sum(e * valuation[atom] for atom, e in den))
+    rel = prec - shift - total
+    if rel <= 0:
+        return None
+    parts = [theta_j_sum(atom, valuation[atom] + rel) for atom, e in num for _ in range(e)]
+    parts += [theta_j_sum(atom, valuation[atom] + rel).invert()
+              for atom, e in den for _ in range(e)]
+    return reduce(mul, parts, Series.one(INTEGER, rel)).shift(shift)
+
+
+@given(
+    st.lists(st.tuples(ATOM, st.integers(min_value=1, max_value=2)), max_size=3),
+    st.lists(st.tuples(INVERTIBLE, st.just(1)), max_size=2),
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_random_quotients_match_unfolded_atoms(num, den, shift, prec):
+    got = eta_quotient(num, den, shift, prec)
+    assert got.prec == prec
+    if any(atom.sign == 1 and atom.a % atom.m == 0 for atom, _ in num):
+        assert got.is_zero()
+        return
+    want = _unfolded_quotient(num, den, shift, prec)
+    if want is None:
+        assert got.is_zero()
+    else:
+        assert want.prec == prec
+        assert got.compare(want).equal
