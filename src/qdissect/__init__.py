@@ -37,7 +37,6 @@ from .partitions import (
     scaled_deviation,
 )
 from .identities import (
-    CountSelector,
     IdentityEntry,
     VerificationReport,
     inequality_check,
@@ -83,7 +82,6 @@ __all__ = [
     "residue_count",
     "residue_series",
     "scaled_deviation",
-    "CountSelector",
     "IdentityEntry",
     "VerificationReport",
     "inequality_check",

@@ -3,7 +3,7 @@
 An IdentityEntry ties deferred series builders to one statement from the
 registry and says how to check it: coefficientwise equality, residue
 support, strict positivity, or a coefficientwise inequality between two
-residue-count tables.  verify_identity runs one entry and produces a
+series.  verify_identity runs one entry and produces a
 VerificationReport; verify_all runs a whole registry (optionally
 filtered by a glob pattern on ids) in registry order.
 
@@ -30,7 +30,6 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
-from . import partitions
 from .rings import RATIONAL
 from .series import Series
 
@@ -39,22 +38,6 @@ SeriesBuilder = Callable[[int], Series]
 KINDS = ("equality", "support", "positivity", "inequality")
 
 MIN_VERIFY_PREC = 10
-
-
-@dataclass(frozen=True)
-class CountSelector:
-    """One residue-count table: N(a,M;.) for ranks, C(a,M;.) for cranks."""
-
-    stat: str
-    a: int
-    M: int
-
-    def series(self, prec: int) -> Series:
-        return partitions.residue_series(self.stat, self.a, self.M, prec)
-
-    def label(self) -> str:
-        letter = "N" if self.stat == "rank" else "C"
-        return f"{letter}({self.a},{self.M};.)"
 
 
 @dataclass(frozen=True)
@@ -69,11 +52,7 @@ class IdentityEntry:
     support_allowed: frozenset = frozenset()
     # positivity kind
     positive_from: int = 1
-    # inequality kind: lhs >= rhs on t*n+r for n >= threshold
-    ineq_lhs: Optional[CountSelector] = None
-    ineq_rhs: Optional[CountSelector] = None
-    ineq_t: int = 1
-    ineq_r: int = 0
+    # inequality kind: builders[0] >= builders[1] for n >= threshold
     ineq_threshold: int = 0
     # every builder returns denominator * (its side of the statement)
     denominator: int = 1
@@ -89,20 +68,16 @@ class IdentityEntry:
             raise ValueError("equality entries need at least two builders")
         if self.kind in ("support", "positivity") and len(self.builders) != 1:
             raise ValueError(f"{self.kind} entries take exactly one builder")
-        if self.kind == "inequality" and (
-            self.ineq_lhs is None or self.ineq_rhs is None
-        ):
-            raise ValueError("inequality entries need both count selectors")
+        if self.kind == "inequality" and len(self.builders) != 2:
+            raise ValueError("inequality entries take exactly two builders")
 
     def argument_bound(self, prec: int) -> Tuple[str, int]:
         """(unit, bound) of a run at prec: every argument below bound is
         compared.  In the progression unit, index n stands for argument
         t*n + r, so the bound is t*prec + r; otherwise it is prec."""
-        inequality = self.kind == "inequality"
-        progression = (self.ineq_t, self.ineq_r) if inequality else self.progression
-        if progression is None:
+        if self.progression is None:
             return "q", prec
-        t, r = progression
+        t, r = self.progression
         return "progression", t * prec + r
 
     def coeff_text(self, value) -> str:
@@ -223,31 +198,19 @@ def positivity_check(series: Series, from_n: int, max_n: int) -> CheckOutcome:
     return CheckOutcome(True, max_n + 1)
 
 
-def inequality_check(
-    lhs: CountSelector,
-    rhs: CountSelector,
-    t: int,
-    r: int,
-    threshold: int,
-    max_n: int,
-) -> CheckOutcome:
-    """Pass iff lhs >= rhs at every argument t*n+r with threshold <= n <= max_n.
+def inequality_check(lhs: Series, rhs: Series, threshold: int, max_n: int) -> CheckOutcome:
+    """Pass iff lhs >= rhs at every n with threshold <= n <= max_n.
 
     Failures below the threshold are expected by the statements that use
     this check; they are reported as notes, not as failures.
     """
-    prec = t * max_n + r + 1
-    a = lhs.series(prec)
-    b = rhs.series(prec)
     notes = []
     for n in range(0, threshold):
-        x, y = a.coeff(t * n + r), b.coeff(t * n + r)
+        x, y = lhs.coeff(n), rhs.coeff(n)
         if x < y:
-            notes.append(
-                f"below threshold: n={n} has {lhs.label()}={x} < {rhs.label()}={y}"
-            )
+            notes.append(f"below threshold: n={n} has {x} < {y}")
     for n in range(threshold, max_n + 1):
-        x, y = a.coeff(t * n + r), b.coeff(t * n + r)
+        x, y = lhs.coeff(n), rhs.coeff(n)
         if x < y:
             return CheckOutcome(False, max_n + 1, n, x, y, tuple(notes))
     return CheckOutcome(True, max_n + 1, notes=tuple(notes))
@@ -274,6 +237,11 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
     def mismatch(exponent, lhs, rhs):
         return Mismatch(exponent, entry.coeff_text(lhs), entry.coeff_text(rhs))
 
+    def short(through, notes=()):
+        # a window that ends early is an error, never a pass
+        return finish("error", through,
+                      notes=[*notes, f"window ends at {through}, requested {prec}"])
+
     try:
         if entry.kind == "equality":
             reference = entry.builders[0](prec)
@@ -284,39 +252,26 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
                     return finish("fail", cmp.exponent,
                                   mismatch(cmp.exponent, cmp.lhs, cmp.rhs))
                 if cmp.verified_through < prec:
-                    return finish(
-                        "error",
-                        cmp.verified_through,
-                        notes=[
-                            f"window ends at {cmp.verified_through}, "
-                            f"requested {prec}"
-                        ],
-                    )
+                    return short(cmp.verified_through)
             return finish("pass", prec)
 
+        series = [build(prec) for build in entry.builders]
         if entry.kind == "support":
-            series = entry.builders[0](prec)
-            outcome = support_check(series, entry.support_t, entry.support_allowed)
+            outcome = support_check(series[0], entry.support_t, entry.support_allowed)
         elif entry.kind == "positivity":
-            series = entry.builders[0](prec)
-            outcome = positivity_check(series, entry.positive_from, prec - 1)
+            outcome = positivity_check(series[0], entry.positive_from, prec - 1)
         else:
-            outcome = inequality_check(
-                entry.ineq_lhs,
-                entry.ineq_rhs,
-                entry.ineq_t,
-                entry.ineq_r,
-                entry.ineq_threshold,
-                prec - 1,
+            outcome = inequality_check(*series, entry.ineq_threshold, prec - 1)
+        if not outcome.ok:
+            return finish(
+                "fail",
+                outcome.exponent,
+                mismatch(outcome.exponent, outcome.lhs, outcome.rhs),
+                notes=outcome.notes,
             )
-        if outcome.ok:
-            return finish("pass", outcome.through, notes=outcome.notes)
-        return finish(
-            "fail",
-            outcome.exponent,
-            mismatch(outcome.exponent, outcome.lhs, outcome.rhs),
-            notes=outcome.notes,
-        )
+        if outcome.through < prec:
+            return short(outcome.through, outcome.notes)
+        return finish("pass", outcome.through, notes=outcome.notes)
     except Exception as exc:
         # one broken entry must not stop the run; the report names the error
         return finish("error", 0, notes=[f"{type(exc).__name__}: {exc}"])

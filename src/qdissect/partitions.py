@@ -13,14 +13,17 @@ pentagonal theorem that is the recurrence
     N_a[n] = num_a[n] + N_a[n-1] + N_a[n-2] - N_a[n-5] - N_a[n-7] + ...
 
 over the generalized pentagonal numbers, so coefficient n needs only
-num_a[n] and about 2 sqrt(2n/3) earlier counts.  p(n) is the crank
-table mod 1: with one class, C(0,1;n) counts every partition of n (at
-n=1 the sum's z + z^-1 - 1 is 1), so p(n) shares the tables' one cache
-and one lock.
+num_a[n] and about 2 sqrt(2n/3) earlier counts.  Those M rows of ints
+are the whole state of a count table: residue_series hands out one row
+as an integer series, and count_series builds the cyclic count vectors
+from the rows when it is read.  p(n) is the crank table mod 1: with one
+class, C(0,1;n) counts every partition of n (at n=1 the sum's
+z + z^-1 - 1 is 1), so p(n) shares the tables' one cache and one lock.
 
 Conventions (generating-function convention throughout):
   * n=0: the empty partition counts with statistic 0 in both tables.
-    The rank sum has no q^0 term, so count_series adds it (+1 at n=0,
+    The rank sum has no q^0 term, so _column, the one reader of the
+    rows behind count_series and residue_series, adds it (+1 at n=0,
     a=0); the crank sum already contains it.
   * n=1 cranks: the crank sum gives z + z^-1 - 1, not the single
     combinatorial value crank((1)) = -1, with no special case.  The
@@ -153,32 +156,35 @@ def _sum_offset(stat: str, k: int) -> int:
 
 
 class _CountTable:
-    """Residue counts of one statistic mod M, known below ``series.prec``.
+    """Residue counts of one statistic mod M, known below ``width``.
 
-    ``rows[a]`` holds N_a[n] for n < series.prec as plain ints, the state
-    of the pentagonal recurrence; the rank table's +1 at n=0, a=0 is not
-    part of that state (it would leak into every later count) and is
-    added where counts are handed out.  The numerator term num_a[n] is
-    needed only at step n, so it is not kept, and the table grows by
-    exactly the coefficients asked for.
+    ``rows[a]`` holds N_a[n] for n < width as plain ints, the state of
+    the pentagonal recurrence and the table's only state of the counts.
+    The rank table's +1 at n=0, a=0 is not part of that state (it would
+    leak into every later count); ``_column`` adds it where counts are
+    handed out.  The numerator term num_a[n] is needed only at step n,
+    so it is not kept, and the table grows by exactly the coefficients
+    asked for.
 
-    ``window`` is the truncation handed out last, so reading the M
-    classes of one n (``residue_count``) truncates the table once, not M
-    times.
+    ``count_series`` reads the rows as count vectors: ``cyclic`` is the
+    widest cyclic window built so far, extended from the rows on demand,
+    and ``window`` the truncation handed out last, so reading the M
+    classes of one n (``residue_count``) builds one window, not M.
     """
 
-    __slots__ = ("stat", "modulus", "rows", "series", "window")
+    __slots__ = ("stat", "modulus", "rows", "width", "cyclic", "window")
 
     def __init__(self, stat: str, M: int):
         self.stat = stat
         self.modulus = M
         self.rows = [[] for _ in range(M)]
-        self.series = self.window = Series.zero(cyclic_ring(M), 0)
+        self.width = 0
+        self.cyclic = self.window = Series.zero(cyclic_ring(M), 0)
 
     def grow(self, prec: int) -> None:
-        """Compute the coefficients in [series.prec, prec) and widen."""
+        """Compute the counts at n in [width, prec) and widen."""
         stat, M = self.stat, self.modulus
-        old = self.series.prec
+        old = self.width
         rows = self.rows
         for row in rows:
             del row[old:]  # what an interrupted grow left
@@ -201,15 +207,19 @@ class _CountTable:
                             num[-m % M] += c
             k += 1
         pentagonal = _pentagonal(prec)
-        coeffs = list(self.series.coeffs)
         for n, num in zip(range(old, prec), nums):
             for row, c, step in zip(rows, num, _euler_step(rows, n, pentagonal)):
                 row.append(c + step)
-            counts = [row[n] for row in rows]
-            if n == 0 and stat == "rank":
-                counts[0] += 1  # the empty partition, absent from the rank sum
-            coeffs.append(CyclicLaurent(M, counts))
-        self.series = Series(cyclic_ring(M), 0, coeffs, prec)
+        self.width = prec
+
+
+def _column(table: _CountTable, a: int, lo: int, hi: int) -> List[int]:
+    """N_a[n] for lo <= n < hi as handed out: the table's row plus the
+    empty partition, which the rank sum lacks (+1 at n=0, a=0)."""
+    column = table.rows[a][lo:hi]
+    if lo == 0 and column and a == 0 and table.stat == "rank":
+        column[0] += 1
+    return column
 
 
 _count_cache: dict = {}
@@ -226,7 +236,7 @@ def _table(stat: str, M: int, prec: int) -> _CountTable:
     table = _count_cache.get((stat, M))
     if table is None:
         table = _count_cache[stat, M] = _CountTable(stat, M)
-    if table.series.prec < prec:
+    if table.width < prec:
         table.grow(prec)
     return table
 
@@ -241,14 +251,22 @@ def count_series(stat: str, M: int, prec: int) -> Series:
     n=0, a=0 (added by hand for ranks, part of the crank sum), and the
     crank coefficient at n=1 is z + z^-1 - 1, as the sum gives it.
 
-    Cached per (stat, M).  A wider request computes only the missing
-    coefficients, up to exactly prec; a narrower one is a truncation,
-    reused while the same width is asked again.
+    Read from the table's rows, cached per (stat, M).  A wider request
+    computes only the missing counts, up to exactly prec, and builds
+    count vectors only for them; a narrower one is a truncation, reused
+    while the same width is asked again.
     """
     with _count_lock:
         table = _table(stat, M, prec)
         if table.window.prec != prec:
-            table.window = table.series.truncate(prec)
+            old = table.cyclic.prec
+            if old < prec:
+                vectors = zip(*(_column(table, a, old, prec) for a in range(M)))
+                table.cyclic = Series(
+                    cyclic_ring(M), 0,
+                    table.cyclic.coeffs + tuple(CyclicLaurent(M, c) for c in vectors),
+                    prec)
+            table.window = table.cyclic.truncate(prec)
         return table.window
 
 
@@ -275,9 +293,7 @@ def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
     if not 0 <= a < M:
         raise ValueError(f"residue {a} out of range for modulus {M}")
     with _count_lock:
-        column = _table(stat, M, prec).rows[a][:max(prec, 0)]
-    if column and stat == "rank" and a == 0:
-        column[0] += 1  # the empty partition, absent from the rank sum
+        column = _column(_table(stat, M, prec), a, 0, max(prec, 0))
     return Series.from_coeffs(INTEGER, 0, column, prec)
 
 

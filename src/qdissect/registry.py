@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import partitions, theta
-from .identities import CountSelector, IdentityEntry
+from .identities import IdentityEntry
 from .rings import INTEGER
 from .series import Series
 from .theta import GSpec, J, Jbar, eta_atom
@@ -1145,18 +1145,15 @@ def _lewis_entries():
         positive_from=1))
 
     ineqs = [
-        ("lewis-ineq-0", "N(0,8;4n+1) >= C(0,8;4n+1) for n >= 2", 1, 2,
-         CountSelector(N, 0, 8), CountSelector(C, 0, 8)),
-        ("lewis-ineq-1", "C(0,8;4n+2) >= N(0,8;4n+2) for n >= 2", 2, 2,
-         CountSelector(C, 0, 8), CountSelector(N, 0, 8)),
-        ("lewis-ineq-2", "N(0,8;4n+3) >= C(0,8;4n+3) for n >= 1", 3, 1,
-         CountSelector(N, 0, 8), CountSelector(C, 0, 8)),
+        ("lewis-ineq-0", "N(0,8;4n+1) >= C(0,8;4n+1) for n >= 2", 1, 2, N, C),
+        ("lewis-ineq-1", "C(0,8;4n+2) >= N(0,8;4n+2) for n >= 2", 2, 2, C, N),
+        ("lewis-ineq-2", "N(0,8;4n+3) >= C(0,8;4n+3) for n >= 1", 3, 1, N, C),
     ]
     for entry_id, label, r, threshold, lhs, rhs in ineqs:
-        entries.append(IdentityEntry(
+        entries.append(_entry(
             entry_id, label, "inequality", 100,
-            ineq_lhs=lhs, ineq_rhs=rhs, ineq_t=4, ineq_r=r,
-            ineq_threshold=threshold))
+            [counts([(1, stat, 0, 8)], t=4, r=r) for stat in (lhs, rhs)],
+            ineq_threshold=threshold, progression=(4, r)))
 
     return entries
 

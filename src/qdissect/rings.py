@@ -1,8 +1,12 @@
 """Exact coefficient rings for q-series work.
 
-Three rings are supported: arbitrary-precision integers (Python ``int``),
-exact rationals (``fractions.Fraction``), and the cyclic group ring
-Z[z]/(z^M - 1) used to count partition statistics by residue class.
+Two rings carry the arithmetic: arbitrary-precision integers (Python
+``int``) and exact rationals (``fractions.Fraction``).  The third tag,
+the cyclic ring Z[z]/(z^M - 1), types the count vectors that
+``partitions.count_series`` hands out: a ``CyclicLaurent`` holds the M
+residue counts of one q^n coefficient and supports equality, hashing and
+the JSON/text codecs, but no arithmetic, so a cyclic series can be
+compared and serialized, not added, scaled, multiplied or inverted.
 Everything is exact; there is no floating point anywhere in this package.
 """
 
@@ -18,12 +22,13 @@ class RingError(ValueError):
 
 
 class CyclicLaurent:
-    """An element of Z[z]/(z^M - 1), stored densely.
+    """A count vector: the residue counts of one q^n coefficient mod M.
 
-    ``counts[r]`` holds the total coefficient of z^e summed over all
-    exponents e congruent to r mod M.  Negative z-exponents are folded on
-    construction; only residues matter for counting ranks and cranks.
-    Instances are immutable and safe to share between threads.
+    ``counts[a]`` holds the count in residue class a, 0 <= a < M.  It is
+    an element of Z[z]/(z^M - 1) by name only: the counts are integers
+    handed out by ``partitions.count_series``, and no arithmetic is
+    defined on them.  Instances are immutable and safe to share between
+    threads.
     """
 
     __slots__ = ("modulus", "counts")
@@ -46,90 +51,10 @@ class CyclicLaurent:
     def zero(cls, modulus: int) -> "CyclicLaurent":
         return cls(modulus, (0,) * modulus)
 
-    @classmethod
-    def one(cls, modulus: int) -> "CyclicLaurent":
-        return cls(modulus, (1,) + (0,) * (modulus - 1))
-
-    @classmethod
-    def z_power(cls, exponent: int, modulus: int) -> "CyclicLaurent":
-        """The element z^exponent; negative exponents reduce into [0, M)."""
-        if modulus < 1:
-            raise ValueError("modulus must be a positive integer")
-        counts = [0] * modulus
-        counts[exponent % modulus] = 1
-        return cls(modulus, counts)
-
-    def _check(self, other: "CyclicLaurent") -> None:
-        if self.modulus != other.modulus:
-            raise RingError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, CyclicLaurent):
-            return NotImplemented
-        self._check(other)
-        return CyclicLaurent(
-            self.modulus,
-            tuple(x + y for x, y in zip(self.counts, other.counts)),
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, CyclicLaurent):
-            return NotImplemented
-        self._check(other)
-        return CyclicLaurent(
-            self.modulus,
-            tuple(x - y for x, y in zip(self.counts, other.counts)),
-        )
-
-    def __neg__(self):
-        return CyclicLaurent(self.modulus, tuple(-x for x in self.counts))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return CyclicLaurent(
-                self.modulus, tuple(x * other for x in self.counts)
-            )
-        if not isinstance(other, CyclicLaurent):
-            return NotImplemented
-        self._check(other)
-        m = self.modulus
-        out = [0] * m
-        for i, x in enumerate(self.counts):
-            if not x:
-                continue
-            for j, y in enumerate(other.counts):
-                if y:
-                    k = i + j
-                    if k >= m:
-                        k -= m
-                    out[k] += x * y
-        return CyclicLaurent(m, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def rotate(self, e: int) -> "CyclicLaurent":
-        """Multiply by z^e (a cyclic rotation of the count vector)."""
-        m = self.modulus
-        e %= m
-        if e == 0:
-            return self
-        return CyclicLaurent(m, self.counts[-e:] + self.counts[:-e])
-
-    def augmentation(self) -> int:
-        """Sum of counts; the ring map z -> 1."""
-        return sum(self.counts)
-
     def __bool__(self) -> bool:
         return any(self.counts)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.counts[0] == other and not any(self.counts[1:])
         if not isinstance(other, CyclicLaurent):
             return NotImplemented
         return self.modulus == other.modulus and self.counts == other.counts
@@ -166,7 +91,7 @@ class Ring:
             return 1
         if self.kind == "rational":
             return Fraction(1)
-        return CyclicLaurent.one(self.modulus)
+        raise RingError(f"{self.tag()} holds count vectors; it has no one")
 
     def coerce(self, value):
         if self.kind == "integer":
@@ -187,8 +112,6 @@ class Ring:
                     f"modulus mismatch: {value.modulus} vs {self.modulus}"
                 )
             return value
-        if isinstance(value, int):
-            return CyclicLaurent.one(self.modulus) * value
         raise RingError(f"cannot coerce {value!r} into {self.tag()}")
 
     def coerce_all(self, values) -> tuple:
@@ -229,14 +152,9 @@ class Ring:
                     "cannot be inverted"
                 )
             return Fraction(1) / value
-        # Units of Z[z]/(z^M-1) used here are +-z^k only.
-        nz = [(i, c) for i, c in enumerate(value.counts) if c]
-        if len(nz) == 1 and nz[0][1] in (1, -1):
-            i, c = nz[0]
-            return CyclicLaurent.z_power(-i, self.modulus) * c
         raise RingError(
-            f"leading coefficient {value!r} at exponent {exponent} "
-            "is not a unit in the cyclic ring"
+            f"leading coefficient {value!r} at exponent {exponent}: "
+            f"{self.tag()} holds count vectors, which are not inverted"
         )
 
     def tag(self) -> str:

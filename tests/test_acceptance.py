@@ -176,7 +176,8 @@ def test_criterion_09_lewis_conjectures(by_id, full_run):
     for k, threshold in ((0, 2), (1, 2), (2, 1)):
         entry = by_id[f"lewis-ineq-{k}"]
         assert entry.ineq_threshold == threshold
-        assert 4 * (entry.default_prec - 1) + entry.ineq_r >= 397  # covers args <= 400
+        t, r = entry.progression
+        assert t == 4 and t * (entry.default_prec - 1) + r >= 397  # covers args <= 400
         assert reports[f"lewis-ineq-{k}"].status == "pass"
     print(
         "\nACCEPTANCE 9: PASS - Lewis 4-dissection, reduction identities "

@@ -5,7 +5,6 @@ import pytest
 
 from qdissect.identities import (
     JSON_REPORT_SCHEMA,
-    CountSelector,
     IdentityEntry,
     Mismatch,
     inequality_check,
@@ -16,7 +15,7 @@ from qdissect.identities import (
     verify_all,
     verify_identity,
 )
-from qdissect.registry import build_registry
+from qdissect.registry import build_registry, counts
 from qdissect.rings import INTEGER
 from qdissect.series import Series
 from qdissect import theta
@@ -187,8 +186,8 @@ def test_positivity_check_basics():
 
 
 def test_inequality_check_reflexive():
-    sel = CountSelector("rank", 0, 8)
-    out = inequality_check(sel, sel, 4, 1, 0, 40)
+    ranks = counts([(1, "rank", 0, 8)], t=4, r=1)(41)
+    out = inequality_check(ranks, ranks, 0, 40)
     assert out.ok and not out.notes
 
 
@@ -196,14 +195,27 @@ def test_inequality_below_threshold_is_informational():
     # swapped first Lewis pair: C(0,8;1) = -1 < 1 = N(0,8;1) at n=0, but
     # C(0,8;5) = N(0,8;5); with threshold 1 and max_n 1 the n=0 violation
     # is a note, not a failure
-    lhs = CountSelector("crank", 0, 8)
-    rhs = CountSelector("rank", 0, 8)
-    out = inequality_check(lhs, rhs, 4, 1, 1, 1)
+    lhs = counts([(1, "crank", 0, 8)], t=4, r=1)(2)
+    rhs = counts([(1, "rank", 0, 8)], t=4, r=1)(2)
+    out = inequality_check(lhs, rhs, 1, 1)
     assert out.ok
     assert any("below threshold" in note for note in out.notes)
     # without the threshold the same pair fails outright at n=0
-    out = inequality_check(lhs, rhs, 4, 1, 0, 1)
+    out = inequality_check(lhs, rhs, 0, 1)
     assert not out.ok and out.exponent == 0
+
+
+def test_perturbed_inequality_fails_at_its_index(registry):
+    # the clone's rhs C(0,8;4n+3) gains 10^40 at index e
+    entry = {e.id: e for e in registry}["lewis-ineq-2"]
+    for e in (1, 50, 99):
+        report = verify_identity(perturb_entry(entry, e, amount=10**40))
+        assert report.status == "fail" and report.first_mismatch.exponent == e
+        assert report.notes == ()
+    # at e = 0, below the threshold n >= 1, it is a note
+    report = verify_identity(perturb_entry(entry, 0, amount=10**40))
+    assert report.status == "pass" and report.verified_through == 100
+    assert len(report.notes) == 1 and "below threshold" in report.notes[0]
 
 
 def test_equality_entry_window_discipline():
@@ -217,6 +229,16 @@ def test_equality_entry_window_discipline():
     report = verify_identity(entry, prec=50)
     assert report.status == "error"
     assert "window" in report.notes[0]
+
+
+def test_support_entry_window_discipline():
+    entry = IdentityEntry(
+        "s", "s", "support", 50,
+        builders=(lambda p: Series.zero(INTEGER, min(p, 20)),),
+        support_t=2, support_allowed=frozenset({0}))
+    report = verify_identity(entry, prec=50)
+    assert (report.status, report.verified_through) == ("error", 20)
+    assert report.notes == ("window ends at 20, requested 50",)
 
 
 def test_builder_exceptions_are_reported():

@@ -18,7 +18,7 @@ from qdissect.partitions import (
     residue_series,
     scaled_deviation,
 )
-from qdissect.rings import INTEGER, RATIONAL
+from qdissect.rings import INTEGER, RATIONAL, CyclicLaurent
 from qdissect.series import Series
 
 
@@ -154,7 +154,7 @@ def test_column_sums_give_partition_numbers():
     for stat in ("rank", "crank"):
         series = count_series(stat, 7, 50)
         for n in range(50):
-            assert series.coeff(n).augmentation() == partition_count(n)
+            assert sum(series.coeff(n).counts) == partition_count(n)
 
 
 def test_residue_count_reads_tables():
@@ -244,7 +244,7 @@ def test_concurrent_cache_reads_are_consistent():
     def job(k):
         stat = "rank" if k % 2 else "crank"
         series = count_series(stat, 4 + (k % 3), 30 + k % 7)
-        return series.coeff(20).augmentation()
+        return sum(series.coeff(20).counts)
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(job, range(40)))
@@ -255,10 +255,47 @@ def test_count_cache_grows_to_exactly_the_width_asked(monkeypatch):
     monkeypatch.setattr(partitions, "_count_cache", {})
     count_series("crank", 8, 305)
     count_series("crank", 8, 306)
-    assert partitions._count_cache["crank", 8].series.prec == 306
+    assert partitions._count_cache["crank", 8].width == 306
     for n in range(301):
         residue_count("rank", 2, 5, n)
-        assert partitions._count_cache["rank", 5].series.prec == n + 1
+        assert partitions._count_cache["rank", 5].width == n + 1
+
+
+def test_counts_live_as_rows_and_vectors_are_built_on_read(monkeypatch):
+    # the integer readers build no count vectors; count_series builds
+    # each one once, extending its widest window and truncating it
+    monkeypatch.setattr(partitions, "_count_cache", {})
+    built = []
+    init = CyclicLaurent.__init__
+
+    def counting_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(CyclicLaurent, "__init__", counting_init)
+    for stat in ("rank", "crank"):
+        for M in (4, 5, 8):
+            for a in range(M):
+                residue_series(stat, a, M, 300)
+                scaled_deviation(stat, a, M, 300)
+    partition_series(300)
+    partition_count(299)
+    assert built == []
+
+    def fresh_window(stat, M, prec):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(partitions, "_count_cache", {})
+            return count_series(stat, M, prec)
+
+    for stat in ("rank", "crank"):
+        built.clear()
+        for prec, vectors in ((7, 7), (300, 300), (5, 300)):  # extend, truncate
+            got = count_series(stat, 8, prec)
+            assert len(built) == vectors  # each n of the widest window, once
+            want = fresh_window(stat, 8, prec)
+            del built[vectors:]
+            assert (got.min_exp, got.prec) == (want.min_exp, want.prec) == (0, prec)
+            assert got.coeffs == want.coeffs
 
 
 def test_rank_counts_against_single_rank_formula():

@@ -216,11 +216,13 @@ def test_constructor_checks_every_coefficient():
     assert f.coeffs == (Fraction(1), Fraction(1, 2))
     assert all(type(c) is Fraction for c in f.coeffs)
     ring = cyclic_ring(4)
-    f = Series(ring, 0, [ring.one, 2], 2)
-    assert f.coeffs[1] == CyclicLaurent(4, (2, 0, 0, 0))
-    assert type(f.coeffs[1]) is CyclicLaurent
+    vector = CyclicLaurent(4, (1, 0, 0, 0))
+    f = Series(ring, 0, [vector, CyclicLaurent(4, (2, 0, 0, 0))], 2)
+    assert all(type(c) is CyclicLaurent for c in f.coeffs)
     with pytest.raises(RingError):
-        Series(ring, 0, [ring.one, CyclicLaurent.one(5)], 2)
+        Series(ring, 0, [vector, 2], 2)
+    with pytest.raises(RingError):
+        Series(ring, 0, [vector, CyclicLaurent(5, (1, 0, 0, 0, 0))], 2)
 
 
 def test_coeff_window_discipline():
@@ -289,24 +291,34 @@ def test_precision_never_overstated(xs, ys):
 
 # -- the product and inverse kernels against the dict oracles ------------------
 
-KERNEL_RINGS = [INTEGER, RATIONAL, cyclic_ring(3)]
+KERNEL_RINGS = [INTEGER, RATIONAL]
+# the cyclic ring holds count vectors: compared, never added or multiplied
+WINDOW_RINGS = KERNEL_RINGS + [cyclic_ring(3)]
 DENSITIES = [0.05, 0.3, 1.0]
 
 
 def _random_coeff(rng, ring, bits=70):
     """+-1 (the add/sub rows of the product) or a nonzero value of up to
-    `bits` bits."""
-    if rng.random() < 0.3:
-        return rng.choice([ring.one, -ring.one])
+    `bits` bits; in the cyclic ring, a vector of such counts."""
 
     def big():
         return rng.choice([-1, 1]) * rng.randrange(1, 2**bits)
 
+    if ring.kind == "cyclic-laurent":
+        return CyclicLaurent(ring.modulus, [big() for _ in range(ring.modulus)])
+    if rng.random() < 0.3:
+        return rng.choice([ring.one, -ring.one])
     if ring == RATIONAL:
         return Fraction(big(), rng.randrange(1, 2**16))
-    if ring == INTEGER:
-        return big()
-    return CyclicLaurent(ring.modulus, [big() for _ in range(ring.modulus)])
+    return big()
+
+
+def _bumped(ring, c):
+    """A coefficient other than c: c + 1, or c with one more count in
+    class 0."""
+    if ring.kind == "cyclic-laurent":
+        return CyclicLaurent(ring.modulus, (c.counts[0] + 1,) + c.counts[1:])
+    return c + ring.one
 
 
 def _random_series(rng, ring, min_exp, length, density):
@@ -392,7 +404,7 @@ def _window_pairs(ring, rng):
     g = dict(f)
     g[1] = _random_coeff(rng, ring)
     h = dict(f)
-    h[19] = h[19] + ring.one
+    h[19] = _bumped(ring, h[19])
     named = [
         (_window_of(ring, f, -3, 12), _window_of(ring, f, 2, 15)),  # offset starts
         (_window_of(ring, f, 0, 10), _window_of(ring, f, 10, 20)),  # b at a's prec
@@ -421,7 +433,7 @@ def test_add_matches_oracle(ring):
         assert _poly(total) == {e: c for e, c in want.items() if c}
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+@pytest.mark.parametrize("ring", WINDOW_RINGS, ids=lambda r: r.tag())
 def test_compare_matches_oracle(ring):
     for a, b in _window_pairs(ring, random.Random(f"compare {ring.tag()}")):
         upper = min(a.prec, b.prec)
@@ -438,7 +450,7 @@ def test_compare_matches_oracle(ring):
             assert cmp == Comparison(False, upper, *first)
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+@pytest.mark.parametrize("ring", WINDOW_RINGS, ids=lambda r: r.tag())
 def test_eq_matches_oracle(ring):
     pairs = _window_pairs(ring, random.Random(f"eq {ring.tag()}"))
     for a, b in pairs:
@@ -453,9 +465,11 @@ def test_eq_matches_oracle(ring):
     assert Series.zero(ring, 5) != Series.zero(other, 5)
 
 
-@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+@pytest.mark.parametrize("ring", WINDOW_RINGS, ids=lambda r: r.tag())
 def test_compare_first_mismatch_edges(ring):
-    f = {e: ring.one for e in range(3, 25)}
+    one = _bumped(ring, ring.zero)
+    two = _bumped(ring, one)
+    f = {e: one for e in range(3, 25)}
     c = _random_coeff(random.Random(f"edges {ring.tag()}"), ring)
     lhs = _window_of(ring, f, 3, 20)
     rhs = _window_of(ring, {**f, 1: c}, 0, 20)
@@ -463,8 +477,8 @@ def test_compare_first_mismatch_edges(ring):
     assert lhs.compare(rhs) == Comparison(False, 20, 1, ring.zero, c)
     assert rhs.compare(lhs) == Comparison(False, 20, 1, c, ring.zero)
     # at upper - 1, the last exponent both windows know
-    rhs = _window_of(ring, {**f, 19: ring.one + ring.one}, -2, 25)
-    assert lhs.compare(rhs) == Comparison(False, 20, 19, ring.one, ring.one + ring.one)
+    rhs = _window_of(ring, {**f, 19: two}, -2, 25)
+    assert lhs.compare(rhs) == Comparison(False, 20, 19, one, two)
     assert lhs != rhs.truncate(20)
     assert lhs.truncate(19).compare(rhs) == Comparison(True, 19)
 
