@@ -273,41 +273,70 @@ class Series:
                 out[k] = out[k] + c * prev
         return Series(self.ring, self.min_exp, out, self.prec)
 
-    def invert(self) -> "Series":
-        """Multiplicative inverse.
+    def divide(self, other: "Series") -> "Series":
+        """Exact quotient self / other by classical power-series division
+        (Knuth, TAOCP vol. 2, section 4.7).
 
-        The first nonzero coefficient must be a unit (+-1 over the
-        integers, nonzero over the rationals).  With valuation v the
-        result has window [-v, prec - 2v): relative precision is
-        preserved, absolute precision shrinks by 2v.
+        The divisor's first nonzero coefficient must be a unit (+-1 over
+        the integers, nonzero over the rationals).  With v the divisor's
+        valuation the window is [min_exp - v, min(prec - v, other.prec -
+        2v + min_exp)): the dividend's window moved by -v, cut where the
+        divisor's relative precision ends.  Each coefficient is
+        b[k] = lead^-1 * (a[k] - sum d[j] b[k-j]) over the divisor's
+        nonzero d[j], j >= 1, so the cost is (nonzeros of the divisor) x
+        (window length), like a sparse product.
         """
-        nonzero = list(compress(range(len(self.coeffs)), self.coeffs))
+        self._require_same_ring(other)
+        nonzero = list(compress(range(len(other.coeffs)), other.coeffs))
         if not nonzero:
             raise SeriesError(
-                f"cannot invert a series that vanishes through q^{self.prec - 1}"
+                f"cannot divide by a series that vanishes through q^{other.prec - 1}"
             )
         start = nonzero[0]
-        v = self.min_exp + start
-        lead = self.coeffs[start]
-        lead_inv = self.ring.invert_unit(lead, v)
-        n_rel = self.prec - v
-        # b[k] = -lead^-1 * sum a[j] b[k-j] over the nonzero a[j] with
-        # 1 <= j <= k; js ascends, so those are its first `used` entries
-        js = [i - start for i in nonzero[1:]]
-        aj = [self.coeffs[start + j] for j in js]
-        zero = self.ring.zero
-        b = [zero] * n_rel
-        b[0] = lead_inv
-        used = 0
-        for k in range(1, n_rel):
-            if used < len(js) and js[used] == k:
-                used += 1
-            if used:
-                b_kj = map(b.__getitem__, map(sub, repeat(k, used), js))
-                acc = sum(map(mul, aj, b_kj), zero)
-                if acc:
-                    b[k] = -(lead_inv * acc)
-        return Series(self.ring, -v, b, self.prec - 2 * v)
+        v = other.min_exp + start
+        lead_inv = self.ring.invert_unit(other.coeffs[start], v)
+        min_exp = self.min_exp - v
+        prec = min(self.prec - v, other.prec - 2 * v + self.min_exp)
+        monic = lead_inv == 1
+        # while b holds b[0..k-1], b[-j] is b[k-j]; the rows are -j for the
+        # nonzero d[j] with 1 <= j <= k, split like the product's rows so
+        # that a +-1 coefficient adds or subtracts without a multiplication
+        plus, minus, scaled, scales = [], [], [], []
+        pending = (i - start for i in nonzero[1:])
+        j = next(pending, None)
+        b = []
+        for k, acc in enumerate(self.coeffs[: prec - min_exp]):
+            if j == k:
+                c = other.coeffs[start + j]
+                if c == 1:
+                    plus.append(-j)
+                elif c == -1:
+                    minus.append(-j)
+                else:
+                    scaled.append(-j)
+                    scales.append(c)
+                j = next(pending, None)
+            if plus:
+                acc = acc - sum(map(b.__getitem__, plus))
+            if minus:
+                acc = acc + sum(map(b.__getitem__, minus))
+            if scaled:
+                acc = acc - sum(map(mul, scales, map(b.__getitem__, scaled)))
+            b.append(acc if monic else lead_inv * acc)
+        return Series(self.ring, min_exp, b, prec)
+
+    def invert(self) -> "Series":
+        """Multiplicative inverse: Series.one divided by self.
+
+        The first nonzero coefficient must be a unit.  With valuation v
+        the dividend is one through prec - v, so the result has window
+        [-v, prec - 2v): relative precision is preserved, absolute
+        precision shrinks by 2v.
+        """
+        v = self.valuation()
+        # a vanishing series has no valuation; divide raises on it
+        width = self.prec - v if v is not None else self.prec
+        return Series.one(self.ring, width).divide(self)
 
     def truncate(self, prec: int) -> "Series":
         """Restrict the window to exponents below prec (prec <= self.prec)."""

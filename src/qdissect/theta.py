@@ -31,12 +31,14 @@ unit * q^shift * prod j(sign*q^a; q^m)^k with every atom folded into
 the strip and the exponents of both sides merged.  That tuple is the
 memo key, so one quotient however written is computed once; a canonical
 atom (1, 0, ((sign, a, m, 1),)) is the triple-product sum, its inverse
-the k = -1 entry, and any other key the product of those entries.
-Mock-g specializations share the memo under ("g", sign, a, m).  It keeps
-the widest window computed so far and serves narrower requests by
-truncation, so a repeated quotient costs no products; a wider request is
-computed outside the lock and replaces the entry.  Concurrent
-verification tasks may share it.
+(the k = -1 entry) one divided by that sum, and any other key the
+product of its numerator atoms divided by each denominator atom in turn
+(exact power-series division, which costs what a product by the atom
+costs).  Mock-g specializations share the memo under ("g", sign, a, m).
+It keeps the widest window computed so far and serves narrower requests
+by truncation, so a repeated quotient costs no products or divisions; a
+wider request is computed outside the lock and replaces the entry.
+Concurrent verification tasks may share it.
 """
 
 from __future__ import annotations
@@ -205,11 +207,15 @@ def _quotient_product(key: tuple, prec: int) -> Series:
         if k == 1:
             return theta_j_sum(ThetaAtom(sign, a, m), prec)
         return _quotient((1, 0, ((sign, a, m, 1),)), prec).invert()
-    # canonical atoms and their inverses have valuation 0, so every
-    # factor is needed through the same width
-    parts = [_quotient((1, 0, ((sign, a, m, 1 if k > 0 else -1),)), width)
-             for sign, a, m, k in factors for _ in range(abs(k))]
-    out = reduce(mul, parts) if parts else Series.one(INTEGER, width)
+    # canonical atoms have valuation 0, so every atom is needed through
+    # the same width and dividing by one keeps the window
+    atoms = [(_quotient((1, 0, ((sign, a, m, 1),)), width), k)
+             for sign, a, m, k in factors]
+    numerator = [atom for atom, k in atoms for _ in range(k)]
+    out = reduce(mul, numerator) if numerator else Series.one(INTEGER, width)
+    for atom, k in atoms:
+        for _ in range(-k):
+            out = out.divide(atom)
     out = out.shift(shift)
     return out if unit == 1 else out.scale(unit)
 
@@ -236,9 +242,11 @@ def eta_quotient(
     goes through the shared memo under its normal form, so a repeated or
     narrower request, however written, is a truncation of the widest
     window computed so far.  A new or wider one multiplies the memoized
-    canonical atoms and atom inverses, each through prec minus the
-    normal form's shift; a quotient of k factors costs k - 1 products,
-    each walking the nonzeros of its sparser side.
+    canonical numerator atoms, each through prec minus the normal form's
+    shift, then divides the product by each denominator atom in turn,
+    with multiplicity.  k numerator and l denominator factors cost
+    k - 1 products and l divisions, each walking the nonzeros of one
+    atom, O(sqrt(prec/m)); no factor is a dense inverse.
     """
     key = _normal_form(numerator, denominator, shift)
     if key is None:

@@ -210,8 +210,12 @@ def test_constructor_checks_every_coefficient():
         Series(INTEGER, 0, [Fraction(1, 2)], 1)
     with pytest.raises(RingError):
         Series(INTEGER, 0, [1, 2, "3"], 3)
+    with pytest.raises(RingError):  # the last slot is checked too
+        Series(INTEGER, 0, [1] * 40 + [Fraction(1, 2)], 41)
     f = Series(INTEGER, 0, [1, Fraction(3)], 2)
     assert f.coeffs == (1, 3) and type(f.coeffs[1]) is int
+    f = Series(INTEGER, 0, [Fraction(3, 1), 5, 7], 3)
+    assert f.coeffs == (3, 5, 7) and all(type(c) is int for c in f.coeffs)
     f = Series(RATIONAL, 0, [1, Fraction(1, 2)], 2)
     assert f.coeffs == (Fraction(1), Fraction(1, 2))
     assert all(type(c) is Fraction for c in f.coeffs)
@@ -516,6 +520,80 @@ def test_invert_matches_oracle(ring, density):
         _check_inverse(Series(ring, min_exp, coeffs, tail.prec))
 
 
+# -- exact division against the dict oracles -----------------------------------
+
+
+def _hyp_coeffs(ring):
+    """Nonzero values of up to 70 bits, with a denominator over RATIONAL."""
+    big = st.integers(1, 2**70).flatmap(lambda n: st.sampled_from([n, -n]))
+    if ring == INTEGER:
+        return big
+    return st.builds(Fraction, big, st.integers(1, 2**16))
+
+
+@st.composite
+def _division_case(draw, ring):
+    """(dividend, divisor): a divisor with valuation v in -4..7, a unit
+    lead, and a tail that is sparse (at most three nonzeros) or dense."""
+    coeff = _hyp_coeffs(ring)
+    window = st.lists(st.one_of(st.just(ring.zero), coeff), max_size=30)
+    lo = draw(st.integers(-4, 4))
+    coeffs = draw(window)
+    dividend = Series(ring, lo, coeffs, lo + len(coeffs))
+
+    lo = draw(st.integers(-4, 4))
+    zeros = draw(st.integers(0, 3))
+    lead = draw(st.sampled_from([1, -1]) if ring == INTEGER else coeff)
+    length = draw(st.integers(0, 30))
+    tail = [ring.zero] * length
+    if draw(st.sampled_from(["sparse", "dense"])) == "dense":
+        tail = draw(st.lists(coeff, min_size=length, max_size=length))
+    elif length:
+        for j, c in draw(st.dictionaries(st.integers(0, length - 1), coeff,
+                                         max_size=3)).items():
+            tail[j] = c
+    coeffs = [ring.zero] * zeros + [lead] + tail
+    return dividend, Series(ring, lo, coeffs, lo + len(coeffs))
+
+
+def _check_division(a, d):
+    b = a.divide(d)
+    v = d.valuation()
+    assert b.min_exp == a.min_exp - v
+    assert b.prec == min(a.prec - v, d.prec - 2 * v + a.min_exp)
+    # b * d is exact below b.prec + v, and equals a there
+    want = oracles.series_to_poly(a, a.min_exp, b.prec + v)
+    got = oracles.poly_mul(
+        oracles.series_to_poly(b), oracles.series_to_poly(d), b.prec + v
+    )
+    assert got == want
+    assert d.invert() == Series.one(d.ring, d.prec - v).divide(d)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_divide_matches_oracle(ring, data):
+    _check_division(*data.draw(_division_case(ring)))
+
+
+def test_divide_error_paths():
+    one = Series.one(INTEGER, 20)
+    for vanishing in (Series.zero(INTEGER, 6), S([0, 0, 0], min_exp=-2, prec=1)):
+        with pytest.raises(SeriesError, match="vanishes"):
+            one.divide(vanishing)
+        with pytest.raises(SeriesError):
+            vanishing.invert()
+    # j(-1; q^4) = 2 + 2q^4 + ...: its lead 2 is no unit over the integers
+    jbar = theta.theta_j(theta.Jbar(0, 4), 20)
+    with pytest.raises(RingError, match="leading coefficient 2 at exponent 0"):
+        one.divide(jbar)
+    with pytest.raises(RingError, match="exponent 3"):
+        one.divide(jbar.shift(3))
+    with pytest.raises(RingError, match="ring mismatch"):
+        Series.one(RATIONAL, 20).divide(jbar)
+
+
 def test_kernels_through_q800():
     eta = theta.theta_j(theta.eta_atom(1), 800)
     jbar = theta.theta_j(theta.Jbar(1, 2), 800)
@@ -527,6 +605,7 @@ def test_kernels_through_q800():
         800,
     )
     assert oracles.series_to_poly(prod) == want
+    assert jbar.divide(eta) == prod
 
 
 def test_json_round_trip_all_rings():

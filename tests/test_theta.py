@@ -6,7 +6,8 @@ import pytest
 from qdissect.rings import INTEGER, RingError
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
-from qdissect.registry import family, terms
+from qdissect.identities import verify_identity
+from qdissect.registry import build_registry, family, terms
 from qdissect.theta import (
     GSpec,
     J,
@@ -398,27 +399,54 @@ def _count_calls(monkeypatch, method):
 def test_quotient_memo_serves_truncations(monkeypatch):
     monkeypatch.setattr(theta, "_memo", {})
     products = _count_calls(monkeypatch, "__mul__")
+    divisions = _count_calls(monkeypatch, "divide")
     num, den, shift = QUOTIENT
     wide = eta_quotient(num, den, shift, 80)
-    assert len(products) == 4  # five factors, four products
+    # three numerator atoms, two products; two denominator atoms, two divisions
+    assert (len(products), len(divisions)) == (2, 2)
     assert (wide.min_exp, wide.prec) == (shift, 80)
 
-    del products[:]
+    del products[:], divisions[:]
     assert _same_window(eta_quotient(num, den, shift, 80), wide)
-    assert products == []  # repeated: nothing multiplied
+    assert products == divisions == []  # repeated: nothing multiplied or divided
     narrow = eta_quotient(num, den, shift, 50)
-    assert products == []  # narrower: a truncation
+    assert products == divisions == []  # narrower: a truncation
     assert _same_window(narrow, _fresh_quotient(monkeypatch, num, den, shift, 50))
-    del products[:]
+    del products[:], divisions[:]
 
     wider = eta_quotient(num, den, shift, 120)
-    assert len(products) == 4  # wider: computed once ...
+    assert (len(products), len(divisions)) == (2, 2)  # wider: computed once ...
     assert _same_window(wider.truncate(80), wide)
     key = theta._normal_form(num, den, shift)
     assert theta._memo[key].prec == 120  # ... and replaces the entry
-    del products[:]
+    del products[:], divisions[:]
     eta_quotient(num, den, shift, 100)
-    assert products == []
+    assert products == divisions == []
+
+
+def _nonzeros(series):
+    return sum(map(bool, series.coeffs))
+
+
+def test_cold_quotients_make_no_dense_products(monkeypatch):
+    # the sparser side of every product is at most as full as the widest
+    # canonical atom, O(sqrt(P/m)): numerator atoms are multiplied, and
+    # denominator atoms divided by, never inverted into dense factors
+    entry = {e.id: e for e in build_registry()}["quintuple-8"]
+    monkeypatch.setattr(theta, "_memo", {})
+    sparser = []
+    real = Series.__mul__
+
+    def recording(self, other):
+        sparser.append(min(_nonzeros(self), _nonzeros(other)))
+        return real(self, other)
+
+    monkeypatch.setattr(Series, "__mul__", recording)
+    eta_quotient(*QUOTIENT, 300)
+    assert verify_identity(entry, 300).status == "pass"
+    widest = max(_nonzeros(theta._memo[1, 0, ((atom.sign, atom.a, atom.m, 1),)])
+                 for atom in theta.cached_atoms())
+    assert len(sparser) >= 3 and max(sparser) <= widest
 
 
 def test_quotient_memo_keys_tell_quotients_apart(monkeypatch):
@@ -444,7 +472,7 @@ def test_quotient_memo_keys_tell_quotients_apart(monkeypatch):
         theta._normal_form(num, den[:1], shift),
     }
     assert len(keys) == 4 and keys <= theta._memo.keys()
-    # the rest are the canonical atoms and inverses they multiply
+    # the rest are the canonical atoms they multiply and divide by
     assert all(key[:2] == (1, 0) and len(key[2]) == 1
                for key in theta._memo.keys() - keys)
 
@@ -487,8 +515,9 @@ def test_quotient_memo_key_ignores_how_it_is_written(monkeypatch, first, second)
     keys = set(theta._memo)
     products = _count_calls(monkeypatch, "__mul__")
     inverses = _count_calls(monkeypatch, "invert")
+    divisions = _count_calls(monkeypatch, "divide")
     got = eta_quotient(*second, 60)
-    assert products == [] and inverses == []
+    assert products == inverses == divisions == []
     assert set(theta._memo) == keys
     assert _same_window(got, _fresh_quotient(monkeypatch, *second, 60))
 
