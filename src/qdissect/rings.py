@@ -5,8 +5,8 @@ Two rings carry the arithmetic: arbitrary-precision integers (Python
 the cyclic ring Z[z]/(z^M - 1), types the count vectors that
 ``partitions.count_series`` hands out: a ``CyclicLaurent`` holds the M
 residue counts of one q^n coefficient and supports equality, hashing and
-the JSON/text codecs, but no arithmetic, so a cyclic series can be
-compared and serialized, not added, scaled, multiplied or inverted.
+the JSON/text output, but no arithmetic, so a cyclic series can be
+compared and written out, not added, scaled, multiplied or inverted.
 Everything is exact; there is no floating point anywhere in this package.
 """
 
@@ -172,14 +172,6 @@ class Ring:
             return f"{value.numerator}/{value.denominator}"
         return list(value.counts)
 
-    def coeff_from_json(self, value):
-        if self.kind == "integer":
-            return int(value)
-        if self.kind == "rational":
-            num, _, den = str(value).partition("/")
-            return Fraction(int(num), int(den) if den else 1)
-        return CyclicLaurent(self.modulus, [int(v) for v in value])
-
     def coeff_to_text(self, value) -> str:
         if self.kind == "integer":
             return str(value)
@@ -199,13 +191,3 @@ def cyclic_ring(modulus: int) -> Ring:
     if ring is None:
         ring = _CYCLIC_CACHE.setdefault(modulus, Ring("cyclic-laurent", modulus))
     return ring
-
-
-def ring_from_tag(tag: str) -> Ring:
-    if tag == "integer":
-        return INTEGER
-    if tag == "rational":
-        return RATIONAL
-    if tag.startswith("cyclic-laurent(") and tag.endswith(")"):
-        return cyclic_ring(int(tag[len("cyclic-laurent(") : -1]))
-    raise ValueError(f"unknown ring tag {tag!r}")

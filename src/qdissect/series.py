@@ -15,7 +15,7 @@ from itertools import compress, islice, repeat
 from operator import add, mul, sub
 from typing import Optional, Sequence
 
-from .rings import Ring, RingError, ring_from_tag
+from .rings import Ring, RingError
 
 
 class SeriesError(ValueError):
@@ -451,12 +451,6 @@ class Series:
             "coeffs": [self.ring.coeff_to_json(c) for c in self.coeffs],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Series":
-        ring = ring_from_tag(obj["ring"])
-        coeffs = [ring.coeff_from_json(c) for c in obj["coeffs"]]
-        return cls(ring, int(obj["min_exp"]), coeffs, int(obj["prec"]))
-
     def to_text(self) -> str:
         lines = [
             f"ring={self.ring.tag()} min_exp={self.min_exp} prec={self.prec}"
@@ -464,16 +458,3 @@ class Series:
         for i, c in enumerate(self.coeffs):
             lines.append(f"q^{self.min_exp + i}: {self.ring.coeff_to_text(c)}")
         return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Series":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = dict(part.split("=", 1) for part in lines[0].split())
-        ring = ring_from_tag(header["ring"])
-        coeffs = []
-        for ln in lines[1:]:
-            _, _, value = ln.partition(": ")
-            if ring.kind == "cyclic-laurent":
-                value = [int(v) for v in value.strip("()").split(",")]
-            coeffs.append(ring.coeff_from_json(value))
-        return cls(ring, int(header["min_exp"]), coeffs, int(header["prec"]))

@@ -28,13 +28,15 @@ oracle in the tests.
 Every theta value -- an atom, its inverse, a whole eta quotient -- is
 reached through one normal form, (unit, shift, ((sign, a, m, k), ...)):
 unit * q^shift * prod j(sign*q^a; q^m)^k with every atom folded into
-the strip and the exponents of both sides merged.  That tuple is the
-memo key, so one quotient however written is computed once; a canonical
-atom (1, 0, ((sign, a, m, 1),)) is the triple-product sum, its inverse
-(the k = -1 entry) one divided by that sum, and any other key the
-product of its numerator atoms divided by each denominator atom in turn
-(exact power-series division, which costs what a product by the atom
-costs).  Mock-g specializations share the memo under ("g", sign, a, m).
+the strip and the exponents of both sides merged.  The sorted factor
+tuple alone is the memo key, so one product of canonical atoms however
+written, and under whatever unit and shift, is computed and stored once;
+eta_quotient applies q^shift and the unit to it on the way out.  A lone
+canonical atom ((sign, a, m, 1),) is the triple-product sum, and any
+other factor tuple the product of its numerator atoms divided by each
+denominator atom in turn (exact power-series division, which costs what
+a product by the atom costs), the lone inverse ((sign, a, m, -1),)
+included.  Mock-g specializations share the memo under ("g", sign, a, m).
 It keeps the widest window computed so far and serves narrower requests
 by truncation, so a repeated quotient costs no products or divisions; a
 wider request is computed outside the lock and replaces the entry.
@@ -125,10 +127,7 @@ def pochhammer_infinite(sign: int, a: int, m: int, prec: int) -> Series:
             f"infinite Pochhammer needs a >= 1 (got a={a}): "
             "the product is not a formal series otherwise"
         )
-    out = Series.one(INTEGER, prec)
-    for e in range(a, prec, m):
-        out = out.mul_binomial(-sign, e)
-    return out
+    return pochhammer_finite(sign, a, m, len(range(a, prec, m)), prec)
 
 
 # -- the theta function j and eta quotients --------------------------------------
@@ -138,7 +137,7 @@ AtomLike = Union[ThetaAtom, Tuple[ThetaAtom, int]]
 
 def _normal_form(numerator: Iterable[AtomLike], denominator: Iterable[AtomLike],
                  shift: int) -> Optional[tuple]:
-    """The memo key of q^shift * prod(numerator) / prod(denominator).
+    """The normal form of q^shift * prod(numerator) / prod(denominator).
 
     Returns (unit, shift, factors): the quotient equals unit * q^shift *
     prod j(sign*q^a; q^m)^k over the sorted factors (sign, a, m, k), each
@@ -191,33 +190,23 @@ def _widest(key: tuple, prec: int, compute: Callable[[int], Series]) -> Series:
     return out
 
 
-def _quotient(key: tuple, prec: int) -> Series:
-    """The quotient with normal form key, through the memo."""
-    return _widest(key, prec, lambda p: _quotient_product(key, p))
+def _quotient(factors: tuple, width: int) -> Series:
+    """prod j(sign*q^a; q^m)^k over the factors through width, memoized."""
+    return _widest(factors, width, lambda w: _quotient_product(factors, w))
 
 
-def _quotient_product(key: tuple, prec: int) -> Series:
-    unit, shift, factors = key
-    width = prec - shift
-    if width <= 0:
-        # the monomial alone puts the quotient beyond the window
-        return Series.zero(INTEGER, prec)
-    if (unit, shift) == (1, 0) and len(factors) == 1 and abs(factors[0][3]) == 1:
-        sign, a, m, k = factors[0]
-        if k == 1:
-            return theta_j_sum(ThetaAtom(sign, a, m), prec)
-        return _quotient((1, 0, ((sign, a, m, 1),)), prec).invert()
+def _quotient_product(factors: tuple, width: int) -> Series:
+    if len(factors) == 1 and factors[0][3] == 1:
+        return theta_j_sum(ThetaAtom(*factors[0][:3]), width)
     # canonical atoms have valuation 0, so every atom is needed through
     # the same width and dividing by one keeps the window
-    atoms = [(_quotient((1, 0, ((sign, a, m, 1),)), width), k)
-             for sign, a, m, k in factors]
+    atoms = [(_quotient(((sign, a, m, 1),), width), k) for sign, a, m, k in factors]
     numerator = [atom for atom, k in atoms for _ in range(k)]
     out = reduce(mul, numerator) if numerator else Series.one(INTEGER, width)
     for atom, k in atoms:
         for _ in range(-k):
             out = out.divide(atom)
-    out = out.shift(shift)
-    return out if unit == 1 else out.scale(unit)
+    return out
 
 
 def cached_atoms() -> list:
@@ -225,8 +214,8 @@ def cached_atoms() -> list:
     each one the registry touched against the triple product)."""
     with _memo_lock:
         keys = list(_memo)
-    singles = [key[2][0] for key in keys if key[:2] == (1, 0) and len(key[2]) == 1]
-    return [ThetaAtom(sign, a, m) for sign, a, m, k in singles if k == 1]
+    # a ("g", sign, a, m) key has four entries, a lone atom one
+    return [ThetaAtom(*key[0][:3]) for key in keys if len(key) == 1 and key[0][3] == 1]
 
 
 def eta_quotient(
@@ -238,21 +227,26 @@ def eta_quotient(
     """q^shift * prod(numerator) / prod(denominator), with window ending
     at prec.
 
-    Atoms may be given bare or as (atom, exponent) pairs.  The quotient
-    goes through the shared memo under its normal form, so a repeated or
-    narrower request, however written, is a truncation of the widest
-    window computed so far.  A new or wider one multiplies the memoized
-    canonical numerator atoms, each through prec minus the normal form's
-    shift, then divides the product by each denominator atom in turn,
-    with multiplicity.  k numerator and l denominator factors cost
-    k - 1 products and l divisions, each walking the nonzeros of one
-    atom, O(sqrt(prec/m)); no factor is a dense inverse.
+    Atoms may be given bare or as (atom, exponent) pairs.  The product of
+    canonical atoms in the normal form unit * q^shift * prod j^k goes
+    through the shared memo under its factors alone, through prec - shift,
+    so a repeated or narrower request under any unit and shift is a
+    truncation plus one shifted (for unit -1, negated) window.  A new or
+    wider product multiplies the canonical numerator atoms, then divides
+    by each denominator atom with multiplicity: k - 1 products and l
+    divisions for k and l factors, each walking the O(sqrt(prec/m))
+    nonzeros of one atom; no factor is a dense inverse.
     """
-    key = _normal_form(numerator, denominator, shift)
-    if key is None:
+    form = _normal_form(numerator, denominator, shift)
+    if form is None:
         # a vanishing theta factor kills the whole quotient exactly
         return Series.constant(INTEGER, 0, prec)
-    return _quotient(key, prec)
+    unit, shift, factors = form
+    if prec <= shift:
+        # the monomial alone puts the quotient beyond the window
+        return Series.zero(INTEGER, prec)
+    out = _quotient(factors, prec - shift).shift(shift)
+    return out if unit == 1 else out.scale(unit)
 
 
 def theta_j(atom: ThetaAtom, prec: int) -> Series:

@@ -608,22 +608,37 @@ def test_kernels_through_q800():
     assert jbar.divide(eta) == prod
 
 
-def test_json_round_trip_all_rings():
+def test_json_and_text_output_all_rings():
     samples = [
-        S([1, -2, 0, 3], min_exp=-2, prec=4),
-        S([Fraction(1, 3), Fraction(-5, 2)], prec=3, ring=RATIONAL),
-        Series.from_coeffs(
-            cyclic_ring(3),
-            0,
-            [CyclicLaurent(3, (1, 0, -2)), CyclicLaurent(3, (0, 4, 0))],
-            3,
+        (
+            S([1, -2, 0, 3], min_exp=-2, prec=4),
+            {"ring": "integer", "min_exp": -2, "prec": 4,
+             "coeffs": [1, -2, 0, 3, 0, 0]},
+            "ring=integer min_exp=-2 prec=4\n"
+            "q^-2: 1\nq^-1: -2\nq^0: 0\nq^1: 3\nq^2: 0\nq^3: 0",
+        ),
+        (
+            S([Fraction(1, 3), Fraction(-5, 2)], prec=3, ring=RATIONAL),
+            {"ring": "rational", "min_exp": 0, "prec": 3,
+             "coeffs": ["1/3", "-5/2", "0/1"]},
+            "ring=rational min_exp=0 prec=3\nq^0: 1/3\nq^1: -5/2\nq^2: 0/1",
+        ),
+        (
+            Series.from_coeffs(
+                cyclic_ring(3),
+                0,
+                [CyclicLaurent(3, (1, 0, -2)), CyclicLaurent(3, (0, 4, 0))],
+                3,
+            ),
+            {"ring": "cyclic-laurent(3)", "min_exp": 0, "prec": 3,
+             "coeffs": [[1, 0, -2], [0, 4, 0], [0, 0, 0]]},
+            "ring=cyclic-laurent(3) min_exp=0 prec=3\n"
+            "q^0: (1,0,-2)\nq^1: (0,4,0)\nq^2: (0,0,0)",
         ),
     ]
-    for s in samples:
-        obj = json.loads(json.dumps(s.to_json_obj()))
-        back = Series.from_json_obj(obj)
-        assert back == s
-        assert Series.from_text(s.to_text()) == s
+    for s, obj, text in samples:
+        assert json.loads(json.dumps(s.to_json_obj())) == obj
+        assert s.to_text() == text
 
 
 def test_text_serialization_format():

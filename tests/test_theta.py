@@ -6,7 +6,7 @@ import pytest
 from qdissect.rings import INTEGER, RingError
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
-from qdissect.identities import verify_identity
+from qdissect.identities import verify_all, verify_identity
 from qdissect.registry import build_registry, family, terms
 from qdissect.theta import (
     GSpec,
@@ -272,6 +272,12 @@ def test_negative_base_sum():
     assert lhs.compare(rhs).equal
 
 
+def _factors(numerator, denominator):
+    """The memo key of prod(numerator) / prod(denominator): the factors
+    of its normal form."""
+    return theta._normal_form(numerator, denominator, 0)[2]
+
+
 def test_concurrent_atom_cache(monkeypatch):
     import sys
     from concurrent.futures import ThreadPoolExecutor
@@ -300,10 +306,10 @@ def test_concurrent_atom_cache(monkeypatch):
     # the widest request was 46 for an atom and its inverse; a narrower
     # result stored over a wider one would leave less
     for atom in atoms:
-        for key in (theta._normal_form([atom], (), 0), theta._normal_form((), [atom], 0)):
+        for key in (_factors([atom], ()), _factors((), [atom])):
             assert theta._memo[key].prec == 46
     # each quotient was asked for at 40, 41 and 42
-    quots = [theta._normal_form([atoms[i]], [atoms[(i + 1) % len(atoms)]], 0)
+    quots = [_factors([atoms[i]], [atoms[(i + 1) % len(atoms)]])
              for i in range(len(atoms))]
     assert len(set(quots)) == len(atoms)
     assert all(theta._memo[key].prec == 42 for key in quots)
@@ -328,12 +334,14 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
     theta.theta_j_inverse(J(3, 11), 40)
     mock_g(GSpec(-1, 5, 13), 40)
     assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
-    # nor is a quotient or a folded atom, though each normal form has
-    # the one factor j(q^3; q^11)
+    # a quotient and a folded atom with the one factor j(q^3; q^11)
+    # read that atom's entry under their own shift and unit
     eta_quotient([(J(3, 11), 2)], [J(3, 11)], shift=1, prec=30)
     theta_j(J(14, 11), 30)
-    assert (1, 1, ((1, 3, 11, 1),)) in theta._memo
-    assert (-1, -3, ((1, 3, 11, 1),)) in theta._memo
+    assert theta._normal_form([(J(3, 11), 2)], [J(3, 11)], 1) == (1, 1, ((1, 3, 11, 1),))
+    assert theta._normal_form([J(14, 11)], (), 0) == (-1, -3, ((1, 3, 11, 1),))
+    assert ((1, 3, 11, 1),) in theta._memo
+    assert len(theta._memo) == 3  # the atom, its inverse and the g specialization
     assert theta.cached_atoms() == [ThetaAtom(1, 3, 11)]
 
     calls = []
@@ -350,7 +358,7 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
     assert calls == [80]  # narrower: a truncation, nothing computed
     assert theta_j(J(2, 9), 120).truncate(80) == wide
     assert calls == [80, 120]  # wider: computed once and replaces the entry
-    assert theta._memo[(1, 0, ((1, 2, 9, 1),))].prec == 120
+    assert theta._memo[((1, 2, 9, 1),)].prec == 120
     theta_j(J(2, 9), 100)
     assert calls == [80, 120]
 
@@ -362,7 +370,7 @@ def test_one_memo_keeps_the_widest_window(monkeypatch):
 
     monkeypatch.setattr(theta, "theta_j_sum", racing)
     theta_j(J(5, 17), 30)
-    assert theta._memo[(1, 0, ((1, 5, 17, 1),))].prec == 90
+    assert theta._memo[((1, 5, 17, 1),)].prec == 90
 
 
 QUOTIENT = ([J(1, 5), (Jbar(2, 7), 2)], [J(1, 4), eta_atom(1)], 3)
@@ -417,8 +425,7 @@ def test_quotient_memo_serves_truncations(monkeypatch):
     wider = eta_quotient(num, den, shift, 120)
     assert (len(products), len(divisions)) == (2, 2)  # wider: computed once ...
     assert _same_window(wider.truncate(80), wide)
-    key = theta._normal_form(num, den, shift)
-    assert theta._memo[key].prec == 120  # ... and replaces the entry
+    assert theta._memo[_factors(num, den)].prec == 120 - shift  # ... and replaces the entry
     del products[:], divisions[:]
     eta_quotient(num, den, shift, 100)
     assert products == divisions == []
@@ -444,7 +451,7 @@ def test_cold_quotients_make_no_dense_products(monkeypatch):
     monkeypatch.setattr(Series, "__mul__", recording)
     eta_quotient(*QUOTIENT, 300)
     assert verify_identity(entry, 300).status == "pass"
-    widest = max(_nonzeros(theta._memo[1, 0, ((atom.sign, atom.a, atom.m, 1),)])
+    widest = max(_nonzeros(theta._memo[((atom.sign, atom.a, atom.m, 1),)])
                  for atom in theta.cached_atoms())
     assert len(sparser) >= 3 and max(sparser) <= widest
 
@@ -465,16 +472,51 @@ def test_quotient_memo_keys_tell_quotients_apart(monkeypatch):
     for got, want in variants:
         assert not got.compare(base).equal
         assert got.compare(want).equal
+    # a shift alone is applied on the way out: it shares the entry
     keys = {
-        theta._normal_form(num, den, shift),
-        theta._normal_form(num, den, shift + 1),
-        theta._normal_form([J(1, 5), (Jbar(2, 7), 3)], den, shift),
-        theta._normal_form(num, den[:1], shift),
+        _factors(num, den),
+        _factors([J(1, 5), (Jbar(2, 7), 3)], den),
+        _factors(num, den[:1]),
     }
-    assert len(keys) == 4 and keys <= theta._memo.keys()
+    assert _factors(num, den) == theta._normal_form(num, den, shift + 1)[2]
+    assert len(keys) == 3 and keys <= theta._memo.keys()
     # the rest are the canonical atoms they multiply and divide by
-    assert all(key[:2] == (1, 0) and len(key[2]) == 1
-               for key in theta._memo.keys() - keys)
+    assert all(len(key) == 1 and key[0][3] == 1 for key in theta._memo.keys() - keys)
+
+
+def _is_factor_tuple(key):
+    """Sorted canonical factors (sign, a, m, k): no unit, no shift."""
+    return list(key) == sorted(set(key)) and all(
+        len(f) == 4 and f[0] in (1, -1) and 0 <= f[1] < f[2] and f[3] != 0
+        and (f[0], f[1]) != (1, 0)
+        for f in key
+    )
+
+
+def test_memo_stores_only_products_of_canonical_atoms(monkeypatch):
+    monkeypatch.setattr(theta, "_memo", {})
+    # j(q^-7; q^3) = -q^-12 j(q^2; q^3): one entry, read under two monomials
+    folded = theta_j(J(-7, 3), 40)
+    canonical = theta_j(J(2, 3), 40)
+    assert list(theta._memo) == [((1, 2, 3, 1),)]
+    assert theta._memo[((1, 2, 3, 1),)].prec == 52
+    assert _same_window(folded, theta_j(J(2, 3), 52).shift(-12).scale(-1))
+    assert _same_window(canonical, theta_j_sum(J(2, 3), 40))
+
+    # a lone inverse takes the division path
+    inverses = _count_calls(monkeypatch, "invert")
+    for atom in (J(2, 3), Jbar(3, 8)):
+        got = theta.theta_j_inverse(atom, 40)
+        assert _same_window(got, Series.one(INTEGER, 40).divide(theta_j(atom, 40)))
+    assert inverses == []
+
+    # a cold registry pass stores factor tuples and g specializations only
+    monkeypatch.setattr(theta, "_memo", {})
+    assert all(r.status == "pass" for r in verify_all(build_registry()))
+    g_keys = [key for key in theta._memo if key[:1] == ("g",)]
+    assert g_keys and all(key[1] in (1, -1) and 0 < key[2] < key[3] for key in g_keys)
+    for key in theta._memo.keys() - set(g_keys):
+        assert _is_factor_tuple(key), key
 
 
 def test_quotient_memo_vanishing_factors(monkeypatch):
@@ -491,7 +533,7 @@ def test_quotient_memo_vanishing_factors(monkeypatch):
     # a lead that is no unit cannot be inverted, and nothing is stored
     with pytest.raises(RingError):
         theta.theta_j_inverse(Jbar(0, 4), 20)
-    assert theta._normal_form((), [Jbar(0, 4)], 0) not in theta._memo
+    assert _factors((), [Jbar(0, 4)]) not in theta._memo
 
 
 A, B = J(1, 5), Jbar(2, 7)
