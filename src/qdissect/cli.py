@@ -12,21 +12,20 @@ Subcommands:
 Exit codes are the machine contract: 0 success, 1 verification failure,
 2 usage error, 3 internal error.
 
-Configuration comes from a flat key=value file (default ./qdissect.conf,
-or the path named by QDISSECT_CONFIG); command-line flags win over it.
-All numeric output is exact: integers and num/den rationals only.
+Settings come from the command-line flags alone.  Without --prec,
+deviation, expand and dissect run at DEFAULT_PREC and verify runs each
+entry at its own precision.  All numeric output is exact: integers and
+num/den rationals only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import partitions, theta
 from .identities import MIN_VERIFY_PREC, all_passed, report_json, report_text, verify_all
@@ -39,12 +38,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_CONFIG_PATH = "qdissect.conf"
-CONFIG_ENV_VAR = "QDISSECT_CONFIG"
+DEFAULT_PREC = 120
 
 
 class UsageError(Exception):
-    """Bad input on the command line or in the config file (exit 2)."""
+    """Bad input on the command line (exit 2)."""
 
 
 def _check(ok: bool, message: str) -> None:
@@ -53,50 +51,12 @@ def _check(ok: bool, message: str) -> None:
 
 
 @contextmanager
-def _usage_errors(prefix: str = ""):
+def _usage_errors():
     """Report a ValueError from validating user input as a usage error."""
     try:
         yield
     except ValueError as exc:
-        raise UsageError(f"{prefix}{exc}") from exc
-
-
-@dataclass
-class CliConfig:
-    default_prec: int = 120
-    output: str = "text"
-    report_path: str = ""
-
-    def __post_init__(self):
-        if self.default_prec < 10:
-            raise ValueError("default_prec must be at least 10")
-        if self.output not in ("text", "json", "tsv"):
-            raise ValueError(f"unknown output mode {self.output!r}")
-
-
-def load_config(path: str | None = None) -> CliConfig:
-    """Read the flat key=value config file; missing file means defaults."""
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR, DEFAULT_CONFIG_PATH)
-    values = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ValueError(f"bad config line: {raw.rstrip()}")
-                values[key.strip()] = value.strip()
-    kwargs = {}
-    if "default_prec" in values:
-        kwargs["default_prec"] = int(values["default_prec"])
-    if "output" in values:
-        kwargs["output"] = values["output"]
-    if "report_path" in values:
-        kwargs["report_path"] = values["report_path"]
-    return CliConfig(**kwargs)
+        raise UsageError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qdissect",
         description="exact q-series toolkit for partition rank/crank dissections",
     )
-    parser.add_argument("--config", help="path to a key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the identity registry")
@@ -124,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dev.add_argument("stat", choices=["rank", "crank"])
     p_dev.add_argument("--modulus", type=int, required=True)
     p_dev.add_argument("--a", type=int, required=True)
-    p_dev.add_argument("--prec", type=int)
+    p_dev.add_argument("--prec", type=int, default=DEFAULT_PREC)
     p_dev.add_argument("--json", action="store_true")
 
     for name in ("expand", "dissect"):
@@ -136,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("target", choices=["J", "Jbar", "g", "f0", "f1", "pq"])
         p.add_argument("params", nargs="*", type=int, help="a m for J/Jbar/g")
         p.add_argument("--neg", action="store_true", help="g at -q^a instead of q^a")
-        p.add_argument("--prec", type=int)
+        p.add_argument("--prec", type=int, default=DEFAULT_PREC)
         p.add_argument("--json", action="store_true")
         if name == "dissect":
             p.add_argument("--t", type=int, required=True)
@@ -151,14 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prec(args, config: CliConfig) -> int:
-    prec = args.prec if args.prec is not None else config.default_prec
-    _check(prec >= 0, "--prec must be nonnegative")
-    return prec
+def _prec(args) -> int:
+    _check(args.prec >= 0, "--prec must be nonnegative")
+    return args.prec
 
 
-def _expand_target(args, config: CliConfig) -> Series:
-    prec = _prec(args, config)
+def _expand_target(args) -> Series:
+    prec = _prec(args)
     if args.target in ("J", "Jbar", "g"):
         _check(len(args.params) == 2, f"{args.target} takes two integers: a m")
     else:
@@ -185,7 +143,7 @@ def _print_series(series: Series, as_json: bool, out) -> None:
         out.write("\n")
 
 
-def _cmd_verify(args, config: CliConfig, out) -> int:
+def _cmd_verify(args, out) -> int:
     _check(
         args.prec is None or args.prec >= MIN_VERIFY_PREC,
         f"--prec must be at least {MIN_VERIFY_PREC}",
@@ -195,15 +153,14 @@ def _cmd_verify(args, config: CliConfig, out) -> int:
     _check(bool(reports), f"no registry entry matches --id {args.id_pattern!r}")
     payload = report_json(
         reports,
-        prec_default=args.prec if args.prec is not None else config.default_prec,
+        prec_default=args.prec if args.prec is not None else DEFAULT_PREC,
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
-    report_path = args.report or config.report_path
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as handle:
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
-    if args.json or config.output == "json":
+    if args.json:
         json.dump(payload, out, indent=2)
         out.write("\n")
     else:
@@ -212,14 +169,14 @@ def _cmd_verify(args, config: CliConfig, out) -> int:
     return EXIT_OK if all_passed(reports) else EXIT_VERIFY_FAILED
 
 
-def _cmd_table(args, config: CliConfig, out) -> int:
+def _cmd_table(args, out) -> int:
     M, max_n = args.modulus, args.max_n
     _check(M >= 1, "--modulus must be at least 1")
     _check(max_n >= 0, "--max-n must be nonnegative")
     series = partitions.count_series(args.stat, M, max_n + 1)
     pn = partitions.partition_series(max_n + 1).coeffs
     rows = [(n, list(series.coeff(n).counts), pn[n]) for n in range(max_n + 1)]
-    if args.json or config.output == "json":
+    if args.json:
         json.dump(
             {"stat": args.stat, "modulus": M,
              "rows": [{"n": n, "counts": c, "p": p} for n, c, p in rows]},
@@ -229,7 +186,7 @@ def _cmd_table(args, config: CliConfig, out) -> int:
         return EXIT_OK
     header = ["n"] + [f"a={a}" for a in range(M)] + ["p(n)"]
     cells = [[str(n)] + [str(c) for c in counts] + [str(p)] for n, counts, p in rows]
-    if args.tsv or config.output == "tsv":
+    if args.tsv:
         out.write("\t".join(header) + "\n")
         for row in cells:
             out.write("\t".join(row) + "\n")
@@ -241,28 +198,28 @@ def _cmd_table(args, config: CliConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_deviation(args, config: CliConfig, out) -> int:
+def _cmd_deviation(args, out) -> int:
     _check(args.modulus >= 1, "--modulus must be at least 1")
     _check(0 <= args.a < args.modulus, f"--a must lie in [0, {args.modulus})")
-    prec = _prec(args, config)
+    prec = _prec(args)
     series = partitions.deviation_series(args.stat, args.a, args.modulus, prec)
-    _print_series(series, args.json or config.output == "json", out)
+    _print_series(series, args.json, out)
     return EXIT_OK
 
 
-def _cmd_expand(args, config: CliConfig, out) -> int:
-    series = _expand_target(args, config)
+def _cmd_expand(args, out) -> int:
+    series = _expand_target(args)
     if args.command == "dissect":
         _check(args.t >= 1, "--t must be at least 1")
         _check(0 <= args.r < args.t, f"--r must lie in [0, {args.t})")
         series = series.dissect(args.t, args.r)
         if args.deflate:
             series = series.deflate(args.t, args.r)
-    _print_series(series, args.json or config.output == "json", out)
+    _print_series(series, args.json, out)
     return EXIT_OK
 
 
-def _cmd_congruence(args, config: CliConfig, out) -> int:
+def _cmd_congruence(args, out) -> int:
     M = args.modulus
     residue, offset = {5: (4, 5), 7: (5, 7), 11: (6, 11)}[M]
     letter = f"{offset}n+{residue}"
@@ -302,8 +259,6 @@ def run_cli(argv=None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        with _usage_errors("config: "):
-            config = load_config(args.config)
         handler = {
             "verify": _cmd_verify,
             "table": _cmd_table,
@@ -312,7 +267,7 @@ def run_cli(argv=None, out=None) -> int:
             "dissect": _cmd_expand,
             "check-congruence": _cmd_congruence,
         }[args.command]
-        return handler(args, config, out)
+        return handler(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -84,6 +84,14 @@ def test_verify_single_id_and_json_schema(tmp_path):
     assert payload["results"][0]["id"] == "NC-8"
     assert payload["results"][0]["status"] == "pass"
     assert json.loads(report_file.read_text()) == payload
+    # with text on stdout the report file is still the JSON report
+    code, out = run(["verify", "--id", "rearr-2", "--prec", "50",
+                     "--report", str(report_file)])
+    assert code == 0
+    assert out.split()[:2] == ["PASS", "rearr-2"]
+    payload = json.loads(report_file.read_text())
+    jsonschema.validate(payload, JSON_REPORT_SCHEMA)
+    assert payload["results"][0]["id"] == "rearr-2"
 
 
 def test_json_report_gives_the_precision_each_entry_ran_at():
@@ -166,37 +174,16 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: injected fault" in capsys.readouterr().err
 
 
-def test_config_file_and_flag_precedence(tmp_path, monkeypatch):
-    conf = tmp_path / "custom.conf"
-    conf.write_text("default_prec = 17\noutput = text\n")
-    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(conf))
+def test_settings_come_from_flags_alone(tmp_path, monkeypatch):
+    conf = tmp_path / "qdissect.conf"
+    conf.write_text(f"default_prec = 17\nreport_path = {tmp_path / 'out.json'}\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QDISSECT_CONFIG", str(conf))
     code, out = run(["expand", "pq"])
     assert code == 0
-    assert "prec=17" in out.splitlines()[0]
-    # flags win over the config file
-    code, out = run(["expand", "pq", "--prec", "4"])
-    assert "prec=4" in out.splitlines()[0]
-    # explicit --config beats the environment variable
-    other = tmp_path / "other.conf"
-    other.write_text("default_prec = 11\n")
-    code, out = run(["--config", str(other), "expand", "pq"])
-    assert "prec=11" in out.splitlines()[0]
-
-
-def test_config_rejects_bad_values(tmp_path, monkeypatch):
-    conf = tmp_path / "bad.conf"
-    conf.write_text("default_prec = 3\n")
-    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(conf))
-    code, _ = run(["expand", "pq"])
-    assert code == cli.EXIT_USAGE
-
-
-def test_config_report_path(tmp_path, monkeypatch):
-    conf = tmp_path / "qdissect.conf"
-    report = tmp_path / "out.json"
-    conf.write_text(f"report_path = {report}\n")
-    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(conf))
+    assert out.splitlines()[0] == "ring=integer min_exp=0 prec=120"
     code, _ = run(["verify", "--id", "rearr-2", "--prec", "50"])
     assert code == 0
-    payload = json.loads(report.read_text())
-    assert payload["results"][0]["id"] == "rearr-2"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["qdissect.conf"]
+    code, _ = run(["--config", str(conf), "expand", "pq"])
+    assert code == cli.EXIT_USAGE

@@ -391,7 +391,7 @@ CHECKLIST_EXCLUDED = [
     ("x -> 1 limit evaluations inside the dissection proofs",
      "proof steps, not statements; the limits leave the truncated-series model"),
     ("roots-of-unity deviation formulas as a computation route",
-     "deviations are computed via the cyclic counting ring instead"),
+     "deviations are read from the integer residue-count rows instead"),
     ("the unpublished remainder of the hundred conjectured rank-crank dissections",
      "registry is extensible but ships only the printed statements"),
 ]
