@@ -24,14 +24,10 @@ from .theta import (
     theta_j_sum,
 )
 from .partitions import (
-    Partition,
     count_series,
-    crank_count_series,
     deviation_series,
-    enumerate_partitions,
     partition_count,
     partition_series,
-    rank_count_series,
     residue_count,
     residue_series,
     scaled_deviation,
@@ -71,14 +67,10 @@ __all__ = [
     "pochhammer_infinite",
     "theta_j",
     "theta_j_sum",
-    "Partition",
     "count_series",
-    "crank_count_series",
     "deviation_series",
-    "enumerate_partitions",
     "partition_count",
     "partition_series",
-    "rank_count_series",
     "residue_count",
     "residue_series",
     "scaled_deviation",

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -157,7 +158,11 @@ def _cmd_verify(args, out) -> int:
         timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
     )
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.report, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write --report {args.report}: {exc.strerror}") from exc
+        with handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
     if args.json:
@@ -251,8 +256,23 @@ def _cmd_congruence(args, out) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+class _Stdout:
+    """sys.stdout for the handlers.  Once the reader has closed the pipe,
+    writes are dropped: that is no fault of the command, which goes on
+    to return its own exit code."""
+
+    closed = False
+
+    def write(self, text: str) -> None:
+        if not self.closed:
+            try:
+                sys.stdout.write(text)
+            except BrokenPipeError:
+                self.closed = True
+
+
 def run_cli(argv=None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    out = out if out is not None else _Stdout()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -278,7 +298,12 @@ def run_cli(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # no reader: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

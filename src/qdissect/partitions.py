@@ -23,110 +23,24 @@ z + z^-1 - 1 is 1), so p(n) shares the tables' one cache and one lock.
 Conventions (generating-function convention throughout):
   * n=0: the empty partition counts with statistic 0 in both tables.
     The rank sum has no q^0 term, so _column, the one reader of the
-    rows behind count_series and residue_series, adds it (+1 at n=0,
-    a=0); the crank sum already contains it.
+    rows behind count_series, residue_series and scaled_deviation, adds
+    it (+1 at n=0, a=0); the crank sum already contains it.
   * n=1 cranks: the crank sum gives z + z^-1 - 1, not the single
     combinatorial value crank((1)) = -1, with no special case.  The
-    enumeration oracle comparison skips n=1 for cranks; everything
-    downstream uses the sum, because every identity in scope is a
-    statement about these series.
-
-Exhaustive enumeration of partitions stays as the brute-force oracle.
+    tests' enumeration oracle (tests/oracles.py) skips n=1 for cranks;
+    everything downstream uses the sum, because every identity in scope
+    is a statement about these series.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 from .rings import CyclicLaurent, cyclic_ring, INTEGER, RATIONAL
 from .series import Series
-
-DEFAULT_ENUMERATION_CAP = 45
-
-_STATS = ("rank", "crank")
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing sequence of positive parts."""
-
-    parts: Tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def largest(self) -> int:
-        self._require_nonempty()
-        return self.parts[0]
-
-    @property
-    def num_ones(self) -> int:
-        return sum(1 for p in self.parts if p == 1)
-
-    def _require_nonempty(self):
-        if not self.parts:
-            raise ValueError("statistic undefined for the empty partition")
-
-    def rank(self) -> int:
-        """Largest part minus number of parts."""
-        self._require_nonempty()
-        return self.parts[0] - len(self.parts)
-
-    def crank(self) -> int:
-        """Largest part if there are no ones; otherwise mu - nu, where nu
-        counts the ones and mu counts the parts larger than nu."""
-        self._require_nonempty()
-        nu = self.num_ones
-        if nu == 0:
-            return self.parts[0]
-        mu = sum(1 for p in self.parts if p > nu)
-        return mu - nu
-
-    def statistic(self, stat: str) -> int:
-        if stat == "rank":
-            return self.rank()
-        if stat == "crank":
-            return self.crank()
-        raise ValueError(f"unknown statistic {stat!r}")
-
-
-def _descending(n: int, max_part: int) -> Iterator[Tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _descending(n - k, k):
-            yield (k,) + rest
-
-
-def enumerate_partitions(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[Partition]:
-    """All partitions of n, largest-first lexicographic, each exactly once.
-
-    n above the cap raises: enumeration is the exponential oracle and the
-    cap keeps accidental blowups out of the main verification path.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise ValueError(f"enumeration of n={n} exceeds the cap {cap}")
-    return [Partition(parts) for parts in _descending(n, n if n else 1)]
-
 
 def _pentagonal(limit: int) -> Tuple[List[int], List[int]]:
     """The generalized pentagonal numbers 0 < k(3k+-1)/2 < limit, ascending,
@@ -229,7 +143,7 @@ _count_lock = threading.Lock()
 def _table(stat: str, M: int, prec: int) -> _CountTable:
     """The cached table of (stat, M), grown to at least prec; call with
     _count_lock held."""
-    if stat not in _STATS:
+    if stat not in ("rank", "crank"):
         raise ValueError(f"unknown statistic {stat!r}")
     if M < 1:
         raise ValueError("modulus must be >= 1")
@@ -270,14 +184,6 @@ def count_series(stat: str, M: int, prec: int) -> Series:
         return table.window
 
 
-def rank_count_series(M: int, prec: int) -> Series:
-    return count_series("rank", M, prec)
-
-
-def crank_count_series(M: int, prec: int) -> Series:
-    return count_series("crank", M, prec)
-
-
 def residue_count(stat: str, a: int, M: int, n: int) -> int:
     """N(a,M;n) or C(a,M;n) in the generating-function convention."""
     if not 0 <= a < M:
@@ -313,9 +219,12 @@ def partition_series(prec: int) -> Series:
 def scaled_deviation(stat: str, a: int, M: int, prec: int) -> Series:
     """M times the deviation: sum_n (M N(a,M;n) - p(n)) q^n, an integer
     series (resp. cranks)."""
-    counts = residue_series(stat, a, M, prec).coeffs
+    if not 0 <= a < M:
+        raise ValueError(f"residue {a} out of range for modulus {M}")
+    width = max(prec, 0)
     with _count_lock:
-        pn = _table("crank", 1, len(counts)).rows[0][:len(counts)]
+        counts = _column(_table(stat, M, width), a, 0, width)
+        pn = _table("crank", 1, width).rows[0][:width]
     return Series.from_coeffs(
         INTEGER, 0, [M * c - p for c, p in zip(counts, pn)], prec)
 
@@ -328,28 +237,3 @@ def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:
     """
     scaled = scaled_deviation(stat, a, M, prec).coeffs
     return Series.from_coeffs(RATIONAL, 0, [Fraction(c, M) for c in scaled], prec)
-
-
-@lru_cache(maxsize=None)
-def _statistic_histograms(n: int, cap: int) -> dict:
-    """{stat: Counter of statistic values} over the partitions of n, from
-    one enumeration; the empty partition counts with statistic 0."""
-    hist = {stat: Counter() for stat in _STATS}
-    for p in enumerate_partitions(n, cap):
-        for stat in _STATS:
-            hist[stat][p.statistic(stat) if p.parts else 0] += 1
-    return hist
-
-
-def oracle_residue_counts(stat: str, M: int, n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> List[int]:
-    """Residue counts by exhaustive enumeration (the independent oracle).
-
-    Each n is enumerated once for both statistics; every modulus bins the
-    same histogram of statistic values.
-    """
-    if stat not in _STATS:
-        raise ValueError(f"unknown statistic {stat!r}")
-    out = [0] * M
-    for value, k in _statistic_histograms(n, cap)[stat].items():
-        out[value % M] += k
-    return out

@@ -392,16 +392,15 @@ class Series:
             raise SeriesError("deflation modulus must be >= 1")
         if not 0 <= r < t:
             raise SeriesError(f"residue {r} out of range for modulus {t}")
+        min_exp = -((r - self.min_exp) // t)  # ceil((min_exp - r) / t)
+        prec = -((r - self.prec) // t)  # ceil((prec - r) / t)
+        out = [self.ring.zero] * (prec - min_exp)
         for e, c in self.nonzero_items():
             if e % t != r:
                 raise SeriesError(
                     f"coefficient at q^{e} is off the progression "
                     f"{t}n+{r}; dissect first"
                 )
-        min_exp = -((r - self.min_exp) // t)  # ceil((min_exp - r) / t)
-        prec = -((r - self.prec) // t)  # ceil((prec - r) / t)
-        out = [self.ring.zero] * (prec - min_exp)
-        for e, c in self.nonzero_items():
             out[(e - r) // t - min_exp] = c
         return Series(self.ring, min_exp, out, prec)
 

@@ -7,7 +7,9 @@ defining recurrence.  The oracles stay dumb so a test failure always
 points at the library, not at the test.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 
 def poly_mul(a: dict, b: dict, prec: int) -> dict:
@@ -88,6 +90,57 @@ def series_to_poly(series, lo=None, hi=None) -> dict:
     lo = series.min_exp if lo is None else lo
     hi = series.prec if hi is None else hi
     return {e: series.coeff(e) for e in range(lo, hi) if series.coeff(e)}
+
+
+# -- residue counts by enumerating partitions ---------------------------------
+#
+# A partition is a weakly decreasing tuple of positive parts.  The empty
+# partition of 0 has statistic 0 for both rank and crank, as in the
+# generating-function convention.
+
+
+def partitions_of(n: int) -> list:
+    """All partitions of n, largest-first lexicographic, each exactly once."""
+
+    def descending(n, max_part):
+        if n == 0:
+            yield ()
+            return
+        for k in range(min(n, max_part), 0, -1):
+            for rest in descending(n - k, k):
+                yield (k,) + rest
+
+    return list(descending(n, n))
+
+
+def rank(parts: tuple) -> int:
+    """Largest part minus number of parts."""
+    return parts[0] - len(parts) if parts else 0
+
+
+def crank(parts: tuple) -> int:
+    """Largest part if there are no ones; otherwise mu - nu, where nu
+    counts the ones and mu counts the parts larger than nu."""
+    nu = parts.count(1)
+    if nu == 0:
+        return parts[0] if parts else 0
+    return sum(1 for p in parts if p > nu) - nu
+
+
+@lru_cache(maxsize=None)
+def _histogram(stat: str, n: int) -> Counter:
+    """{statistic value: number of partitions of n}, one enumeration of n
+    per statistic."""
+    statistic = {"rank": rank, "crank": crank}[stat]
+    return Counter(map(statistic, partitions_of(n)))
+
+
+def residue_counts(stat: str, M: int, n: int) -> list:
+    """[number of partitions of n whose statistic is a (mod M) for a < M]."""
+    out = [0] * M
+    for value, k in _histogram(stat, n).items():
+        out[value % M] += k
+    return out
 
 
 # -- residue counts from the two-variable generating functions ----------------

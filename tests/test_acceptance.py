@@ -11,13 +11,7 @@ import pytest
 
 from qdissect import theta
 from qdissect.identities import perturb_entry, verify_all, verify_identity
-from qdissect.partitions import (
-    crank_count_series,
-    oracle_residue_counts,
-    partition_count,
-    rank_count_series,
-    residue_count,
-)
+from qdissect.partitions import count_series, partition_count, residue_count
 from qdissect.registry import build_registry
 
 import oracles
@@ -104,12 +98,12 @@ def test_criterion_03_dissection_theorems_through_q100(by_id):
 
 def test_criterion_04_counting_oracle_equivalence():
     for M in (4, 5, 7, 8, 11):
-        ranks = rank_count_series(M, 36)
-        cranks = crank_count_series(M, 36)
+        ranks = count_series("rank", M, 36)
+        cranks = count_series("crank", M, 36)
         for n in range(1, 36):
-            assert list(ranks.coeff(n).counts) == oracle_residue_counts("rank", M, n)
+            assert list(ranks.coeff(n).counts) == oracles.residue_counts("rank", M, n)
         for n in range(2, 36):
-            assert list(cranks.coeff(n).counts) == oracle_residue_counts("crank", M, n)
+            assert list(cranks.coeff(n).counts) == oracles.residue_counts("crank", M, n)
         anomaly = cranks.coeff(1).counts
         expected = [0] * M
         expected[0], expected[1], expected[M - 1] = -1, 1, 1

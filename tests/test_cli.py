@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 
@@ -162,6 +166,48 @@ def test_bad_input_exits_2(capsys):
         code, _ = run(argv)
         assert code == cli.EXIT_USAGE, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "r.json"
+    code, out = run(["verify", "--id", "rearr-1", "--report", str(path)])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"error: cannot write --report {path}: No such file or directory\n")
+
+
+def test_closed_stdout_is_not_an_internal_error():
+    # the reader takes one line (or none) and closes the pipe; the rest of
+    # the output has nowhere to go, which is no fault of the command.
+    # Buffered, what is left fails again at the flush on exit.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        for prec, head in (("3000", b"ring=integer min_exp=0 prec=3000\n"), ("100", b"")):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "qdissect", "expand", "pq", "--prec", prec],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            if head:
+                assert proc.stdout.readline() == head
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (cli.EXIT_OK, b""), (unbuffered, prec)
+
+
+def test_closed_stdout_keeps_the_verify_verdict(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    entry = next(e for e in build_registry() if e.id == "rearr-2")
+    monkeypatch.setattr(cli, "build_registry", lambda: [perturb_entry(entry, 42)])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.run_cli(["verify"]) == cli.EXIT_VERIFY_FAILED
+    monkeypatch.setattr(cli, "build_registry", lambda: [entry])
+    assert cli.run_cli(["verify", "--json"]) == cli.EXIT_OK
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):

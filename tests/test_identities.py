@@ -375,8 +375,8 @@ CHECKLIST_CONSTRUCTORS = {
     "universal mock theta g": ("qdissect.theta", "mock_g"),
     "Eulerian f0/f1 sums": ("qdissect.theta", "eulerian_sum"),
     "dissection combinators (all nine families)": ("qdissect.registry", "family"),
-    "rank counting generating function": ("qdissect.partitions", "rank_count_series"),
-    "crank counting generating function": ("qdissect.partitions", "crank_count_series"),
+    "rank counting generating function": ("qdissect.partitions", "count_series"),
+    "crank counting generating function": ("qdissect.partitions", "count_series"),
     "deviation series": ("qdissect.partitions", "deviation_series"),
 }
 

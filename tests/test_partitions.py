@@ -5,15 +5,10 @@ import pytest
 import oracles
 from qdissect import partitions, theta
 from qdissect.partitions import (
-    Partition,
     count_series,
-    crank_count_series,
     deviation_series,
-    enumerate_partitions,
-    oracle_residue_counts,
     partition_count,
     partition_series,
-    rank_count_series,
     residue_count,
     residue_series,
     scaled_deviation,
@@ -23,23 +18,13 @@ from qdissect.series import Series
 
 
 def test_enumerate_partitions_of_four():
-    parts = [p.parts for p in enumerate_partitions(4)]
+    parts = oracles.partitions_of(4)
     assert parts == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
-def test_enumerate_zero_and_cap():
-    assert [p.parts for p in enumerate_partitions(0)] == [()]
-    assert len(enumerate_partitions(9)) == 30
-    with pytest.raises(ValueError):
-        enumerate_partitions(46)
-    assert len(enumerate_partitions(46, cap=46)) == partition_count(46)
-
-
-def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((3, 0))
+def test_enumerate_zero_and_nine():
+    assert oracles.partitions_of(0) == [()]
+    assert len(oracles.partitions_of(9)) == 30
 
 
 def test_partition_count_small_values():
@@ -52,7 +37,7 @@ def test_partition_count_matches_enumeration_and_series():
     pgf = theta.theta_j(theta.eta_atom(1), 60).invert()
     for n in range(30):
         assert partition_count(n) == pgf.coeff(n)
-        assert partition_count(n) == len(enumerate_partitions(n))
+        assert partition_count(n) == len(oracles.partitions_of(n))
     assert partition_series(60) == pgf.truncate(60)
 
 
@@ -66,43 +51,31 @@ def test_ramanujan_divisibility():
 
 
 def test_rank_and_crank_values_of_four():
-    ranks = [p.rank() for p in enumerate_partitions(4)]
-    cranks = [p.crank() for p in enumerate_partitions(4)]
+    ranks = [oracles.rank(p) for p in oracles.partitions_of(4)]
+    cranks = [oracles.crank(p) for p in oracles.partitions_of(4)]
     assert ranks == [3, 1, 0, -1, -3]
     assert cranks == [4, 0, 2, -2, -4]
-
-
-def test_rank_extremes():
-    assert Partition((4,)).rank() == 3
-    assert Partition((1, 1, 1, 1)).rank() == -3
-
-
-def test_crank_of_single_one():
-    assert Partition((1,)).crank() == -1
-
-
-def test_statistics_reject_empty_partition():
-    empty = Partition(())
-    with pytest.raises(ValueError):
-        empty.rank()
-    with pytest.raises(ValueError):
-        empty.crank()
+    # the rank extremes, the single one and the empty partition
+    assert oracles.rank((4,)) == 3
+    assert oracles.rank((1, 1, 1, 1)) == -3
+    assert oracles.crank((1,)) == -1
+    assert oracles.rank(()) == oracles.crank(()) == 0
 
 
 def test_rank_counts_equidistributed_at_four():
-    series = rank_count_series(5, 10)
+    series = count_series("rank", 5, 10)
     assert series.coeff(4).counts == (1, 1, 1, 1, 1)
 
 
 def test_crank_counts_equidistributed_at_four():
-    series = crank_count_series(5, 10)
+    series = count_series("crank", 5, 10)
     assert series.coeff(4).counts == (1, 1, 1, 1, 1)
 
 
 def test_crank_generating_function_anomaly_at_one():
-    assert crank_count_series(4, 5).coeff(1).counts == (-1, 1, 0, 1)
+    assert count_series("crank", 4, 5).coeff(1).counts == (-1, 1, 0, 1)
     for M in (5, 7, 8, 11):
-        counts = crank_count_series(M, 5).coeff(1).counts
+        counts = count_series("crank", M, 5).coeff(1).counts
         expected = [0] * M
         expected[0] = -1
         expected[1] = 1
@@ -118,12 +91,12 @@ def test_count_series_constant_terms():
 
 def test_generating_function_counts_match_enumeration_oracle():
     for M in (4, 5, 7, 8, 11):
-        ranks = rank_count_series(M, 36)
-        cranks = crank_count_series(M, 36)
+        ranks = count_series("rank", M, 36)
+        cranks = count_series("crank", M, 36)
         for n in range(1, 36):
-            assert list(ranks.coeff(n).counts) == oracle_residue_counts("rank", M, n)
+            assert list(ranks.coeff(n).counts) == oracles.residue_counts("rank", M, n)
         for n in range(2, 36):
-            assert list(cranks.coeff(n).counts) == oracle_residue_counts("crank", M, n)
+            assert list(cranks.coeff(n).counts) == oracles.residue_counts("crank", M, n)
 
 
 def test_counts_match_two_variable_generating_functions():
@@ -214,7 +187,7 @@ def test_scaled_deviation_is_modulus_times_deviation():
                 for n in range(31):
                     if stat == "crank" and n == 1:
                         continue  # the generating-function anomaly at n=1
-                    want = M * oracle_residue_counts(stat, M, n)[a] - partition_count(n)
+                    want = M * oracles.residue_counts(stat, M, n)[a] - partition_count(n)
                     assert scaled.coeff(n) == want, (stat, M, a, n)
 
 
@@ -232,7 +205,7 @@ def test_deviation_symmetry():
 
 def test_residue_series_matches_counts():
     series = residue_series("rank", 2, 8, 30)
-    table = rank_count_series(8, 30)
+    table = count_series("rank", 8, 30)
     for n in range(30):
         assert series.coeff(n) == table.coeff(n).counts[2]
 
@@ -259,6 +232,26 @@ def test_count_cache_grows_to_exactly_the_width_asked(monkeypatch):
     for n in range(301):
         residue_count("rank", 2, 5, n)
         assert partitions._count_cache["rank", 5].width == n + 1
+
+
+def test_reading_every_class_of_one_n_builds_one_window(monkeypatch):
+    # residue_count reads class a of n through count_series(stat, M, n + 1);
+    # the table keeps the truncation it handed out last, so the M classes
+    # of one n share one window instead of building M
+    monkeypatch.setattr(partitions, "_count_cache", {})
+    count_series("rank", 5, 301)
+    built = []
+    init = Series.__init__
+
+    def counting_init(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(Series, "__init__", counting_init)
+    for n in range(301):
+        for a in range(5):
+            residue_count("rank", a, 5, n)
+    assert len(built) <= 301  # at most one per n, not one per (a, n)
 
 
 def test_counts_live_as_rows_and_vectors_are_built_on_read(monkeypatch):
@@ -352,7 +345,7 @@ def test_crank_counts_against_single_crank_formula():
     P = 150
     inv_j1 = theta.theta_j_inverse(theta.eta_atom(1), P)
     for M in (4, 7, 8):
-        table = crank_count_series(M, P)
+        table = count_series("crank", M, P)
         for a in range(M):
             terms = {}
             for m_sel in range(-P, P + 1):
