@@ -24,6 +24,7 @@ from .theta import (
     theta_j_sum,
 )
 from .partitions import (
+    count_combination,
     count_series,
     deviation_series,
     partition_count,
@@ -67,6 +68,7 @@ __all__ = [
     "pochhammer_infinite",
     "theta_j",
     "theta_j_sum",
+    "count_combination",
     "count_series",
     "deviation_series",
     "partition_count",

@@ -178,9 +178,10 @@ def _cmd_table(args, out) -> int:
     M, max_n = args.modulus, args.max_n
     _check(M >= 1, "--modulus must be at least 1")
     _check(max_n >= 0, "--max-n must be nonnegative")
-    series = partitions.count_series(args.stat, M, max_n + 1)
+    columns = [partitions.residue_series(args.stat, a, M, max_n + 1).coeffs
+               for a in range(M)]
     pn = partitions.partition_series(max_n + 1).coeffs
-    rows = [(n, list(series.coeff(n).counts), pn[n]) for n in range(max_n + 1)]
+    rows = list(zip(range(max_n + 1), zip(*columns), pn))
     if args.json:
         json.dump(
             {"stat": args.stat, "modulus": M,
@@ -231,23 +232,25 @@ def _cmd_congruence(args, out) -> int:
     _check(args.max_arg >= residue,
            f"--max must be at least {residue}, the first argument of {letter}")
     ok = True
-    checked = 0
-    n = residue
-    prec = args.max_arg + 1
-    pn = partitions.partition_series(prec).coeffs
-    while n <= args.max_arg:
-        p = pn[n]
+    checked = (args.max_arg - residue) // offset + 1
+    stats = ["crank"] if M == 11 else ["rank", "crank"]
+
+    def read(stat, a, modulus):  # the row on the progression offset*n + residue
+        return partitions.count_combination(
+            [(1, stat, a, modulus)], checked, offset, residue).coeffs
+
+    pn = read("crank", 0, 1)
+    rows = {stat: list(zip(*(read(stat, a, M) for a in range(M)))) for stat in stats}
+    for k, p in enumerate(pn):
+        n = offset * k + residue
         if p % M:
             out.write(f"FAIL p({n}) = {p} is not divisible by {M}\n")
             ok = False
-        stats = ["crank"] if M == 11 else ["rank", "crank"]
         for stat in stats:
-            counts = partitions.count_series(stat, M, prec).coeff(n).counts
+            counts = rows[stat][k]
             if any(c * M != p for c in counts):
                 out.write(f"FAIL {stat} counts at n={n} are not all p(n)/{M}: {counts}\n")
                 ok = False
-        checked += 1
-        n += offset
     status = "ok" if ok else "FAILED"
     out.write(
         f"congruence mod {M} on {letter}: {checked} arguments up to "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import fnmatch
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -109,7 +109,13 @@ class VerificationReport:
     argument_bound: int = 0  # arguments below this bound were asked for
 
     def to_json_obj(self) -> dict:
-        return dict(asdict(self), notes=list(self.notes))
+        """The fields in order, first_mismatch as a dict and notes as a
+        list; no field is deep-copied."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.first_mismatch is not None:
+            obj["first_mismatch"] = dict(vars(self.first_mismatch))
+        obj["notes"] = list(self.notes)
+        return obj
 
 
 JSON_REPORT_SCHEMA = {

@@ -14,17 +14,22 @@ pentagonal theorem that is the recurrence
 
 over the generalized pentagonal numbers, so coefficient n needs only
 num_a[n] and about 2 sqrt(2n/3) earlier counts.  Those M rows of ints
-are the whole state of a count table: residue_series hands out one row
-as an integer series, and count_series builds the cyclic count vectors
-from the rows when it is read.  p(n) is the crank table mod 1: with one
-class, C(0,1;n) counts every partition of n (at n=1 the sum's
+are the whole state of a count table.  p(n) is the crank table mod 1:
+with one class, C(0,1;n) counts every partition of n (at n=1 the sum's
 z + z^-1 - 1 is 1), so p(n) shares the tables' one cache and one lock.
+
+count_combination is the one reader of rows as series: an integer
+combination of rows, read on a progression t*n + r.  residue_series,
+partition_series and scaled_deviation are views of it, and the registry
+and the CLI's table and check-congruence read through it.  Count vectors
+over Z[z]/(z^M-1) are built only by count_series, for residue_count and
+the benchmark.
 
 Conventions (generating-function convention throughout):
   * n=0: the empty partition counts with statistic 0 in both tables.
     The rank sum has no q^0 term, so _column, the one reader of the
-    rows behind count_series, residue_series and scaled_deviation, adds
-    it (+1 at n=0, a=0); the crank sum already contains it.
+    rows behind count_series and count_combination, adds it (+1 at
+    n=0, a=0); the crank sum already contains it.
   * n=1 cranks: the crank sum gives z + z^-1 - 1, not the single
     combinatorial value crank((1)) = -1, with no special case.  The
     tests' enumeration oracle (tests/oracles.py) skips n=1 for cranks;
@@ -37,6 +42,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import List, Tuple
 
 from .rings import CyclicLaurent, cyclic_ring, INTEGER, RATIONAL
@@ -127,10 +134,10 @@ class _CountTable:
         self.width = prec
 
 
-def _column(table: _CountTable, a: int, lo: int, hi: int) -> List[int]:
-    """N_a[n] for lo <= n < hi as handed out: the table's row plus the
-    empty partition, which the rank sum lacks (+1 at n=0, a=0)."""
-    column = table.rows[a][lo:hi]
+def _column(table: _CountTable, a: int, lo: int, hi: int, step: int = 1) -> List[int]:
+    """N_a[n] for n = lo, lo + step, ... below hi as handed out: the table's
+    row plus the empty partition, which the rank sum lacks (+1 at n=0, a=0)."""
+    column = table.rows[a][lo:hi:step]
     if lo == 0 and column and a == 0 and table.stat == "rank":
         column[0] += 1
     return column
@@ -193,14 +200,33 @@ def residue_count(stat: str, a: int, M: int, n: int) -> int:
     return count_series(stat, M, n + 1).coeff(n).counts[a]
 
 
-def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
-    """Integer series sum_n N(a,M;n) q^n (resp. cranks), read from the
-    table's rows."""
-    if not 0 <= a < M:
-        raise ValueError(f"residue {a} out of range for modulus {M}")
+def count_combination(parts, prec: int, t: int = 1, r: int = 0) -> Series:
+    """The integer series sum_n (sum_parts c N(a,M; t*n + r)) q^n over the
+    parts (c, stat, a, M), with C for cranks; the part (c, "crank", 0, 1)
+    is c p(n).
+
+    Every row is read on the progression, straight from the tables and
+    under one lock; the series is built once, at its own width.
+    """
+    if t < 1 or not 0 <= r < t:
+        raise ValueError(f"progression {t}n+{r} needs t >= 1 and 0 <= r < t")
+    for _, _, a, M in parts:
+        if not 0 <= a < M:
+            raise ValueError(f"residue {a} out of range for modulus {M}")
+    width = max(prec, 0)
+    stop = max(r + t * (width - 1) + 1, 0)  # one past the last n read
     with _count_lock:
-        column = _column(_table(stat, M, prec), a, 0, max(prec, 0))
-    return Series.from_coeffs(INTEGER, 0, column, prec)
+        columns = [(c, _column(_table(stat, M, stop), a, r, stop, t))
+                   for c, stat, a, M in parts]
+    total = [0] * width
+    for c, column in columns:
+        total = list(map(add, total, column if c == 1 else map(mul, repeat(c), column)))
+    return Series.from_coeffs(INTEGER, 0, total, prec)
+
+
+def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
+    """Integer series sum_n N(a,M;n) q^n (resp. cranks)."""
+    return count_combination([(1, stat, a, M)], prec)
 
 
 def partition_count(n: int) -> int:
@@ -213,20 +239,13 @@ def partition_count(n: int) -> int:
 
 def partition_series(prec: int) -> Series:
     """The generating function sum p(n) q^n as an integer series."""
-    return residue_series("crank", 0, 1, max(prec, 0))
+    return count_combination([(1, "crank", 0, 1)], max(prec, 0))
 
 
 def scaled_deviation(stat: str, a: int, M: int, prec: int) -> Series:
     """M times the deviation: sum_n (M N(a,M;n) - p(n)) q^n, an integer
     series (resp. cranks)."""
-    if not 0 <= a < M:
-        raise ValueError(f"residue {a} out of range for modulus {M}")
-    width = max(prec, 0)
-    with _count_lock:
-        counts = _column(_table(stat, M, width), a, 0, width)
-        pn = _table("crank", 1, width).rows[0][:width]
-    return Series.from_coeffs(
-        INTEGER, 0, [M * c - p for c, p in zip(counts, pn)], prec)
+    return count_combination([(M, stat, a, M), (-1, "crank", 0, 1)], prec)
 
 
 def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:

@@ -79,7 +79,8 @@ def _monomial(value, exponent):
 
 
 def _dev(scale, stat, a, M):
-    return Fraction(scale, M), lambda prec: partitions.scaled_deviation(stat, a, M, prec)
+    # M*D(a,M) = sum_n (M N(a,M;n) - p(n)) q^n
+    return Fraction(scale, M), counts([(M, stat, a, M), (-1, "crank", 0, 1)])
 
 
 class Terms:
@@ -194,21 +195,13 @@ def combo(*families):
     return terms(*(part for f in families for part in family(*f)))
 
 
-def counts(parts, t=None, r=0, twist=False):
-    """Integer combination of residue-count tables, optionally restricted
-    to the progression t*n+r, deflated, and (-1)^n-twisted."""
+def counts(parts, t=1, r=0, twist=False):
+    """Integer combination of residue-count rows on the progression t*n+r
+    (partitions.count_combination), optionally (-1)^n-twisted."""
 
     def build(prec):
-        src = prec if t is None else t * prec + r
-        out = Series.zero(INTEGER, src)
-        for coef, stat, a, M in parts:
-            piece = partitions.residue_series(stat, a, M, src)
-            out = out + (piece.scale(coef) if coef != 1 else piece)
-        if t is not None:
-            out = out.dissect(t, r).deflate(t, r).truncate(prec)
-        if twist:
-            out = out.substitute_neg_q()
-        return out
+        out = partitions.count_combination(parts, prec, t, r)
+        return out.substitute_neg_q() if twist else out
 
     return build
 

@@ -72,14 +72,8 @@ class Series:
         return cls(ring, prec, (), prec)
 
     @classmethod
-    def constant(cls, ring: Ring, value, prec: int) -> "Series":
-        if prec <= 0:
-            return cls.zero(ring, prec)
-        return cls(ring, 0, (value,) + (ring.zero,) * (prec - 1), prec)
-
-    @classmethod
     def one(cls, ring: Ring, prec: int) -> "Series":
-        return cls.constant(ring, ring.one, prec)
+        return cls.monomial(ring, 0, prec)
 
     @classmethod
     def monomial(cls, ring: Ring, exponent: int, prec: int, coeff=None) -> "Series":
@@ -183,14 +177,6 @@ class Series:
                 i = s.min_exp - min_exp
                 out[i : i + n] = map(add, out[i : i + n], s.coeffs[:n])
         return Series(self.ring, min_exp, out, prec)
-
-    def __neg__(self):
-        return Series(self.ring, self.min_exp, [-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self.__add__(-other)
 
     def __mul__(self, other):
         """Cauchy product; the window is [min_a + min_b, min(prec_a + min_b,
@@ -350,25 +336,6 @@ class Series:
         return Series(self.ring, min_exp, self.coeffs[: prec - min_exp], prec)
 
     # -- substitutions and dissections --------------------------------------
-
-    def inflate(self, t: int) -> "Series":
-        """Substitute q -> q^t: the coefficient of q^n moves to q^(t*n).
-
-        The output precision is exactly t*(prec-1)+1: every exponent
-        below that bound is either t*n with n < prec or a non-multiple
-        of t, and both are known.
-        """
-        if t < 1:
-            raise SeriesError("inflation factor must be >= 1")
-        if t == 1:
-            return self
-        min_exp = t * self.min_exp
-        prec = max(t * (self.prec - 1) + 1, min_exp)
-        out = [self.ring.zero] * (prec - min_exp)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[t * i] = c
-        return Series(self.ring, min_exp, out, prec)
 
     def dissect(self, t: int, r: int) -> "Series":
         """Keep only exponents congruent to r mod t, in the original variable."""

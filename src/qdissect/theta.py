@@ -240,7 +240,7 @@ def eta_quotient(
     form = _normal_form(numerator, denominator, shift)
     if form is None:
         # a vanishing theta factor kills the whole quotient exactly
-        return Series.constant(INTEGER, 0, prec)
+        return Series.monomial(INTEGER, 0, prec, 0)
     unit, shift, factors = form
     if prec <= shift:
         # the monomial alone puts the quotient beyond the window
@@ -306,7 +306,7 @@ def mock_g(spec: GSpec, prec: int) -> Series:
 def _mock_g_sum(spec: GSpec, prec: int) -> Series:
     s, a, m = spec.sign, spec.a, spec.m
     inner_prec = prec + a
-    acc = Series.constant(INTEGER, -1, inner_prec)
+    acc = Series.monomial(INTEGER, 0, inner_prec, -1)
     # term_0 = 1/(x)_1 = 1/(1 - s q^a)
     term = Series.one(INTEGER, inner_prec).div_binomial(s, a)
     acc = acc + term

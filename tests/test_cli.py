@@ -7,7 +7,7 @@ from pathlib import Path
 
 import jsonschema
 
-from qdissect import cli
+from qdissect import cli, partitions
 from qdissect.identities import JSON_REPORT_SCHEMA, perturb_entry
 from qdissect.registry import build_registry
 
@@ -139,6 +139,18 @@ def test_check_congruence():
     # the smallest --max reaches the first argument of the progression
     code, out = run(["check-congruence", "5", "--max", "4"])
     assert code == 0 and "1 arguments up to 4: ok" in out
+
+
+def test_check_congruence_reports_a_failing_count(monkeypatch):
+    monkeypatch.setattr(partitions, "_count_cache", {})
+    with partitions._count_lock:
+        partitions._table("rank", 5, 10).rows[0][4] += 1  # N(0,5;4) off by one
+    code, out = run(["check-congruence", "5", "--max", "9"])
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL rank counts at n=4 are not all p(n)/5: (2, 1, 1, 1, 1)",
+        "congruence mod 5 on 5n+4: 2 arguments up to 9: FAILED",
+    ]
 
 
 def test_usage_errors_exit_2():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict, fields
 
 import jsonschema
 import pytest
@@ -147,6 +148,12 @@ def test_perturbed_mismatch_reads_in_the_statements_units(registry, entry_id, ex
     report = verify_identity(perturb_entry(by_id[entry_id], exponent))
     assert report.status == "fail"
     assert report.first_mismatch == Mismatch(exponent, lhs, rhs)
+    # the JSON object is asdict's, field for field and in field order
+    for r in (report, verify_identity(by_id[entry_id])):
+        obj = r.to_json_obj()
+        assert obj == dict(asdict(r), notes=list(r.notes))
+        assert list(obj) == [f.name for f in fields(r)]
+        assert json.dumps(obj) == json.dumps(dict(asdict(r), notes=list(r.notes)))
 
 
 def test_fault_injection_support(registry):

@@ -1,10 +1,12 @@
+import io
 from fractions import Fraction
 
 import pytest
 
 import oracles
-from qdissect import partitions, theta
+from qdissect import cli, partitions, theta
 from qdissect.partitions import (
+    count_combination,
     count_series,
     deviation_series,
     partition_count,
@@ -210,6 +212,53 @@ def test_residue_series_matches_counts():
         assert series.coeff(n) == table.coeff(n).counts[2]
 
 
+def _gf_counts(stat, M, n):
+    """The oracle's residue counts in the generating-function convention:
+    at n=1 the crank sum gives z + z^-1 - 1, not crank((1)) = -1."""
+    if stat == "crank" and n == 1:
+        out = [0] * M
+        for m, c in ((1, 1), (-1, 1), (0, -1)):
+            out[m % M] += c
+        return out
+    return oracles.residue_counts(stat, M, n)
+
+
+@pytest.mark.parametrize("t, r", [(1, 0), (2, 0), (2, 1), (4, 3)])
+def test_count_combination_matches_enumeration_oracle(t, r):
+    # 2 N(1,5) - 3 C(0,4) + p - N(0,3), read on the progression t*n + r
+    parts = [(2, "rank", 1, 5), (-3, "crank", 0, 4), (1, "crank", 0, 1), (-1, "rank", 0, 3)]
+    prec = (30 - r) // t + 1  # arguments up to 30
+    got = count_combination(parts, prec, t, r)
+    assert (got.ring, got.min_exp, got.prec) == (INTEGER, 0, prec)
+    for n in range(prec):
+        arg = t * n + r
+        want = sum(c * _gf_counts(stat, M, arg)[a] for c, stat, a, M in parts)
+        assert got.coeff(n) == want, (t, r, n)
+    # deeper, against the rows read whole and restricted to the progression
+    deep = count_combination(parts, 100, t, r)
+    whole = Series.zero(INTEGER, t * 100 + r)
+    for c, stat, a, M in parts:
+        whole = whole + residue_series(stat, a, M, t * 100 + r).scale(c)
+    assert deep == whole.dissect(t, r).deflate(t, r).truncate(100)
+
+
+def test_count_combination_edges():
+    # the empty partition (rank +1 at n=0, a=0) and the crank sum at n=1
+    assert count_combination([(1, "rank", 0, 3)], 1).coeffs == (1,)
+    assert oracles.residue_counts("crank", 4, 1) == [0, 0, 0, 1]
+    assert count_combination([(1, "crank", 0, 4)], 2).coeffs == (1, -1)
+    assert [count_combination([(1, "crank", a, 4)], 1, 2, 1).coeff(0) for a in range(4)] == [-1, 1, 0, 1]
+    assert count_combination([(5, "crank", 0, 1)], 3, 2, 1).coeffs == (5, 15, 35)  # 5 p(2n+1)
+    assert count_combination([], 4, 4, 3).coeffs == (0, 0, 0, 0)
+    assert count_combination([(1, "rank", 0, 3)], 0) == Series.zero(INTEGER, 0)
+    for a, M in ((5, 5), (-1, 5), (0, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            count_combination([(1, "crank", 0, 1), (1, "rank", a, M)], 10)
+    for t, r in ((0, 0), (2, 2), (3, -1)):
+        with pytest.raises(ValueError, match="progression"):
+            count_combination([(1, "rank", 0, 3)], 10, t, r)
+
+
 def test_concurrent_cache_reads_are_consistent():
     # count-series and theta caches are shared; hammer them from threads
     from concurrent.futures import ThreadPoolExecutor
@@ -273,6 +322,10 @@ def test_counts_live_as_rows_and_vectors_are_built_on_read(monkeypatch):
                 scaled_deviation(stat, a, M, 300)
     partition_series(300)
     partition_count(299)
+    count_combination([(1, "rank", 0, 8), (-1, "crank", 0, 8)], 76, 4, 3)
+    for argv in (["table", "crank", "--modulus", "8", "--max-n", "300", "--json"],
+                 ["check-congruence", "7", "--max", "300"]):
+        assert cli.run_cli(argv, out=io.StringIO()) == 0
     assert built == []
 
     def fresh_window(stat, M, prec):

@@ -20,7 +20,7 @@ rationals = st.fractions(
 
 def R(x):
     """x as a constant series over the rational ring."""
-    return Series.constant(RATIONAL, x, 3)
+    return Series.monomial(RATIONAL, 0, 3, x)
 
 
 def test_rational_add_example():
@@ -36,7 +36,7 @@ def test_rational_mul_identity(x):
 
 def test_rational_sub_matches_partition_cross_check():
     # p(4) = 5 minus a count of 4
-    assert R(5) - R(4) == Series.one(RATIONAL, 3)
+    assert R(5) + R(4).scale(-1) == Series.one(RATIONAL, 3)
 
 
 def test_rational_div_by_zero_is_an_error():
@@ -55,7 +55,7 @@ def test_rational_ring_axioms(x, y, z):
 
 @given(rationals, rationals)
 def test_rational_results_in_lowest_terms(x, y):
-    for r in (R(x) + R(y), R(x) - R(y), R(x) * R(y)):
+    for r in (R(x) + R(y), R(x) + R(y).scale(-1), R(x) * R(y)):
         c = r.coeff(0)
         assert type(c) is Fraction
         assert math.gcd(c.numerator, c.denominator) == 1

@@ -171,7 +171,7 @@ def test_mock_g_leading_terms():
     expected = {e - 2: -c for e, c in inner.items()}  # times -q^-2
     assert oracles.series_to_poly(g) == {e: c for e, c in expected.items() if e < 14}
     assert g.min_exp == -2
-    assert (g.shift(2) + Series.constant(INTEGER, -1, 16)).coeff(0) == -1
+    assert (g.shift(2) + Series.monomial(INTEGER, 0, 16, -1)).coeff(0) == -1
 
 
 def test_mock_g_term_bound_is_sound():
@@ -523,7 +523,7 @@ def test_quotient_memo_vanishing_factors(monkeypatch):
     monkeypatch.setattr(theta, "_memo", {})
     for _ in range(2):  # the normal form alone says zero: nothing is stored
         zero = eta_quotient([J(1, 4), J(0, 3)], [J(1, 5)], prec=20)
-        assert _same_window(zero, Series.constant(INTEGER, 0, 20))
+        assert _same_window(zero, Series.monomial(INTEGER, 0, 20, 0))
     assert theta._memo == {}
     eta_quotient([J(1, 4)], prec=20)
     before = dict(theta._memo)
