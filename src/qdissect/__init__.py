@@ -18,8 +18,6 @@ from .theta import (
     eta_quotient,
     eulerian_sum,
     mock_g,
-    pochhammer_finite,
-    pochhammer_infinite,
     theta_j,
     theta_j_sum,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "eta_quotient",
     "eulerian_sum",
     "mock_g",
-    "pochhammer_finite",
-    "pochhammer_infinite",
     "theta_j",
     "theta_j_sum",
     "count_combination",

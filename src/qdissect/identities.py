@@ -1,18 +1,21 @@
 """The verification engine.
 
-An IdentityEntry ties deferred series builders to one statement from the
-registry and says how to check it: coefficientwise equality, residue
-support, strict positivity, or a coefficientwise inequality between two
-series.  verify_identity runs one entry and produces a
-VerificationReport; verify_all runs a whole registry (optionally
-filtered by a glob pattern on ids) in registry order.
+An IdentityEntry ties the sides of one statement from the registry to
+how it is checked: coefficientwise equality, residue support, strict
+positivity, or a coefficientwise inequality between two series.
+verify_identity runs one entry and produces a VerificationReport;
+verify_all runs a whole registry (optionally filtered by a glob pattern
+on ids) in registry order.
 
-An equality entry may carry more than two builders: every series is
-compared against the first, which is how chained equalities such as the
-four-way rank-crank relations are represented under a single stable id.
+An equality entry may carry more than two sides: every side is compared
+against the first, which is how chained equalities such as the four-way
+rank-crank relations are represented under a single stable id.
 
-Every builder returns an integer series.  A statement with rational
-coefficients is stored multiplied through by its ``denominator`` d;
+A side is a tuple of (scale, build) parts and stands for the sum of
+scale * build(prec), where the scale is an int or a Fraction and build
+returns an integer series.  A statement with rational coefficients is
+checked multiplied through by its ``denominator`` d, the lcm of every
+scale's denominator: build_side gives d times a side over the integers,
 comparing d*LHS with d*RHS is the same test because d != 0, and a
 mismatch is printed back in the statement's own units as the reduced
 fraction v/d.
@@ -28,12 +31,14 @@ import fnmatch
 import time
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Tuple
+from math import lcm
+from typing import Callable, Optional, Sequence, Tuple, Union
 
-from .rings import RATIONAL
+from .rings import INTEGER, RATIONAL
 from .series import Series
 
 SeriesBuilder = Callable[[int], Series]
+Side = Tuple[Tuple[Union[int, Fraction], SeriesBuilder], ...]
 
 KINDS = ("equality", "support", "positivity", "inequality")
 
@@ -46,17 +51,15 @@ class IdentityEntry:
     paper_label: str
     kind: str
     default_prec: int
-    builders: Tuple[SeriesBuilder, ...] = ()
+    sides: Tuple[Side, ...] = ()
     # support kind
     support_t: int = 0
     support_allowed: frozenset = frozenset()
     # positivity kind
     positive_from: int = 1
-    # inequality kind: builders[0] >= builders[1] for n >= threshold
+    # inequality kind: sides[0] >= sides[1] for n >= threshold
     ineq_threshold: int = 0
-    # every builder returns denominator * (its side of the statement)
-    denominator: int = 1
-    # (t, r) when the builders index the arguments t*n + r by n
+    # (t, r) when the sides index the arguments t*n + r by n
     progression: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
@@ -64,12 +67,18 @@ class IdentityEntry:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.default_prec < 50:
             raise ValueError("default_prec must be at least 50")
-        if self.kind == "equality" and len(self.builders) < 2:
-            raise ValueError("equality entries need at least two builders")
-        if self.kind in ("support", "positivity") and len(self.builders) != 1:
-            raise ValueError(f"{self.kind} entries take exactly one builder")
-        if self.kind == "inequality" and len(self.builders) != 2:
-            raise ValueError("inequality entries take exactly two builders")
+        if self.kind == "equality" and len(self.sides) < 2:
+            raise ValueError("equality entries need at least two sides")
+        if self.kind in ("support", "positivity") and len(self.sides) != 1:
+            raise ValueError(f"{self.kind} entries take exactly one side")
+        if self.kind == "inequality" and len(self.sides) != 2:
+            raise ValueError("inequality entries take exactly two sides")
+
+    @property
+    def denominator(self) -> int:
+        """d, the lcm of every scale's denominator: d times each side is
+        an integer series."""
+        return lcm(*(scale.denominator for side in self.sides for scale, _ in side))
 
     def argument_bound(self, prec: int) -> Tuple[str, int]:
         """(unit, bound) of a run at prec: every argument below bound is
@@ -81,7 +90,7 @@ class IdentityEntry:
         return "progression", t * prec + r
 
     def coeff_text(self, value) -> str:
-        """A coefficient of a builder in the statement's own units: the
+        """A coefficient of d times a side in the statement's own units: the
         reduced num/den fraction value/denominator when denominator > 1."""
         if self.denominator == 1:
             return str(value)
@@ -222,6 +231,20 @@ def inequality_check(lhs: Series, rhs: Series, threshold: int, max_n: int) -> Ch
     return CheckOutcome(True, max_n + 1, notes=tuple(notes))
 
 
+def build_side(side: Side, d: int, prec: int) -> Series:
+    """d times the side: the integer series sum of (d*scale) * build(prec)
+    over its parts, for a d that clears every scale.  A lone part of
+    weight one is its own build."""
+    weighted = [(scale.numerator * d // scale.denominator, build) for scale, build in side]
+    if len(weighted) == 1 and weighted[0][0] == 1:
+        return weighted[0][1](prec)
+    out = Series.zero(INTEGER, prec)
+    for k, build in weighted:
+        piece = build(prec)
+        out = out + (piece if k == 1 else piece.scale(k))
+    return out
+
+
 def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> VerificationReport:
     """Run one entry at the given precision (default: the entry's own)."""
     if prec is None:
@@ -249,10 +272,11 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
                       notes=[*notes, f"window ends at {through}, requested {prec}"])
 
     try:
+        d = entry.denominator
         if entry.kind == "equality":
-            reference = entry.builders[0](prec)
-            for other_builder in entry.builders[1:]:
-                other = other_builder(prec)
+            reference = build_side(entry.sides[0], d, prec)
+            for side in entry.sides[1:]:
+                other = build_side(side, d, prec)
                 cmp = reference.compare(other)
                 if not cmp.equal:
                     return finish("fail", cmp.exponent,
@@ -261,7 +285,7 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
                     return short(cmp.verified_through)
             return finish("pass", prec)
 
-        series = [build(prec) for build in entry.builders]
+        series = [build_side(side, d, prec) for side in entry.sides]
         if entry.kind == "support":
             outcome = support_check(series[0], entry.support_t, entry.support_allowed)
         elif entry.kind == "positivity":
@@ -333,21 +357,13 @@ def report_text(reports: Sequence[VerificationReport]) -> str:
 
 
 def perturb_entry(entry: IdentityEntry, exponent: int, amount: int = 1) -> IdentityEntry:
-    """Clone an entry with its last builder perturbed by amount*q^exponent,
-    in the statement's own units (the builder gains denominator*amount).
+    """Clone an entry with amount*q^exponent added to its last side, in the
+    statement's own units: one more part (amount, q^exponent).
 
     Fault-injection helper: a perturbed clone must fail at exactly the
     perturbed exponent while every untouched entry still passes.
     """
-    if not entry.builders:
-        raise ValueError("entry has no builders to perturb")
-
-    last = entry.builders[-1]
-
-    def perturbed(prec: int) -> Series:
-        built = last(prec)
-        bump = Series.monomial(built.ring, exponent, built.prec,
-                               built.ring.coerce(amount * entry.denominator))
-        return built + bump
-
-    return replace(entry, builders=entry.builders[:-1] + (perturbed,))
+    if not entry.sides:
+        raise ValueError("entry has no sides to perturb")
+    bump = (amount, lambda prec: Series.monomial(INTEGER, exponent, prec))
+    return replace(entry, sides=entry.sides[:-1] + (entry.sides[-1] + (bump,),))

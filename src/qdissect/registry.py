@@ -30,7 +30,6 @@ against the first.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import partitions, theta
 from .identities import IdentityEntry
@@ -48,17 +47,16 @@ Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 
 # -- small builder DSL -----------------------------------------------------------
 #
-# A builder is a callable prec -> Series.  Every right-hand side is a
-# terms(...) sum of parts scale * q^shift * (eta quotient | g | constant |
-# deviation); the helpers below keep those transcriptions close to how
-# the statements are written, and the dissection families expand into
-# the same parts.
+# A builder is a callable prec -> integer Series, and a side of a statement
+# is a terms(...) tuple of (scale, builder) parts standing for the sum of
+# scale * q^shift * (eta quotient | g | constant | deviation).  The helpers
+# below keep those transcriptions close to how the statements are
+# written, and the dissection families expand into the same parts.
 #
-# Scales are exact rationals, but every series is built over the
-# integers: an entry's denominator d is the lcm of the denominators of
-# its parts' scales, derived when the registry is built, and each part
-# contributes the integer multiple d*scale of its integer series.  A
-# deviation D(a,M) enters as (1/M) * (M*D(a,M)), so it contributes M.
+# Scales are exact rationals (int or Fraction); the entry, not the
+# registry, clears them: IdentityEntry.denominator is the lcm of their
+# denominators, and identities.build_side sums d*scale times each part's
+# integer series.  A deviation D(a,M) enters as (1/M) * (M*D(a,M)).
 
 
 def _quot(scale, shift, num=(), den=()):
@@ -79,44 +77,11 @@ def _monomial(value, exponent):
 
 
 def _dev(scale, stat, a, M):
-    # M*D(a,M) = sum_n (M N(a,M;n) - p(n)) q^n
-    return Fraction(scale, M), counts([(M, stat, a, M), (-1, "crank", 0, 1)])
-
-
-class Terms:
-    """A side of a statement: the sum of scale * build(prec) over its
-    (scale, build) parts, where the scale is an int or a Fraction and
-    build returns an integer series."""
-
-    __slots__ = ("parts", "denominator")
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self.denominator = lcm(*[scale.denominator for scale, _ in self.parts])
-
-    def at(self, d):
-        """The integer builder of d times this side; raises ValueError
-        when d does not clear a scale."""
-        if d % self.denominator:
-            raise ValueError(f"denominator {d} does not clear the scales "
-                             f"of this side (their lcm is {self.denominator})")
-        scaled = [(scale.numerator * d // scale.denominator, build)
-                  for scale, build in self.parts]
-        if len(scaled) == 1 and scaled[0][0] == 1:
-            return scaled[0][1]
-
-        def built(prec):
-            out = Series.zero(INTEGER, prec)
-            for k, build in scaled:
-                piece = build(prec)
-                out = out + (piece if k == 1 else piece.scale(k))
-            return out
-
-        return built
+    return Fraction(scale, M), lambda prec: partitions.scaled_deviation(stat, a, M, prec)
 
 
 def terms(*parts):
-    return Terms(parts)
+    return parts
 
 
 def atom_series(atom):
@@ -207,12 +172,10 @@ def counts(parts, t=1, r=0, twist=False):
 
 
 def _entry(entry_id, label, kind, prec, sides, **fields):
-    """An entry whose sides are multiplied through by their common
-    denominator; a side that is not a terms(...) sum is an integer builder."""
-    sides = [side if isinstance(side, Terms) else terms((1, side)) for side in sides]
-    d = lcm(*(side.denominator for side in sides))
-    return IdentityEntry(entry_id, label, kind, prec, tuple(side.at(d) for side in sides),
-                         denominator=d, **fields)
+    """An entry of these sides; a side that is not a terms(...) tuple is
+    an integer builder, the one part ((1, build),)."""
+    sides = tuple(((1, side),) if callable(side) else side for side in sides)
+    return IdentityEntry(entry_id, label, kind, prec, sides, **fields)
 
 
 def _eq(entry_id, label, sides, prec, **fields):

@@ -120,9 +120,6 @@ class Series:
                 return self.min_exp + i
         return None
 
-    def is_zero(self) -> bool:
-        return self.valuation() is None
-
     def _window(self, lo: int, hi: int) -> tuple:
         """The coefficients at lo <= e < hi, for lo <= min_exp and
         hi <= prec: zeros below min_exp, then a slice of the window."""

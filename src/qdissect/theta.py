@@ -2,7 +2,6 @@
 
 All special functions used by the verification registry are built here:
 
-  * finite and infinite Pochhammer products (s*q^a; q^m)_n,
   * the theta function j(s*q^a; q^m), expanded from the Jacobi triple
     product's bilateral sum
         j(x; q^m) = sum_n (-1)^n q^(m*n(n-1)/2) x^n,
@@ -101,33 +100,6 @@ def Jbar(a: int, m: int) -> ThetaAtom:
 def eta_atom(m: int) -> ThetaAtom:
     """J_m = J_{m,3m}, the product (q^m; q^m)_infinity."""
     return ThetaAtom(1, m, 3 * m)
-
-
-# -- Pochhammer products -------------------------------------------------------
-
-
-def pochhammer_finite(sign: int, a: int, m: int, n: int, prec: int) -> Series:
-    """(sign*q^a; q^m)_n = prod_{i<n} (1 - sign*q^(a+m*i)), truncated."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = Series.one(INTEGER, prec)
-    for i in range(n):
-        e = a + m * i
-        if e == 0:
-            out = out.scale(1 - sign)
-        else:
-            out = out.mul_binomial(-sign, e)
-    return out
-
-
-def pochhammer_infinite(sign: int, a: int, m: int, prec: int) -> Series:
-    """(sign*q^a; q^m)_infinity; requires a >= 1 so the product is formal."""
-    if a < 1:
-        raise ValueError(
-            f"infinite Pochhammer needs a >= 1 (got a={a}): "
-            "the product is not a formal series otherwise"
-        )
-    return pochhammer_finite(sign, a, m, len(range(a, prec, m)), prec)
 
 
 # -- the theta function j and eta quotients --------------------------------------

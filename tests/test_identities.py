@@ -137,6 +137,16 @@ def test_fault_injection_equality(registry):
         assert report.first_mismatch.exponent == exponent
 
 
+def test_every_equality_entry_fails_where_it_is_perturbed(registry):
+    # one deterministic exponent per entry, across every shape of side
+    equalities = [e for e in registry if e.kind == "equality"]
+    assert len(equalities) == 288
+    for i, entry in enumerate(equalities):
+        exponent = (37 * i + 11) % entry.default_prec
+        report = verify_identity(perturb_entry(entry, exponent))
+        assert (report.status, report.first_mismatch.exponent) == ("fail", exponent), entry.id
+
+
 @pytest.mark.parametrize("entry_id, exponent, lhs, rhs", [
     ("dev-rank-0-4", 61, "1443/4", "1447/4"),
     ("dev-crank-2-8", 72, "3097/8", "3105/8"),
@@ -232,7 +242,7 @@ def test_equality_entry_window_discipline():
         return Series.one(INTEGER, min(prec, 20))
 
     entry = IdentityEntry("window-test", "window", "equality", 50,
-                          (narrow, narrow))
+                          (((1, narrow),), ((1, narrow),)))
     report = verify_identity(entry, prec=50)
     assert report.status == "error"
     assert "window" in report.notes[0]
@@ -241,7 +251,7 @@ def test_equality_entry_window_discipline():
 def test_support_entry_window_discipline():
     entry = IdentityEntry(
         "s", "s", "support", 50,
-        builders=(lambda p: Series.zero(INTEGER, min(p, 20)),),
+        sides=(((1, lambda p: Series.zero(INTEGER, min(p, 20))),),),
         support_t=2, support_allowed=frozenset({0}))
     report = verify_identity(entry, prec=50)
     assert (report.status, report.verified_through) == ("error", 20)
@@ -253,7 +263,7 @@ def test_builder_exceptions_are_reported():
         raise ValueError("deliberate builder failure")
 
     entry = IdentityEntry("error-test", "error", "equality", 50,
-                          (boom, lambda prec: Series.one(INTEGER, prec)))
+                          (((1, boom),), ((1, lambda prec: Series.one(INTEGER, prec)),)))
     report = verify_identity(entry)
     assert report.status == "error"
     assert "deliberate builder failure" in report.notes[0]
@@ -266,8 +276,8 @@ def test_one_broken_entry_does_not_stop_the_run():
     def one(prec):
         return Series.one(INTEGER, prec)
 
-    broken = IdentityEntry("broken", "broken", "equality", 50, (boom, one))
-    fine = IdentityEntry("fine", "fine", "equality", 50, (one, one))
+    broken = IdentityEntry("broken", "broken", "equality", 50, (((1, boom),), ((1, one),)))
+    fine = IdentityEntry("fine", "fine", "equality", 50, (((1, one),), ((1, one),)))
     reports = verify_all([broken, fine])
     assert [r.status for r in reports] == ["error", "pass"]
     payload = report_json(reports, 50, "t")
@@ -377,7 +387,7 @@ CHECKLIST_COVERED = {
 
 # Definitions realized as constructors rather than identity entries.
 CHECKLIST_CONSTRUCTORS = {
-    "Pochhammer products": ("qdissect.theta", "pochhammer_infinite"),
+    "Pochhammer products": ("qdissect.theta", "eta_atom"),
     "theta function j, product and sum sides": ("qdissect.theta", "theta_j"),
     "universal mock theta g": ("qdissect.theta", "mock_g"),
     "Eulerian f0/f1 sums": ("qdissect.theta", "eulerian_sum"),

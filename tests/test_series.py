@@ -339,6 +339,25 @@ def test_mul_matches_oracle(ring, density):
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+def test_mul_binomial_matches_oracle(ring):
+    # (1 + c*q^e) is exact: only a negative e moves the window, down by |e|
+    rng = random.Random(f"mul_binomial {ring.tag()}")
+    for _ in range(30):
+        a = _random_series(rng, ring, rng.randint(-3, 3), rng.randint(1, 40),
+                           rng.choice(DENSITIES))
+        c, e = _random_coeff(rng, ring), rng.choice([-7, -1, 1, 2, 13, 45])
+        got = a.mul_binomial(c, e)
+        drop = min(0, e)
+        assert (got.min_exp, got.prec) == (a.min_exp + drop, a.prec + drop)
+        want = oracles.poly_mul(
+            oracles.series_to_poly(a), {0: ring.one, e: c}, got.prec
+        )
+        assert oracles.series_to_poly(got) == want
+    with pytest.raises(SeriesError):
+        a.mul_binomial(c, 0)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
 def test_mul_by_zero_and_single_monomials(ring):
     rng = random.Random(f"monomials {ring.tag()}")
     a = _random_series(rng, ring, -2, 40, 0.3)

@@ -6,8 +6,8 @@ import pytest
 from qdissect.rings import INTEGER, RingError
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
-from qdissect.identities import verify_all, verify_identity
-from qdissect.registry import build_registry, family, terms
+from qdissect.identities import build_side, verify_all, verify_identity
+from qdissect.registry import _eq, build_registry, deviation, family, terms
 from qdissect.theta import (
     GSpec,
     J,
@@ -17,49 +17,11 @@ from qdissect.theta import (
     eta_quotient,
     eulerian_sum,
     mock_g,
-    pochhammer_finite,
-    pochhammer_infinite,
     theta_j,
     theta_j_sum,
 )
 
 import oracles
-
-
-def test_pochhammer_finite_empty_product():
-    assert pochhammer_finite(1, 1, 1, 0, 10) == Series.one(INTEGER, 10)
-
-
-def test_pochhammer_finite_small_expansion():
-    # (-q;q)_2 = (1+q)(1+q^2) = 1 + q + q^2 + q^3
-    p = pochhammer_finite(-1, 1, 1, 2, 10)
-    assert [p.coeff(i) for i in range(5)] == [1, 1, 1, 1, 0]
-
-
-def test_pochhammer_finite_matches_oracle():
-    p = pochhammer_finite(1, 1, 1, 3, 12)
-    expected = oracles.product_expansion(
-        [oracles.binomial(-1, e) for e in (1, 2, 3)], 12
-    )
-    assert oracles.series_to_poly(p) == expected
-
-
-def test_pochhammer_infinite_pentagonal_signs():
-    j1 = pochhammer_infinite(1, 1, 1, 31)
-    assert oracles.series_to_poly(j1) == oracles.pochhammer_product(1, 1, 1, 31)
-    assert j1.coeff(5) == 1
-    assert j1.coeff(1) == -1
-
-
-def test_pochhammer_infinite_rejects_nonformal():
-    with pytest.raises(ValueError):
-        pochhammer_infinite(1, 0, 1, 10)
-
-
-def test_pochhammer_truncation_stability():
-    wide = pochhammer_infinite(-1, 2, 3, 100)
-    narrow = pochhammer_infinite(-1, 2, 3, 50)
-    assert wide.truncate(50) == narrow
 
 
 def test_theta_j_product_rearrangements():
@@ -79,13 +41,13 @@ def test_theta_j_eta_alias():
 
 def test_theta_j_vanishing_case():
     z = theta_j(J(8, 8), 30)
-    assert z.is_zero()
+    assert z.valuation() is None
     z = theta_j(J(0, 5), 30)
-    assert z.is_zero()
+    assert z.valuation() is None
 
 
 def test_theta_sum_telescopes_at_one():
-    assert theta_j_sum(J(0, 4), 80).is_zero()
+    assert theta_j_sum(J(0, 4), 80).valuation() is None
 
 
 def test_theta_sum_lowest_terms():
@@ -158,7 +120,7 @@ def test_eta_quotient_empty_is_one():
 
 def test_eta_quotient_zero_numerator_and_bad_denominator():
     z = eta_quotient([J(4, 4)], prec=20)
-    assert z.is_zero()
+    assert z.valuation() is None
     with pytest.raises(SeriesError):
         eta_quotient([eta_atom(1)], [J(10, 5)], prec=20)
 
@@ -236,8 +198,8 @@ def test_gsplit_instance_matches_direct_evaluation():
 
 def test_combinator_zero_and_arity():
     zero = terms(*family("theta4", (0, 0, 0, 0)))
-    assert zero.denominator == 1
-    assert zero.at(1)(50).is_zero()
+    assert zero == ()
+    assert build_side(zero, 1, 50).valuation() is None
     with pytest.raises(ValueError):
         family("theta4", (1, 2, 3))
     with pytest.raises(ValueError):
@@ -247,8 +209,8 @@ def test_combinator_zero_and_arity():
 def test_combinator_matches_crank_deviation():
     # 4 * (the theta4 line) against 4 * D_C(1,4), over the integers
     side = terms(*family("theta4", (-1, -1, 1, 1)))
-    assert side.denominator == 4
-    lhs = side.at(4)(101)
+    assert _eq("line", "line", [deviation("crank", 1, 4), side], 101).denominator == 4
+    lhs = build_side(side, 4, 101)
     rhs = partitions.scaled_deviation("crank", 1, 4, 101)
     assert lhs.ring == rhs.ring == INTEGER
     assert lhs.compare(rhs).equal
@@ -257,8 +219,8 @@ def test_combinator_matches_crank_deviation():
 def test_combinator_with_g_part_matches_rank_deviation():
     # 5 * (the theta5 + G5 line) against 5 * D(0,5), over the integers
     side = terms(*family("theta5", (2, 2, -1, 1), 2), *family("G5", (-1, 0), 2))
-    assert side.denominator == 5
-    lhs = side.at(5)(101)
+    assert _eq("line", "line", [deviation("rank", 0, 5), side], 101).denominator == 5
+    lhs = build_side(side, 5, 101)
     rhs = partitions.scaled_deviation("rank", 0, 5, 101)
     assert lhs.ring == rhs.ring == INTEGER
     assert lhs.compare(rhs).equal
@@ -322,9 +284,12 @@ def test_concurrent_atom_cache(monkeypatch):
 
 
 def test_euler_odd_even_product_relation():
-    # (q^2;q^2)_inf = (q;q)_inf (-q;q)_inf, factor by factor
-    lhs = pochhammer_infinite(1, 2, 2, 80)
-    rhs = pochhammer_infinite(1, 1, 1, 80) * pochhammer_infinite(-1, 1, 1, 80)
+    # (q^2;q^2)_inf = (q;q)_inf (-q;q)_inf: the atoms J2 and J1 against
+    # the oracle's factor-by-factor (-q;q)_inf
+    odd_even = oracles.pochhammer_product(-1, 1, 1, 80)
+    plus = Series.from_coeffs(INTEGER, 0, [odd_even.get(e, 0) for e in range(80)], 80)
+    lhs = theta_j(eta_atom(2), 80)
+    rhs = theta_j(eta_atom(1), 80) * plus
     assert lhs.compare(rhs).equal
 
 
@@ -567,10 +532,10 @@ def test_quotient_memo_key_ignores_how_it_is_written(monkeypatch, first, second)
 def test_every_window_ends_at_prec():
     # 1/j(q^-7; q^3) = -q^12 / j(q^2; q^3): zero through q^10, known to q^10
     inverse = theta.theta_j_inverse(J(-7, 3), 10)
-    assert inverse.prec == 10 and inverse.is_zero()
+    assert inverse.prec == 10 and inverse.valuation() is None
     # the shift alone puts the quotient beyond the window
     beyond = eta_quotient([J(1, 5), J(2, 5)], shift=30, prec=20)
-    assert beyond.prec == 20 and beyond.is_zero()
+    assert beyond.prec == 20 and beyond.valuation() is None
     atoms = (J(1, 5), J(-7, 3), Jbar(9, 4), J(0, 3), Jbar(0, 6), J(30, 7))
     for atom in atoms:
         for prec in (0, 1, 7, 40):
@@ -645,11 +610,11 @@ def test_random_quotients_match_unfolded_atoms(num, den, shift, prec):
     got = eta_quotient(num, den, shift, prec)
     assert got.prec == prec
     if any(atom.sign == 1 and atom.a % atom.m == 0 for atom, _ in num):
-        assert got.is_zero()
+        assert got.valuation() is None
         return
     want = _unfolded_quotient(num, den, shift, prec)
     if want is None:
-        assert got.is_zero()
+        assert got.valuation() is None
     else:
         assert want.prec == prec
         assert got.compare(want).equal
