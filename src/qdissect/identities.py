@@ -2,7 +2,8 @@
 
 An IdentityEntry ties the sides of one statement from the registry to
 how it is checked: coefficientwise equality, residue support, strict
-positivity, or a coefficientwise inequality between two series.
+positivity from q^1 on (the constant term is not read), or a
+coefficientwise inequality between two series.
 verify_identity runs one entry and produces a VerificationReport;
 verify_all runs a whole registry (optionally filtered by a glob pattern
 on ids) in registry order.
@@ -15,10 +16,10 @@ A side is a tuple of (scale, build) parts and stands for the sum of
 scale * build(prec), where the scale is an int or a Fraction and build
 returns an integer series.  A statement with rational coefficients is
 checked multiplied through by its ``denominator`` d, the lcm of every
-scale's denominator: build_side gives d times a side over the integers,
-comparing d*LHS with d*RHS is the same test because d != 0, and a
-mismatch is printed back in the statement's own units as the reduced
-fraction v/d.
+scale's denominator: build_side gives d times a side over the integers
+as one ``Series.combine`` of its built parts, comparing d*LHS with d*RHS
+is the same test because d != 0, and a mismatch is printed back in the
+statement's own units as the reduced fraction v/d.
 
 Precision discipline: an entry passes only if the comparison window
 actually reaches the requested precision.  A narrower window is reported
@@ -55,8 +56,6 @@ class IdentityEntry:
     # support kind
     support_t: int = 0
     support_allowed: frozenset = frozenset()
-    # positivity kind
-    positive_from: int = 1
     # inequality kind: sides[0] >= sides[1] for n >= threshold
     ineq_threshold: int = 0
     # (t, r) when the sides index the arguments t*n + r by n
@@ -233,16 +232,12 @@ def inequality_check(lhs: Series, rhs: Series, threshold: int, max_n: int) -> Ch
 
 def build_side(side: Side, d: int, prec: int) -> Series:
     """d times the side: the integer series sum of (d*scale) * build(prec)
-    over its parts, for a d that clears every scale.  A lone part of
-    weight one is its own build."""
+    over its parts, for a d that clears every scale, in one window (see
+    Series.combine).  A lone part of weight one is its own build."""
     weighted = [(scale.numerator * d // scale.denominator, build) for scale, build in side]
     if len(weighted) == 1 and weighted[0][0] == 1:
         return weighted[0][1](prec)
-    out = Series.zero(INTEGER, prec)
-    for k, build in weighted:
-        piece = build(prec)
-        out = out + (piece if k == 1 else piece.scale(k))
-    return out
+    return Series.combine(INTEGER, prec, [(k, build(prec)) for k, build in weighted])
 
 
 def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> VerificationReport:
@@ -289,7 +284,7 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
         if entry.kind == "support":
             outcome = support_check(series[0], entry.support_t, entry.support_allowed)
         elif entry.kind == "positivity":
-            outcome = positivity_check(series[0], entry.positive_from, prec - 1)
+            outcome = positivity_check(series[0], 1, prec - 1)
         else:
             outcome = inequality_check(*series, entry.ineq_threshold, prec - 1)
         if not outcome.ok:

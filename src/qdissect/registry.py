@@ -49,7 +49,7 @@ Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 #
 # A builder is a callable prec -> integer Series, and a side of a statement
 # is a terms(...) tuple of (scale, builder) parts standing for the sum of
-# scale * q^shift * (eta quotient | g | constant | deviation).  The helpers
+# scale * q^shift * (eta quotient | g | monomial | deviation).  The helpers
 # below keep those transcriptions close to how the statements are
 # written, and the dissection families expand into the same parts.
 #
@@ -66,10 +66,6 @@ def _quot(scale, shift, num=(), den=()):
 def _g(scale, shift, sign, a, m):
     spec = GSpec(sign, a, m)
     return scale, lambda prec: theta.mock_g(spec, prec - shift).shift(shift)
-
-
-def _const(value):
-    return value, lambda prec: Series.one(INTEGER, prec)
 
 
 def _monomial(value, exponent):
@@ -145,7 +141,7 @@ def family(name, coefficients, scale=1):
         slots = _G_FAMILIES[name]
 
         def slot_parts(c, const, shift, sign, a, m):
-            return [_g(c, shift, sign, a, m)] + ([_const(const * c)] if const else [])
+            return [_g(c, shift, sign, a, m)] + ([_monomial(const * c, 0)] if const else [])
     else:
         raise ValueError(f"unknown dissection family {name!r}")
     if len(coefficients) != len(slots):
@@ -517,7 +513,7 @@ def _deviation_entries():
     entries.append(_eq(
         "dev-rank-0-4-pre", "D(0,4) via g(-q^2;q^16)",
         [deviation("rank", 0, 4),
-         terms(_const(2), _g(-2, 2, -1, 2, 16),
+         terms(_monomial(2, 0), _g(-2, 2, -1, 2, 16),
                _quot(-2, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                _quot(Fraction(1, 2), 0, Q14BAR, [J4]),
                _quot(Fraction(1, 4), 0, Q14, [J4]))],
@@ -525,7 +521,7 @@ def _deviation_entries():
     entries.append(_eq(
         "dev-rank-1-4-pre", "D(1,4) via g(-q^2;q^16), g(-q^6;q^16)",
         [deviation("rank", 1, 4),
-         terms(_const(-1), _g(1, 2, -1, 2, 16), _g(1, 5, -1, 6, 16),
+         terms(_monomial(-1, 0), _g(1, 2, -1, 2, 16), _g(1, 5, -1, 6, 16),
                _quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4]),
                _quot(Fraction(-1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
@@ -636,13 +632,13 @@ def _mod8_entries():
     extra8 = [eta_atom(8), Jbar(1, 2), J(1, 8), Jbar(3, 8)]
     extra8_den = [(J4, 2), eta_atom(16)]
     pre_forms = {
-        0: terms(_const(2), _g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
+        0: terms(_monomial(2, 0), _g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
                  _quot(-1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                  _quot(-1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
                  _quot(quarter, 0, Q14BAR, [J4]),
                  _quot(eighth, 0, Q14, [J4]),
                  _quot(half, 0, extra8, extra8_den)),
-        1: terms(_const(-1), _g(-half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
+        1: terms(_monomial(-1, 0), _g(-half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
                  _g(half, 5, 1, 6, 16), _g(half, 5, -1, 6, 16),
                  _quot(half, 0, [Jbar(4, 8), J(1, 4)], [J4]),
                  _quot(-half, 1, [Jbar(4, 8), J(2, 16)], [J4]),
@@ -822,7 +818,7 @@ def _rank_crank_entries():
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) + 2q^5 g(-q^6;q^16) "
         "- J_{2,4}Jbar_{6,16}/J4 + q J_{2,4}Jbar_{2,16}/J4",
         [counts([(1, N, 0, 4), (-1, N, 2, 4)]),
-         terms(_const(2), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
+         terms(_monomial(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
                _quot(-1, 0, [J(2, 4), Jbar(6, 16)], [J4]),
                _quot(1, 1, [J(2, 4), Jbar(2, 16)], [J4]))],
         MOCK_PREC))
@@ -831,7 +827,7 @@ def _rank_crank_entries():
         "sum (N(0,8;n)-N(4,8;n)) q^n = 2 + 2q^2 g(q^2;q^16) "
         "- Jbar_{2,4}J_{6,16}/J4 + q Jbar_{2,4}J_{2,16}/J4",
         [counts([(1, N, 0, 8), (-1, N, 4, 8)]),
-         terms(_const(2), _g(2, 2, 1, 2, 16),
+         terms(_monomial(2, 0), _g(2, 2, 1, 2, 16),
                _quot(-1, 0, [Jbar(2, 4), J(6, 16)], [J4]),
                _quot(1, 1, [Jbar(2, 4), J(2, 16)], [J4]))],
         MOCK_PREC))
@@ -840,7 +836,7 @@ def _rank_crank_entries():
         "sum (N(1,8;n)-N(3,8;n)) q^n = -1 - q^2 g(q^2;q^16) + q^5 g(q^6;q^16) "
         "+ Jbar_{2,4}J_{6,16}/J4",
         [counts([(1, N, 1, 8), (-1, N, 3, 8)]),
-         terms(_const(-1), _g(-1, 2, 1, 2, 16), _g(1, 5, 1, 6, 16),
+         terms(_monomial(-1, 0), _g(-1, 2, 1, 2, 16), _g(1, 5, 1, 6, 16),
                _quot(1, 0, [Jbar(2, 4), J(6, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
@@ -857,7 +853,7 @@ def _rank_crank_entries():
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) "
         "+ 2q^5 g(-q^6;q^16) - J_{1,2}Jbar_{1,4}/J4",
         [counts([(1, N, 0, 4), (-1, N, 2, 4)]),
-         terms(_const(2), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
+         terms(_monomial(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
                _quot(-1, 0, [J(1, 2), Jbar(1, 4)], [J4]))],
         MOCK_PREC))
     # the two Hecke-sum consequences that collapse the mod-8 differences
@@ -895,7 +891,7 @@ def _support_entries():
          terms(_g(-2, 18, -1, 20, 64),
                _quot(2, 2, [J32, (Jbar(16, 64), 2)], [Jbar(20, 64), J(4, 32)]))),
         ("g2-minus", "q^2[g(q^2;q^16) - g(-q^2;q^16)]", g_comb(2, -1), 0,
-         terms(_const(-2), _g(2, 12, -1, 12, 64),
+         terms(_monomial(-2, 0), _g(2, 12, -1, 12, 64),
                _quot(2, 0, [J32, (Jbar(16, 64), 2)], [Jbar(52, 64), J(4, 32)]))),
         ("g6-plus", "q^5[g(q^6;q^16) + g(-q^6;q^16)]", g_comb(5, 1), 1,
          terms(_g(-2, 21, -1, 28, 64),
@@ -1097,8 +1093,7 @@ def _lewis_entries():
     entries.append(_entry(
         "lewis-positivity", "q Jbar_{0,8} Jbar_{13,16}/J1 has positive coefficients",
         "positivity", 151,
-        [terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))],
-        positive_from=1))
+        [terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))]))
 
     ineqs = [
         ("lewis-ineq-0", "N(0,8;4n+1) >= C(0,8;4n+1) for n >= 2", 1, 2, N, C),

@@ -6,6 +6,9 @@ coefficients at e >= prec are unknown and may never be read.  This is an
 absolute-precision model: every operation computes its output window
 pessimistically, so a comparison that succeeds really has checked every
 exponent below the reported bound.
+
+Every weighted sum is one Series.combine, built in a single window:
+a + b and s.scale(c) are its two-term and one-term cases.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ class Comparison:
     exponent: Optional[int] = None
     lhs: object = None
     rhs: object = None
+
+
+def _require_ring(ring: Ring, s: "Series") -> None:
+    if s.ring != ring:
+        raise RingError(f"ring mismatch: {ring.tag()} vs {s.ring.tag()}")
 
 
 class Series:
@@ -95,6 +103,30 @@ class Series:
             raise SeriesError("more coefficients than the window allows")
         return cls(ring, min_exp, tuple(coeffs) + (ring.zero,) * pad, prec)
 
+    @classmethod
+    def combine(cls, ring: Ring, prec: int, terms) -> "Series":
+        """The sum of c * s over the (c, s) terms, in the one window
+        [min(prec, every min_exp), min(prec, every prec)).
+
+        A term with c = 0 still bounds the window; no terms give the zero
+        series through prec.  Each c goes through ring.coerce, and every
+        s must be over ring.
+        """
+        terms = [(ring.coerce(c), s) for c, s in terms]
+        for _, s in terms:
+            _require_ring(ring, s)
+        min_exp = min([prec, *(s.min_exp for _, s in terms)])
+        prec = min([prec, *(s.prec for _, s in terms)])
+        out = [ring.zero] * (prec - min_exp)
+        for c, s in terms:
+            # s holds exponents [s.min_exp, prec) at out[i : i + n]
+            n = prec - s.min_exp
+            if n > 0 and c:
+                i = s.min_exp - min_exp
+                window = s.coeffs[:n] if c == 1 else map(mul, repeat(c), s.coeffs[:n])
+                out[i : i + n] = map(add, out[i : i + n], window)
+        return cls(ring, min_exp, out, prec)
+
     # -- basic accessors ---------------------------------------------------
 
     def coeff(self, e: int):
@@ -148,32 +180,12 @@ class Series:
         body = " + ".join(terms) if terms else "0"
         return f"<Series {self.ring.tag()} [{self.min_exp},{self.prec}) {body} ...>"
 
-    # -- ring plumbing -----------------------------------------------------
-
-    def _require_same_ring(self, other: "Series") -> None:
-        if self.ring != other.ring:
-            raise RingError(
-                f"ring mismatch: {self.ring.tag()} vs {other.ring.tag()}"
-            )
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        self._require_same_ring(other)
-        min_exp = min(self.min_exp, other.min_exp)
-        prec = min(self.prec, other.prec)
-        if prec < min_exp:
-            min_exp = prec
-        out = [self.ring.zero] * (prec - min_exp)
-        for s in (self, other):
-            # s holds exponents [s.min_exp, prec) at out[i : i + n]
-            n = prec - s.min_exp
-            if n > 0:
-                i = s.min_exp - min_exp
-                out[i : i + n] = map(add, out[i : i + n], s.coeffs[:n])
-        return Series(self.ring, min_exp, out, prec)
+        return Series.combine(self.ring, min(self.prec, other.prec), ((1, self), (1, other)))
 
     def __mul__(self, other):
         """Cauchy product; the window is [min_a + min_b, min(prec_a + min_b,
@@ -185,7 +197,7 @@ class Series:
         """
         if not isinstance(other, Series):
             return NotImplemented
-        self._require_same_ring(other)
+        _require_ring(self.ring, other)
         min_exp = self.min_exp + other.min_exp
         prec = min(self.prec + other.min_exp, other.prec + self.min_exp)
         length = prec - min_exp
@@ -210,8 +222,7 @@ class Series:
 
     def scale(self, c) -> "Series":
         """Multiply by an exact scalar; the window is unchanged."""
-        c = self.ring.coerce(c)
-        return Series(self.ring, self.min_exp, [c * x for x in self.coeffs], self.prec)
+        return Series.combine(self.ring, self.prec, ((c, self),))
 
     def shift(self, k: int) -> "Series":
         """Multiply by q^k exactly; min_exp and prec both move by k."""
@@ -269,7 +280,7 @@ class Series:
         nonzero d[j], j >= 1, so the cost is (nonzeros of the divisor) x
         (window length), like a sparse product.
         """
-        self._require_same_ring(other)
+        _require_ring(self.ring, other)
         nonzero = list(compress(range(len(other.coeffs)), other.coeffs))
         if not nonzero:
             raise SeriesError(
@@ -385,7 +396,7 @@ class Series:
         participate in the comparison.  An empty common window signals a
         precision-management bug in the caller and raises.
         """
-        self._require_same_ring(other)
+        _require_ring(self.ring, other)
         upper = min(self.prec, other.prec)
         if upper <= max(self.min_exp, other.min_exp) and upper <= min(
             self.min_exp, other.min_exp

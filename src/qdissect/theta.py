@@ -9,7 +9,8 @@ All special functions used by the verification registry are built here:
   * eta-quotient monomials  q^shift * prod(j)/prod(j),
   * the universal mock theta function
         g(x;q) = x^-1 (-1 + sum_{n>=0} q^(n^2) / ((x)_{n+1} (q/x)_n)),
-  * the Eulerian sums defining the fifth-order functions f0 and f1.
+  * the Eulerian sums defining the fifth-order functions f0 and f1,
+    which, like g, add all their terms in one Series.combine.
 
 Folding uses j(q*x;q) = -x^-1 j(x;q), iterated:
 
@@ -278,19 +279,18 @@ def mock_g(spec: GSpec, prec: int) -> Series:
 def _mock_g_sum(spec: GSpec, prec: int) -> Series:
     s, a, m = spec.sign, spec.a, spec.m
     inner_prec = prec + a
-    acc = Series.monomial(INTEGER, 0, inner_prec, -1)
-    # term_0 = 1/(x)_1 = 1/(1 - s q^a)
-    term = Series.one(INTEGER, inner_prec).div_binomial(s, a)
-    acc = acc + term
+    one = Series.one(INTEGER, inner_prec)
+    # term_0 = 1/(x)_1 = 1/(1 - s q^a); x^-1 = s q^-a puts s on every term
+    term = one.div_binomial(s, a)
+    terms = [(-s, one), (s, term)]
     n = 1
     while m * n * n < inner_prec:
         term = term.shift(m * (2 * n - 1)).truncate(inner_prec)
         term = term.div_binomial(s, a + m * n)          # new factor of (x)_{n+1}
         term = term.div_binomial(s, m - a + m * (n - 1))  # new factor of (q/x)_n
-        acc = acc + term
+        terms.append((s, term))
         n += 1
-    out = acc.shift(-a)
-    return out.scale(-1) if s == -1 else out
+    return Series.combine(INTEGER, inner_prec, terms).shift(-a)
 
 
 def eulerian_sum(kind: str, prec: int) -> Series:
@@ -301,16 +301,13 @@ def eulerian_sum(kind: str, prec: int) -> Series:
     """
     if kind not in ("f0", "f1"):
         raise ValueError(f"unknown Eulerian sum {kind!r}")
-    step = (lambda n: 2 * n - 1) if kind == "f0" else (lambda n: 2 * n)
-    acc = Series.one(INTEGER, prec)
+    extra = 0 if kind == "f0" else 1  # f1's q^n: term n starts at q^(n^2 + extra*n)
     term = Series.one(INTEGER, prec)
+    terms = [(1, term)]
     n = 1
-    while True:
-        lead = n * n if kind == "f0" else n * n + n
-        if lead >= prec:
-            break
-        term = term.shift(step(n)).truncate(prec)
+    while n * (n + extra) < prec:
+        term = term.shift(2 * n - 1 + extra).truncate(prec)
         term = term.div_binomial(-1, n)  # new factor 1/(1+q^n)
-        acc = acc + term
+        terms.append((1, term))
         n += 1
-    return acc
+    return Series.combine(INTEGER, prec, terms)

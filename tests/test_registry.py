@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from qdissect.identities import IdentityEntry, build_side
-from qdissect.registry import _dev, _eq, _quot, build_registry, deviation_sum, terms
+from qdissect.registry import (_dev, _eq, _monomial, _quot, build_registry,
+                               deviation_sum, terms)
 from qdissect.rings import INTEGER
+from qdissect.series import Series
 from qdissect.theta import J
 
 
@@ -44,3 +46,19 @@ def test_every_builder_is_integral(by_id):
             assert build_side(side, entry.denominator, 60).ring == INTEGER, entry_id
     # a bare integer builder is the one part of weight one
     assert all(len(side) == 1 and side[0][0] == 1 for side in by_id["NC-8"].sides)
+
+
+def test_build_side_builds_its_parts_and_one_sum(monkeypatch):
+    init, built = Series.__init__, []
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Series, "__init__", counting)
+    side = terms(_monomial(1, 1), _monomial(Fraction(1, 2), 2), _monomial(-3, -1))
+    out = build_side(side, 2, 10)
+    # three part windows, then the sum: no zero start, no scaled copies
+    assert len(built) == 4
+    assert (out.min_exp, out.prec) == (-1, 10)
+    assert out.coeffs == (-6, 0, 2, 1) + (0,) * 7

@@ -439,6 +439,75 @@ def test_add_matches_oracle(ring):
         assert _poly(total) == {e: c for e, c in want.items() if c}
 
 
+# -- the weighted-sum kernel -----------------------------------------------------
+
+
+def test_combine_window_rule():
+    a = S([1, 2, 3], min_exp=-2, prec=10)
+    muted = S([5, 5], min_exp=-4, prec=7)
+    wide = S([1] * 30, prec=30)
+    out = Series.combine(INTEGER, 8, [(2, a), (0, muted), (-1, wide)])
+    # the zero-weight term still bounds the window at both ends
+    assert (out.min_exp, out.prec) == (-4, 7)
+    assert out.coeffs == (0, 0, 2, 4, 5, -1, -1, -1, -1, -1, -1)
+    # prec bounds a term wider than it
+    out = Series.combine(INTEGER, 5, [(3, wide)])
+    assert (out.min_exp, out.prec) == (0, 5) and out.coeffs == (3,) * 5
+    out = Series.combine(INTEGER, 5, [(1, S([7], min_exp=9, prec=12))])
+    assert (out.min_exp, out.prec) == (5, 5)
+
+
+def test_combine_of_no_terms_is_zero_through_prec():
+    for ring in KERNEL_RINGS:
+        out = Series.combine(ring, 6, [])
+        assert (out.ring, out.min_exp, out.prec, out.coeffs) == (ring, 6, 6, ())
+
+
+def test_combine_rejects_a_term_over_another_ring():
+    one, half = Series.one(INTEGER, 5), Series.one(RATIONAL, 5)
+    with pytest.raises(RingError, match="ring mismatch: integer vs rational"):
+        Series.combine(INTEGER, 5, [(1, one), (0, half)])
+    # the same message from every kernel that takes two series
+    for op in (lambda: half + one, lambda: half * one, lambda: half.compare(one)):
+        with pytest.raises(RingError, match="ring mismatch: rational vs integer"):
+            op()
+
+
+def test_combine_coerces_each_scalar():
+    zero = Series.zero(INTEGER, 4)
+    # the scalar itself is checked, even on a term with no coefficients
+    with pytest.raises(RingError, match="1/2 is not an integer"):
+        Series.combine(INTEGER, 4, [(Fraction(1, 2), zero)])
+    with pytest.raises(RingError, match="cannot coerce"):
+        Series.one(INTEGER, 4).scale(1.0)
+    out = Series.combine(INTEGER, 4, [(Fraction(6, 3), Series.one(INTEGER, 4))])
+    assert out.coeffs == (2, 0, 0, 0) and all(type(c) is int for c in out.coeffs)
+    out = Series.combine(RATIONAL, 2, [(3, Series.one(RATIONAL, 2))])
+    assert out.coeffs == (3, 0) and all(type(c) is Fraction for c in out.coeffs)
+
+
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_combine_matches_folded_add_and_scale(ring, data):
+    coeff = st.one_of(st.just(ring.zero), st.sampled_from([1, -1]), _hyp_coeffs(ring))
+    terms = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        lo = data.draw(st.integers(-4, 6))
+        coeffs = data.draw(st.lists(coeff, max_size=12))
+        s = Series(ring, lo, coeffs, lo + len(coeffs))
+        terms.append((data.draw(st.one_of(st.sampled_from([0, 1, -1]), _hyp_coeffs(ring))), s))
+    prec = data.draw(st.integers(-2, 20))
+    folded = Series.zero(ring, prec)
+    for c, s in terms:
+        folded = folded + s.scale(c)
+    out = Series.combine(ring, prec, terms)
+    assert (out.min_exp, out.prec, out.coeffs) == (folded.min_exp, folded.prec, folded.coeffs)
+    for e in range(out.min_exp, out.prec):
+        assert out.coeff(e) == sum((c * s.coeff(e) for c, s in terms), ring.zero)
+    assert all(type(c) is type(ring.zero) for c in out.coeffs)
+
+
 @pytest.mark.parametrize("ring", WINDOW_RINGS, ids=lambda r: r.tag())
 def test_compare_matches_oracle(ring):
     for a, b in _window_pairs(ring, random.Random(f"compare {ring.tag()}")):
