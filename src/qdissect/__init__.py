@@ -25,7 +25,6 @@ from .partitions import (
     count_combination,
     count_series,
     deviation_series,
-    partition_count,
     partition_series,
     residue_count,
     residue_series,
@@ -34,6 +33,7 @@ from .partitions import (
 from .identities import (
     IdentityEntry,
     VerificationReport,
+    equality_check,
     inequality_check,
     positivity_check,
     report_json,
@@ -67,13 +67,13 @@ __all__ = [
     "count_combination",
     "count_series",
     "deviation_series",
-    "partition_count",
     "partition_series",
     "residue_count",
     "residue_series",
     "scaled_deviation",
     "IdentityEntry",
     "VerificationReport",
+    "equality_check",
     "inequality_check",
     "positivity_check",
     "report_json",

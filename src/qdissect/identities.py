@@ -21,9 +21,14 @@ as one ``Series.combine`` of its built parts, comparing d*LHS with d*RHS
 is the same test because d != 0, and a mismatch is printed back in the
 statement's own units as the reduced fraction v/d.
 
-Precision discipline: an entry passes only if the comparison window
-actually reaches the requested precision.  A narrower window is reported
-as an error, never as a pass.
+Every kind runs the same way: build the sides, run one check, write one
+verdict.  Each check returns a series.Comparison, and verify_identity
+turns it into fail (at the first offending exponent), error or pass.
+
+Precision discipline, for every kind: an entry passes only if its check
+read every exponent below the requested precision.  A side whose window
+ends earlier is reported as an error through the last exponent read,
+with the note "window ends at w, requested p", never as a pass.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from math import lcm
 from typing import Callable, Optional, Sequence, Tuple, Union
 
 from .rings import INTEGER, RATIONAL
-from .series import Series
+from .series import Comparison, Series
 
 SeriesBuilder = Callable[[int], Series]
 Side = Tuple[Tuple[Union[int, Fraction], SeriesBuilder], ...]
@@ -182,52 +187,57 @@ JSON_REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    ok: bool
-    through: int
-    exponent: Optional[int] = None
-    lhs: object = None
-    rhs: object = None
-    notes: Tuple[str, ...] = ()
+def equality_check(reference: Series, others, prec: int) -> Comparison:
+    """The first comparison of reference with one of others that disagrees
+    or ends below prec, else Comparison(True, prec).  No other is read
+    after that first one, so a lazy others builds no later side."""
+    for other in others:
+        cmp = reference.compare(other)
+        if not cmp.equal or cmp.verified_through < prec:
+            return cmp
+    return Comparison(True, prec)
 
 
-def support_check(series: Series, t: int, allowed) -> CheckOutcome:
+def support_check(series: Series, t: int, allowed) -> Comparison:
     """Pass iff every nonzero coefficient sits in an allowed class mod t."""
     allowed = frozenset(allowed)
     if any(not 0 <= r < t for r in allowed):
         raise ValueError("allowed residues must lie in [0, t)")
     for e, c in series.nonzero_items():
         if e % t not in allowed:
-            return CheckOutcome(False, series.prec, e, c, 0)
-    return CheckOutcome(True, series.prec)
+            return Comparison(False, series.prec, e, c, 0)
+    return Comparison(True, series.prec)
 
 
-def positivity_check(series: Series, from_n: int, max_n: int) -> CheckOutcome:
-    """Pass iff the coefficient is strictly positive for from_n <= n <= max_n."""
-    for n in range(from_n, max_n + 1):
+def positivity_check(series: Series, from_n: int, max_n: int) -> Comparison:
+    """Pass iff the coefficient is strictly positive for from_n <= n <= max_n,
+    read through the series' window: verified_through is one past the
+    last n read."""
+    last = min(max_n, series.prec - 1)
+    for n in range(from_n, last + 1):
         c = series.coeff(n)
         if not c > 0:
-            return CheckOutcome(False, max_n + 1, n, c, 0)
-    return CheckOutcome(True, max_n + 1)
+            return Comparison(False, last + 1, n, c, 0)
+    return Comparison(True, last + 1)
 
 
-def inequality_check(lhs: Series, rhs: Series, threshold: int, max_n: int) -> CheckOutcome:
-    """Pass iff lhs >= rhs at every n with threshold <= n <= max_n.
+def inequality_check(lhs: Series, rhs: Series, threshold: int, max_n: int) -> Comparison:
+    """Pass iff lhs >= rhs at every n with threshold <= n <= max_n, read
+    through the narrower window: verified_through is one past the last n
+    read.
 
     Failures below the threshold are expected by the statements that use
     this check; they are reported as notes, not as failures.
     """
+    last = min(max_n, lhs.prec - 1, rhs.prec - 1)
     notes = []
-    for n in range(0, threshold):
+    for n in range(last + 1):
         x, y = lhs.coeff(n), rhs.coeff(n)
         if x < y:
+            if n >= threshold:
+                return Comparison(False, last + 1, n, x, y, tuple(notes))
             notes.append(f"below threshold: n={n} has {x} < {y}")
-    for n in range(threshold, max_n + 1):
-        x, y = lhs.coeff(n), rhs.coeff(n)
-        if x < y:
-            return CheckOutcome(False, max_n + 1, n, x, y, tuple(notes))
-    return CheckOutcome(True, max_n + 1, notes=tuple(notes))
+    return Comparison(True, last + 1, notes=tuple(notes))
 
 
 def build_side(side: Side, d: int, prec: int) -> Series:
@@ -258,45 +268,29 @@ def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> Verific
             tuple(notes), prec, unit, bound,
         )
 
-    def mismatch(exponent, lhs, rhs):
-        return Mismatch(exponent, entry.coeff_text(lhs), entry.coeff_text(rhs))
-
-    def short(through, notes=()):
-        # a window that ends early is an error, never a pass
-        return finish("error", through,
-                      notes=[*notes, f"window ends at {through}, requested {prec}"])
-
     try:
         d = entry.denominator
+        # built one at a time: an equality leg that fails or ends short
+        # stops the later builds
+        sides = (build_side(side, d, prec) for side in entry.sides)
         if entry.kind == "equality":
-            reference = build_side(entry.sides[0], d, prec)
-            for side in entry.sides[1:]:
-                other = build_side(side, d, prec)
-                cmp = reference.compare(other)
-                if not cmp.equal:
-                    return finish("fail", cmp.exponent,
-                                  mismatch(cmp.exponent, cmp.lhs, cmp.rhs))
-                if cmp.verified_through < prec:
-                    return short(cmp.verified_through)
-            return finish("pass", prec)
-
-        series = [build_side(side, d, prec) for side in entry.sides]
-        if entry.kind == "support":
-            outcome = support_check(series[0], entry.support_t, entry.support_allowed)
+            outcome = equality_check(next(sides), sides, prec)
+        elif entry.kind == "support":
+            outcome = support_check(next(sides), entry.support_t, entry.support_allowed)
         elif entry.kind == "positivity":
-            outcome = positivity_check(series[0], 1, prec - 1)
+            outcome = positivity_check(next(sides), 1, prec - 1)
         else:
-            outcome = inequality_check(*series, entry.ineq_threshold, prec - 1)
-        if not outcome.ok:
-            return finish(
-                "fail",
-                outcome.exponent,
-                mismatch(outcome.exponent, outcome.lhs, outcome.rhs),
-                notes=outcome.notes,
-            )
-        if outcome.through < prec:
-            return short(outcome.through, outcome.notes)
-        return finish("pass", outcome.through, notes=outcome.notes)
+            outcome = inequality_check(*sides, entry.ineq_threshold, prec - 1)
+        through, notes = outcome.verified_through, outcome.notes
+        if not outcome.equal:
+            mismatch = Mismatch(outcome.exponent, entry.coeff_text(outcome.lhs),
+                                entry.coeff_text(outcome.rhs))
+            return finish("fail", outcome.exponent, mismatch, notes)
+        if through < prec:
+            # a window that ends early is an error, never a pass
+            return finish("error", through,
+                          notes=[*notes, f"window ends at {through}, requested {prec}"])
+        return finish("pass", through, notes=notes)
     except Exception as exc:
         # one broken entry must not stop the run; the report names the error
         return finish("error", 0, notes=[f"{type(exc).__name__}: {exc}"])

@@ -229,14 +229,6 @@ def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
     return count_combination([(1, stat, a, M)], prec)
 
 
-def partition_count(n: int) -> int:
-    """p(n), read from the crank table mod 1: C(0,1;n) = p(n) for every n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    with _count_lock:
-        return _table("crank", 1, n + 1).rows[0][n]
-
-
 def partition_series(prec: int) -> Series:
     """The generating function sum p(n) q^n as an integer series."""
     return count_combination([(1, "crank", 0, 1)], max(prec, 0))

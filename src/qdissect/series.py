@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from operator import add, mul, sub
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .rings import Ring, RingError
 
@@ -31,11 +31,13 @@ class PrecisionError(SeriesError):
 
 @dataclass(frozen=True)
 class Comparison:
-    """Outcome of comparing two series over their common window.
+    """Outcome of any check: Series.compare and the identities checks.
 
+    ``equal`` means the check held on every exponent it read.
     ``verified_through`` is exclusive: all exponents e < verified_through
-    were checked.  On disagreement the first offending exponent and both
-    coefficients are recorded.
+    were checked.  On failure the first offending exponent and both
+    coefficients are recorded; ``notes`` carry what the check saw but
+    does not count as a failure.
     """
 
     equal: bool
@@ -43,6 +45,7 @@ class Comparison:
     exponent: Optional[int] = None
     lhs: object = None
     rhs: object = None
+    notes: Tuple[str, ...] = ()
 
 
 def _require_ring(ring: Ring, s: "Series") -> None:

@@ -8,6 +8,7 @@ from qdissect.identities import (
     JSON_REPORT_SCHEMA,
     IdentityEntry,
     Mismatch,
+    equality_check,
     inequality_check,
     perturb_entry,
     positivity_check,
@@ -18,7 +19,7 @@ from qdissect.identities import (
 )
 from qdissect.registry import build_registry, counts
 from qdissect.rings import INTEGER
-from qdissect.series import Series
+from qdissect.series import Comparison, Series
 from qdissect import theta
 
 
@@ -184,28 +185,28 @@ def test_fault_injection_positivity(registry):
 
 def test_support_check_basics():
     zero = Series.zero(INTEGER, 40)
-    assert support_check(zero, 7, {0}).ok
+    assert support_check(zero, 7, {0}).equal
     f = Series.monomial(INTEGER, 6, 40) + Series.monomial(INTEGER, 9, 40)
-    assert support_check(f, 3, {0}).ok
+    assert support_check(f, 3, {0}).equal
     out = support_check(f, 4, {2})
-    assert not out.ok and out.exponent == 9
+    assert not out.equal and out.exponent == 9
 
 
 def test_positivity_check_basics():
     j1 = theta.theta_j(theta.eta_atom(1), 40)
     out = positivity_check(j1, 1, 39)
-    assert not out.ok and out.exponent == 1
+    assert not out.equal and out.exponent == 1
     one = Series.one(INTEGER, 40)
     out = positivity_check(one, 1, 39)
-    assert not out.ok and out.exponent == 1  # zero is not strictly positive
+    assert not out.equal and out.exponent == 1  # zero is not strictly positive
     pgf = j1.invert()
-    assert positivity_check(pgf, 0, pgf.prec - 1).ok
+    assert positivity_check(pgf, 0, pgf.prec - 1).equal
 
 
 def test_inequality_check_reflexive():
     ranks = counts([(1, "rank", 0, 8)], t=4, r=1)(41)
     out = inequality_check(ranks, ranks, 0, 40)
-    assert out.ok and not out.notes
+    assert out.equal and not out.notes
 
 
 def test_inequality_below_threshold_is_informational():
@@ -215,11 +216,11 @@ def test_inequality_below_threshold_is_informational():
     lhs = counts([(1, "crank", 0, 8)], t=4, r=1)(2)
     rhs = counts([(1, "rank", 0, 8)], t=4, r=1)(2)
     out = inequality_check(lhs, rhs, 1, 1)
-    assert out.ok
+    assert out.equal
     assert any("below threshold" in note for note in out.notes)
     # without the threshold the same pair fails outright at n=0
     out = inequality_check(lhs, rhs, 0, 1)
-    assert not out.ok and out.exponent == 0
+    assert not out.equal and out.exponent == 0
 
 
 def test_perturbed_inequality_fails_at_its_index(registry):
@@ -256,6 +257,57 @@ def test_support_entry_window_discipline():
     report = verify_identity(entry, prec=50)
     assert (report.status, report.verified_through) == ("error", 20)
     assert report.notes == ("window ends at 20, requested 50",)
+
+
+def _ones(prec):
+    # 1/(1 - q), whose every coefficient is 1, known only through q^19
+    return Series.from_coeffs(INTEGER, 0, [1] * min(prec, 20))
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("equality", {}),
+    ("support", {"support_t": 1, "support_allowed": frozenset({0})}),
+    ("positivity", {}),
+    ("inequality", {}),
+])
+def test_short_windows_read_alike_for_every_kind(kind, extra):
+    # a check that holds on every exponent it can read, through q^19 of a
+    # q^50 run, is an error through 20 for every kind, with the same note
+    side = ((1, _ones),)
+    sides = (side,) if kind in ("support", "positivity") else (side, side)
+    entry = IdentityEntry("short", "short", kind, 50, sides, **extra)
+    report = verify_identity(entry, prec=50)
+    assert (report.status, report.verified_through) == ("error", 20)
+    assert report.notes == ("window ends at 20, requested 50",)
+    assert report.first_mismatch is None
+
+
+def test_equality_stops_building_at_the_first_failing_leg():
+    calls = []
+
+    def counted(value):
+        def build(prec):
+            calls.append(value)
+            return Series.monomial(INTEGER, 3, prec, value)
+        return build
+
+    entry = IdentityEntry("legs", "legs", "equality", 50,
+                          tuple(((1, counted(v)),) for v in (1, 2, 1)))
+    report = verify_identity(entry)
+    assert report.status == "fail"
+    assert report.first_mismatch == Mismatch(3, "1", "2")
+    assert calls == [1, 2]  # the third leg's builder never ran
+
+
+def test_equality_check_returns_the_first_leg_that_disagrees_or_ends_short():
+    reference = Series.one(INTEGER, 50)
+    short = Series.one(INTEGER, 30)
+    off = Series.one(INTEGER, 50) + Series.monomial(INTEGER, 7, 50, 5)
+    assert equality_check(reference, [reference, reference], 50) == Comparison(True, 50)
+    assert equality_check(reference, [reference, short, off], 50) == Comparison(True, 30)
+    out = equality_check(reference, [reference, off, short], 50)
+    assert (out.equal, out.exponent, out.lhs, out.rhs) == (False, 7, 0, 5)
+    assert out == reference.compare(off)
 
 
 def test_builder_exceptions_are_reported():

@@ -9,7 +9,6 @@ from qdissect.partitions import (
     count_combination,
     count_series,
     deviation_series,
-    partition_count,
     partition_series,
     residue_count,
     residue_series,
@@ -30,26 +29,29 @@ def test_enumerate_zero_and_nine():
 
 
 def test_partition_count_small_values():
-    assert partition_count(0) == 1
-    assert partition_count(4) == 5
-    assert [partition_count(n) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    p = partition_series(10).coeff
+    assert p(0) == 1
+    assert p(4) == 5
+    assert [p(n) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
 
 
 def test_partition_count_matches_enumeration_and_series():
     pgf = theta.theta_j(theta.eta_atom(1), 60).invert()
+    p = partition_series(30).coeff
     for n in range(30):
-        assert partition_count(n) == pgf.coeff(n)
-        assert partition_count(n) == len(oracles.partitions_of(n))
+        assert p(n) == pgf.coeff(n)
+        assert p(n) == len(oracles.partitions_of(n))
     assert partition_series(60) == pgf.truncate(60)
 
 
 def test_ramanujan_divisibility():
+    p = partition_series(201).coeff
     for n in range(4, 201, 5):
-        assert partition_count(n) % 5 == 0
+        assert p(n) % 5 == 0
     for n in range(5, 201, 7):
-        assert partition_count(n) % 7 == 0
+        assert p(n) % 7 == 0
     for n in range(6, 201, 11):
-        assert partition_count(n) % 11 == 0
+        assert p(n) % 11 == 0
 
 
 def test_rank_and_crank_values_of_four():
@@ -126,10 +128,11 @@ def test_count_symmetry():
 
 
 def test_column_sums_give_partition_numbers():
+    p = partition_series(50).coeff
     for stat in ("rank", "crank"):
         series = count_series(stat, 7, 50)
         for n in range(50):
-            assert sum(series.coeff(n).counts) == partition_count(n)
+            assert sum(series.coeff(n).counts) == p(n)
 
 
 def test_residue_count_reads_tables():
@@ -140,17 +143,19 @@ def test_residue_count_reads_tables():
 
 
 def test_rank_equidistribution_mod_5_and_7():
+    pgf = partition_series(201)
     for n in range(4, 201, 5):
-        p = partition_count(n) // 5
+        p = pgf.coeff(n) // 5
         assert all(residue_count("rank", a, 5, n) == p for a in range(5))
     for n in range(5, 201, 7):
-        p = partition_count(n) // 7
+        p = pgf.coeff(n) // 7
         assert all(residue_count("rank", a, 7, n) == p for a in range(7))
 
 
 def test_crank_equidistribution_mod_11():
+    pgf = partition_series(151)
     for n in range(6, 151, 11):
-        p = partition_count(n) // 11
+        p = pgf.coeff(n) // 11
         assert all(residue_count("crank", a, 11, n) == p for a in range(11))
 
 
@@ -178,6 +183,7 @@ def test_deviations_sum_to_zero():
 def test_scaled_deviation_is_modulus_times_deviation():
     # the integer M*D(a,M) the registry uses, against the rational
     # deviation through q^300 and the enumeration oracle through q^30
+    p = partition_series(31).coeff
     for stat in ("rank", "crank"):
         for M in (4, 5, 7, 8):
             for a in range(M):
@@ -189,7 +195,7 @@ def test_scaled_deviation_is_modulus_times_deviation():
                 for n in range(31):
                     if stat == "crank" and n == 1:
                         continue  # the generating-function anomaly at n=1
-                    want = M * oracles.residue_counts(stat, M, n)[a] - partition_count(n)
+                    want = M * oracles.residue_counts(stat, M, n)[a] - p(n)
                     assert scaled.coeff(n) == want, (stat, M, a, n)
 
 
@@ -270,7 +276,7 @@ def test_concurrent_cache_reads_are_consistent():
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(job, range(40)))
-    assert all(r == partition_count(20) for r in results)
+    assert all(r == partition_series(21).coeff(20) for r in results)
 
 
 def test_count_cache_grows_to_exactly_the_width_asked(monkeypatch):
@@ -321,7 +327,6 @@ def test_counts_live_as_rows_and_vectors_are_built_on_read(monkeypatch):
                 residue_series(stat, a, M, 300)
                 scaled_deviation(stat, a, M, 300)
     partition_series(300)
-    partition_count(299)
     count_combination([(1, "rank", 0, 8), (-1, "crank", 0, 8)], 76, 4, 3)
     for argv in (["table", "crank", "--modulus", "8", "--max-n", "300", "--json"],
                  ["check-congruence", "7", "--max", "300"]):
