@@ -247,7 +247,7 @@ def build_side(side: Side, d: int, prec: int) -> Series:
     weighted = [(scale.numerator * d // scale.denominator, build) for scale, build in side]
     if len(weighted) == 1 and weighted[0][0] == 1:
         return weighted[0][1](prec)
-    return Series.combine(INTEGER, prec, [(k, build(prec)) for k, build in weighted])
+    return Series.combine(prec, [(k, build(prec)) for k, build in weighted])
 
 
 def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> VerificationReport:

@@ -221,7 +221,7 @@ def count_combination(parts, prec: int, t: int = 1, r: int = 0) -> Series:
     total = [0] * width
     for c, column in columns:
         total = list(map(add, total, column if c == 1 else map(mul, repeat(c), column)))
-    return Series.from_coeffs(INTEGER, 0, total, prec)
+    return Series(INTEGER, 0, total, prec)
 
 
 def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
@@ -247,4 +247,4 @@ def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:
     statistic 0 in the generating-function convention.
     """
     scaled = scaled_deviation(stat, a, M, prec).coeffs
-    return Series.from_coeffs(RATIONAL, 0, [Fraction(c, M) for c in scaled], prec)
+    return Series(RATIONAL, 0, [Fraction(c, M) for c in scaled], prec)

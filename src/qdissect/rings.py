@@ -1,12 +1,12 @@
 """Exact coefficient rings for q-series work.
 
-Two rings carry the arithmetic: arbitrary-precision integers (Python
-``int``) and exact rationals (``fractions.Fraction``).  The third tag,
-the cyclic ring Z[z]/(z^M - 1), types the count vectors that
-``partitions.count_series`` hands out: a ``CyclicLaurent`` holds the M
-residue counts of one q^n coefficient and supports equality, hashing and
-the JSON/text output, but no arithmetic, so a cyclic series can be
-compared and written out, not added, scaled, multiplied or inverted.
+The integers (Python ``int``) carry all series arithmetic.  The other
+two tags type stored series that are read, compared and printed, never
+computed with: the rationals (``fractions.Fraction``) hold
+``partitions.deviation_series``, and the cyclic ring Z[z]/(z^M - 1)
+types the count vectors that ``partitions.count_series`` hands out.  A
+``CyclicLaurent`` holds the M residue counts of one q^n coefficient and
+supports equality, hashing and the JSON/text output, but no arithmetic.
 Everything is exact; there is no floating point anywhere in this package.
 """
 
@@ -71,7 +71,10 @@ class Ring:
     """Coefficient-ring tag used by Series for validation and serialization.
 
     kind is "integer", "rational" or "cyclic-laurent"; modulus is only
-    meaningful for the cyclic ring.
+    meaningful for the cyclic ring.  A tag knows its zero, how to coerce
+    a value into the ring and how to write one out: what building,
+    reading and printing a series need.  The arithmetic is Series' own,
+    over the integers alone.
     """
 
     kind: str
@@ -84,14 +87,6 @@ class Ring:
         if self.kind == "rational":
             return Fraction(0)
         return CyclicLaurent.zero(self.modulus)
-
-    @property
-    def one(self):
-        if self.kind == "integer":
-            return 1
-        if self.kind == "rational":
-            return Fraction(1)
-        raise RingError(f"{self.tag()} holds count vectors; it has no one")
 
     def coerce(self, value):
         if self.kind == "integer":
@@ -138,27 +133,6 @@ class Ring:
         ):
             return values
         return tuple(self.coerce(c) for c in values)
-
-    def invert_unit(self, value, exponent: int):
-        """Invert a unit coefficient; names the offending exponent on failure."""
-        if self.kind == "integer":
-            if value in (1, -1):
-                return value
-            raise RingError(
-                f"leading coefficient {value} at exponent {exponent} "
-                "is not a unit in the integer ring"
-            )
-        if self.kind == "rational":
-            if value == 0:
-                raise RingError(
-                    f"leading coefficient 0 at exponent {exponent} "
-                    "cannot be inverted"
-                )
-            return Fraction(1) / value
-        raise RingError(
-            f"leading coefficient {value!r} at exponent {exponent}: "
-            f"{self.tag()} holds count vectors, which are not inverted"
-        )
 
     def tag(self) -> str:
         if self.kind == "cyclic-laurent":

@@ -7,6 +7,15 @@ absolute-precision model: every operation computes its output window
 pessimistically, so a comparison that succeeds really has checked every
 exponent below the reported bound.
 
+Only the integer ring computes.  Every method that works out a new
+coefficient (combine, and so + and scale; *, divide and invert; the
+binomial products and quotients; substitute_neg_q) takes integer series
+alone and raises RingError on any other ring.  The window methods, which
+only select, move or read stored coefficients (coeff, valuation,
+nonzero_items, truncate, shift, dissect, deflate, compare, ==, and the
+JSON and text output), work on every ring: rational and count-vector
+series are built, read and printed, never added or multiplied.
+
 Every weighted sum is one Series.combine, built in a single window:
 a + b and s.scale(c) are its two-term and one-term cases.
 """
@@ -18,7 +27,7 @@ from itertools import compress, islice, repeat
 from operator import add, mul, sub
 from typing import Optional, Sequence, Tuple
 
-from .rings import Ring, RingError
+from .rings import INTEGER, Ring, RingError
 
 
 class SeriesError(ValueError):
@@ -48,9 +57,10 @@ class Comparison:
     notes: Tuple[str, ...] = ()
 
 
-def _require_ring(ring: Ring, s: "Series") -> None:
-    if s.ring != ring:
-        raise RingError(f"ring mismatch: {ring.tag()} vs {s.ring.tag()}")
+def _require_ring(ring: Ring, *series: "Series") -> None:
+    for s in series:
+        if s.ring != ring:
+            raise RingError(f"ring mismatch: {ring.tag()} vs {s.ring.tag()}")
 
 
 class Series:
@@ -83,14 +93,12 @@ class Series:
         return cls(ring, prec, (), prec)
 
     @classmethod
-    def one(cls, ring: Ring, prec: int) -> "Series":
-        return cls.monomial(ring, 0, prec)
+    def one(cls, prec: int) -> "Series":
+        return cls.monomial(INTEGER, 0, prec)
 
     @classmethod
-    def monomial(cls, ring: Ring, exponent: int, prec: int, coeff=None) -> "Series":
+    def monomial(cls, ring: Ring, exponent: int, prec: int, coeff=1) -> "Series":
         """coeff * q^exponent, known through prec."""
-        if coeff is None:
-            coeff = ring.one
         if prec <= exponent:
             return cls.zero(ring, prec)
         window = [ring.zero] * (prec - exponent)
@@ -98,29 +106,20 @@ class Series:
         return cls(ring, exponent, window, prec)
 
     @classmethod
-    def from_coeffs(cls, ring: Ring, min_exp: int, coeffs: Sequence, prec: Optional[int] = None) -> "Series":
-        if prec is None:
-            prec = min_exp + len(coeffs)
-        pad = prec - min_exp - len(coeffs)
-        if pad < 0:
-            raise SeriesError("more coefficients than the window allows")
-        return cls(ring, min_exp, tuple(coeffs) + (ring.zero,) * pad, prec)
-
-    @classmethod
-    def combine(cls, ring: Ring, prec: int, terms) -> "Series":
-        """The sum of c * s over the (c, s) terms, in the one window
-        [min(prec, every min_exp), min(prec, every prec)).
+    def combine(cls, prec: int, terms) -> "Series":
+        """The integer sum of c * s over the (c, s) terms, in the one
+        window [min(prec, every min_exp), min(prec, every prec)).
 
         A term with c = 0 still bounds the window; no terms give the zero
-        series through prec.  Each c goes through ring.coerce, and every
-        s must be over ring.
+        series through prec.  Each c goes through INTEGER.coerce, so a
+        weight of 1/2 is refused before any work, and every s must be an
+        integer series.
         """
-        terms = [(ring.coerce(c), s) for c, s in terms]
-        for _, s in terms:
-            _require_ring(ring, s)
+        terms = [(INTEGER.coerce(c), s) for c, s in terms]
+        _require_ring(INTEGER, *(s for _, s in terms))
         min_exp = min([prec, *(s.min_exp for _, s in terms)])
         prec = min([prec, *(s.prec for _, s in terms)])
-        out = [ring.zero] * (prec - min_exp)
+        out = [0] * (prec - min_exp)
         for c, s in terms:
             # s holds exponents [s.min_exp, prec) at out[i : i + n]
             n = prec - s.min_exp
@@ -128,7 +127,7 @@ class Series:
                 i = s.min_exp - min_exp
                 window = s.coeffs[:n] if c == 1 else map(mul, repeat(c), s.coeffs[:n])
                 out[i : i + n] = map(add, out[i : i + n], window)
-        return cls(ring, min_exp, out, prec)
+        return cls(INTEGER, min_exp, out, prec)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -188,7 +187,7 @@ class Series:
     def __add__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return Series.combine(self.ring, min(self.prec, other.prec), ((1, self), (1, other)))
+        return Series.combine(min(self.prec, other.prec), ((1, self), (1, other)))
 
     def __mul__(self, other):
         """Cauchy product; the window is [min_a + min_b, min(prec_a + min_b,
@@ -200,18 +199,18 @@ class Series:
         """
         if not isinstance(other, Series):
             return NotImplemented
-        _require_ring(self.ring, other)
+        _require_ring(INTEGER, self, other)
         min_exp = self.min_exp + other.min_exp
         prec = min(self.prec + other.min_exp, other.prec + self.min_exp)
         length = prec - min_exp
         if length <= 0:
-            return Series.zero(self.ring, prec)
+            return Series.zero(INTEGER, prec)
         rows, dense = self.coeffs, other.coeffs
         rows_at = list(compress(range(length), rows))
         dense_at = list(compress(range(length), dense))
         if len(dense_at) < len(rows_at):
             rows, dense, rows_at = dense, rows, dense_at
-        out = [self.ring.zero] * length
+        out = [0] * length
         for i in rows_at:
             # map stops with out[i:], so the row reads dense[: length - i]
             c = rows[i]
@@ -221,11 +220,11 @@ class Series:
                 out[i:] = map(sub, out[i:], dense)
             else:
                 out[i:] = map(add, out[i:], map(mul, repeat(c), dense))
-        return Series(self.ring, min_exp, out, prec)
+        return Series(INTEGER, min_exp, out, prec)
 
     def scale(self, c) -> "Series":
         """Multiply by an exact scalar; the window is unchanged."""
-        return Series.combine(self.ring, self.prec, ((c, self),))
+        return Series.combine(self.prec, ((c, self),))
 
     def shift(self, k: int) -> "Series":
         """Multiply by q^k exactly; min_exp and prec both move by k."""
@@ -241,11 +240,12 @@ class Series:
         """
         if e == 0:
             raise SeriesError("binomial exponent must be nonzero")
-        c = self.ring.coerce(c)
+        _require_ring(INTEGER, self)
+        c = INTEGER.coerce(c)
         drop = min(0, e)
         min_exp = self.min_exp + drop
         prec = self.prec + drop
-        out = [self.ring.zero] * (prec - min_exp)
+        out = [0] * (prec - min_exp)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -255,35 +255,35 @@ class Series:
             pos += e
             if 0 <= pos < len(out):
                 out[pos] = out[pos] + c * a
-        return Series(self.ring, min_exp, out, prec)
+        return Series(INTEGER, min_exp, out, prec)
 
     def div_binomial(self, c, e: int) -> "Series":
         """Divide by (1 - c*q^e) exactly, e >= 1; the window is unchanged."""
         if e < 1:
             raise SeriesError("binomial exponent must be positive")
-        c = self.ring.coerce(c)
-        out = [self.ring.zero] * (self.prec - self.min_exp)
+        _require_ring(INTEGER, self)
+        c = INTEGER.coerce(c)
+        out = [0] * (self.prec - self.min_exp)
         out[: len(self.coeffs)] = list(self.coeffs)
         for k in range(e, len(out)):
             prev = out[k - e]
             if prev:
                 out[k] = out[k] + c * prev
-        return Series(self.ring, self.min_exp, out, self.prec)
+        return Series(INTEGER, self.min_exp, out, self.prec)
 
     def divide(self, other: "Series") -> "Series":
         """Exact quotient self / other by classical power-series division
         (Knuth, TAOCP vol. 2, section 4.7).
 
-        The divisor's first nonzero coefficient must be a unit (+-1 over
-        the integers, nonzero over the rationals).  With v the divisor's
-        valuation the window is [min_exp - v, min(prec - v, other.prec -
-        2v + min_exp)): the dividend's window moved by -v, cut where the
-        divisor's relative precision ends.  Each coefficient is
-        b[k] = lead^-1 * (a[k] - sum d[j] b[k-j]) over the divisor's
+        The divisor's first nonzero coefficient must be a unit, +-1.  With
+        v the divisor's valuation the window is [min_exp - v, min(prec -
+        v, other.prec - 2v + min_exp)): the dividend's window moved by -v,
+        cut where the divisor's relative precision ends.  Each coefficient is
+        b[k] = lead * (a[k] - sum d[j] b[k-j]) over the divisor's
         nonzero d[j], j >= 1, so the cost is (nonzeros of the divisor) x
         (window length), like a sparse product.
         """
-        _require_ring(self.ring, other)
+        _require_ring(INTEGER, self, other)
         nonzero = list(compress(range(len(other.coeffs)), other.coeffs))
         if not nonzero:
             raise SeriesError(
@@ -291,10 +291,14 @@ class Series:
             )
         start = nonzero[0]
         v = other.min_exp + start
-        lead_inv = self.ring.invert_unit(other.coeffs[start], v)
+        lead = other.coeffs[start]
+        if lead not in (1, -1):
+            raise RingError(
+                f"leading coefficient {lead} at exponent {v} "
+                "is not a unit in the integer ring"
+            )
         min_exp = self.min_exp - v
         prec = min(self.prec - v, other.prec - 2 * v + self.min_exp)
-        monic = lead_inv == 1
         # while b holds b[0..k-1], b[-j] is b[k-j]; the rows are -j for the
         # nonzero d[j] with 1 <= j <= k, split like the product's rows so
         # that a +-1 coefficient adds or subtracts without a multiplication
@@ -319,8 +323,8 @@ class Series:
                 acc = acc + sum(map(b.__getitem__, minus))
             if scaled:
                 acc = acc - sum(map(mul, scales, map(b.__getitem__, scaled)))
-            b.append(acc if monic else lead_inv * acc)
-        return Series(self.ring, min_exp, b, prec)
+            b.append(acc if lead == 1 else -acc)
+        return Series(INTEGER, min_exp, b, prec)
 
     def invert(self) -> "Series":
         """Multiplicative inverse: Series.one divided by self.
@@ -333,7 +337,7 @@ class Series:
         v = self.valuation()
         # a vanishing series has no valuation; divide raises on it
         width = self.prec - v if v is not None else self.prec
-        return Series.one(self.ring, width).divide(self)
+        return Series.one(width).divide(self)
 
     def truncate(self, prec: int) -> "Series":
         """Restrict the window to exponents below prec (prec <= self.prec)."""
@@ -384,11 +388,12 @@ class Series:
 
     def substitute_neg_q(self) -> "Series":
         """Substitute q -> -q: the coefficient at q^n picks up (-1)^n."""
+        _require_ring(INTEGER, self)
         out = [
             -c if (self.min_exp + i) % 2 else c
             for i, c in enumerate(self.coeffs)
         ]
-        return Series(self.ring, self.min_exp, out, self.prec)
+        return Series(INTEGER, self.min_exp, out, self.prec)
 
     # -- comparison ----------------------------------------------------------
 

@@ -175,7 +175,7 @@ def _quotient_product(factors: tuple, width: int) -> Series:
     # the same width and dividing by one keeps the window
     atoms = [(_quotient(((sign, a, m, 1),), width), k) for sign, a, m, k in factors]
     numerator = [atom for atom, k in atoms for _ in range(k)]
-    out = reduce(mul, numerator) if numerator else Series.one(INTEGER, width)
+    out = reduce(mul, numerator) if numerator else Series.one(width)
     for atom, k in atoms:
         for _ in range(-k):
             out = out.divide(atom)
@@ -279,7 +279,7 @@ def mock_g(spec: GSpec, prec: int) -> Series:
 def _mock_g_sum(spec: GSpec, prec: int) -> Series:
     s, a, m = spec.sign, spec.a, spec.m
     inner_prec = prec + a
-    one = Series.one(INTEGER, inner_prec)
+    one = Series.one(inner_prec)
     # term_0 = 1/(x)_1 = 1/(1 - s q^a); x^-1 = s q^-a puts s on every term
     term = one.div_binomial(s, a)
     terms = [(-s, one), (s, term)]
@@ -290,7 +290,7 @@ def _mock_g_sum(spec: GSpec, prec: int) -> Series:
         term = term.div_binomial(s, m - a + m * (n - 1))  # new factor of (q/x)_n
         terms.append((s, term))
         n += 1
-    return Series.combine(INTEGER, inner_prec, terms).shift(-a)
+    return Series.combine(inner_prec, terms).shift(-a)
 
 
 def eulerian_sum(kind: str, prec: int) -> Series:
@@ -302,7 +302,7 @@ def eulerian_sum(kind: str, prec: int) -> Series:
     if kind not in ("f0", "f1"):
         raise ValueError(f"unknown Eulerian sum {kind!r}")
     extra = 0 if kind == "f0" else 1  # f1's q^n: term n starts at q^(n^2 + extra*n)
-    term = Series.one(INTEGER, prec)
+    term = Series.one(prec)
     terms = [(1, term)]
     n = 1
     while n * (n + extra) < prec:
@@ -310,4 +310,4 @@ def eulerian_sum(kind: str, prec: int) -> Series:
         term = term.div_binomial(-1, n)  # new factor 1/(1+q^n)
         terms.append((1, term))
         n += 1
-    return Series.combine(INTEGER, prec, terms)
+    return Series.combine(prec, terms)

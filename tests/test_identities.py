@@ -196,7 +196,7 @@ def test_positivity_check_basics():
     j1 = theta.theta_j(theta.eta_atom(1), 40)
     out = positivity_check(j1, 1, 39)
     assert not out.equal and out.exponent == 1
-    one = Series.one(INTEGER, 40)
+    one = Series.one(40)
     out = positivity_check(one, 1, 39)
     assert not out.equal and out.exponent == 1  # zero is not strictly positive
     pgf = j1.invert()
@@ -240,7 +240,7 @@ def test_equality_entry_window_discipline():
     # builders that cannot reach the requested precision are an error,
     # never a silent pass
     def narrow(prec):
-        return Series.one(INTEGER, min(prec, 20))
+        return Series.one(min(prec, 20))
 
     entry = IdentityEntry("window-test", "window", "equality", 50,
                           (((1, narrow),), ((1, narrow),)))
@@ -261,7 +261,8 @@ def test_support_entry_window_discipline():
 
 def _ones(prec):
     # 1/(1 - q), whose every coefficient is 1, known only through q^19
-    return Series.from_coeffs(INTEGER, 0, [1] * min(prec, 20))
+    width = min(prec, 20)
+    return Series(INTEGER, 0, [1] * width, width)
 
 
 @pytest.mark.parametrize("kind, extra", [
@@ -300,9 +301,9 @@ def test_equality_stops_building_at_the_first_failing_leg():
 
 
 def test_equality_check_returns_the_first_leg_that_disagrees_or_ends_short():
-    reference = Series.one(INTEGER, 50)
-    short = Series.one(INTEGER, 30)
-    off = Series.one(INTEGER, 50) + Series.monomial(INTEGER, 7, 50, 5)
+    reference = Series.one(50)
+    short = Series.one(30)
+    off = Series.one(50) + Series.monomial(INTEGER, 7, 50, 5)
     assert equality_check(reference, [reference, reference], 50) == Comparison(True, 50)
     assert equality_check(reference, [reference, short, off], 50) == Comparison(True, 30)
     out = equality_check(reference, [reference, off, short], 50)
@@ -315,7 +316,7 @@ def test_builder_exceptions_are_reported():
         raise ValueError("deliberate builder failure")
 
     entry = IdentityEntry("error-test", "error", "equality", 50,
-                          (((1, boom),), ((1, lambda prec: Series.one(INTEGER, prec)),)))
+                          (((1, boom),), ((1, lambda prec: Series.one(prec)),)))
     report = verify_identity(entry)
     assert report.status == "error"
     assert "deliberate builder failure" in report.notes[0]
@@ -326,7 +327,7 @@ def test_one_broken_entry_does_not_stop_the_run():
         raise KeyError("missing atom")
 
     def one(prec):
-        return Series.one(INTEGER, prec)
+        return Series.one(prec)
 
     broken = IdentityEntry("broken", "broken", "equality", 50, (((1, boom),), ((1, one),)))
     fine = IdentityEntry("fine", "fine", "equality", 50, (((1, one),), ((1, one),)))

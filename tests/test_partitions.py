@@ -14,7 +14,7 @@ from qdissect.partitions import (
     residue_series,
     scaled_deviation,
 )
-from qdissect.rings import INTEGER, RATIONAL, CyclicLaurent
+from qdissect.rings import INTEGER, CyclicLaurent
 from qdissect.series import Series
 
 
@@ -174,10 +174,9 @@ def test_deviation_constant_term():
 def test_deviations_sum_to_zero():
     for stat in ("rank", "crank"):
         for M in (4, 5, 7, 8):
-            total = Series.zero(RATIONAL, 80)
-            for a in range(M):
-                total = total + deviation_series(stat, a, M, 80)
-            assert total.valuation() is None
+            deviations = [deviation_series(stat, a, M, 80) for a in range(M)]
+            for n in range(80):
+                assert sum(d.coeff(n) for d in deviations) == 0
 
 
 def test_scaled_deviation_is_modulus_times_deviation():
@@ -385,7 +384,7 @@ def test_rank_counts_against_single_rank_formula():
         num = Series(INTEGER, 0, coeffs, P)
         independent = num * inv_j1
         if a == 0:
-            independent = independent + Series.one(INTEGER, P)  # empty partition
+            independent = independent + Series.one(P)  # empty partition
         table = residue_series("rank", a, M, P)
         cmp = independent.compare(table)
         assert cmp.equal, (M, a, cmp.exponent, cmp.lhs, cmp.rhs)

@@ -1,65 +1,13 @@
-import math
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, strategies as st
 
 from qdissect.rings import (
     INTEGER,
     RATIONAL,
     CyclicLaurent,
+    Ring,
     RingError,
     cyclic_ring,
 )
-from qdissect.series import Series, SeriesError
-
-rationals = st.fractions(
-    min_value=-(10**6), max_value=10**6, max_denominator=10**4
-)
-
-
-def R(x):
-    """x as a constant series over the rational ring."""
-    return Series.monomial(RATIONAL, 0, 3, x)
-
-
-def test_rational_add_example():
-    assert R(Fraction(1, 3)) + R(Fraction(1, 6)) == R(Fraction(1, 2))
-
-
-@given(rationals)
-def test_rational_mul_identity(x):
-    one = Series.one(RATIONAL, 3)
-    assert R(x) * one == R(x)
-    assert one * R(x) == R(x)
-
-
-def test_rational_sub_matches_partition_cross_check():
-    # p(4) = 5 minus a count of 4
-    assert R(5) + R(4).scale(-1) == Series.one(RATIONAL, 3)
-
-
-def test_rational_div_by_zero_is_an_error():
-    with pytest.raises(RingError):
-        RATIONAL.invert_unit(Fraction(0), 0)
-    with pytest.raises(SeriesError):
-        R(0).invert()
-
-
-@given(rationals, rationals, rationals)
-def test_rational_ring_axioms(x, y, z):
-    assert R(x) + R(y) == R(y) + R(x)
-    assert (R(x) + R(y)) + R(z) == R(x) + (R(y) + R(z))
-    assert R(x) * (R(y) + R(z)) == R(x) * R(y) + R(x) * R(z)
-
-
-@given(rationals, rationals)
-def test_rational_results_in_lowest_terms(x, y):
-    for r in (R(x) + R(y), R(x) + R(y).scale(-1), R(x) * R(y)):
-        c = r.coeff(0)
-        assert type(c) is Fraction
-        assert math.gcd(c.numerator, c.denominator) == 1
-        assert c.denominator > 0
 
 
 def test_count_vectors_have_no_arithmetic():
@@ -76,10 +24,6 @@ def test_count_vectors_have_no_arithmetic():
     with pytest.raises(TypeError):
         x + x
     with pytest.raises(RingError):
-        ring.one
-    with pytest.raises(RingError):
-        ring.invert_unit(CyclicLaurent(4, (1, 0, 0, 0)), 0)
-    with pytest.raises(RingError):
         ring.coerce(1)
     with pytest.raises(RingError):
         ring.coerce(CyclicLaurent(3, (1, 0, 0)))
@@ -91,3 +35,6 @@ def test_ring_tags():
         assert cyclic_ring(modulus).tag() == f"cyclic-laurent({modulus})"
     assert INTEGER.tag() == "integer"
     assert RATIONAL.tag() == "rational"
+    # a tag builds, reads and prints; the arithmetic is the integer series'
+    for attr in ("one", "invert_unit"):
+        assert not hasattr(Ring, attr), attr

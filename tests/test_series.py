@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,18 @@ from hypothesis import given, settings, strategies as st
 from qdissect.rings import INTEGER, RATIONAL, RingError, cyclic_ring, CyclicLaurent
 from qdissect.series import Comparison, PrecisionError, Series, SeriesError
 from qdissect import theta
+from qdissect.partitions import count_series, deviation_series
 
 import oracles
 
 
 def S(coeffs, min_exp=0, prec=None, ring=INTEGER):
-    return Series.from_coeffs(ring, min_exp, coeffs, prec)
+    """The series with these leading coefficients, padded with zeros up
+    to prec (by default, no padding)."""
+    if prec is None:
+        prec = min_exp + len(coeffs)
+    pad = [ring.zero] * (prec - min_exp - len(coeffs))
+    return Series(ring, min_exp, list(coeffs) + pad, prec)
 
 
 def test_add_zero_keeps_precision():
@@ -26,7 +33,7 @@ def test_add_zero_keeps_precision():
 def test_add_cancels():
     one_minus_q = S([1, -1], prec=8)
     q = Series.monomial(INTEGER, 1, 8)
-    assert (one_minus_q + q) == Series.one(INTEGER, 8)
+    assert (one_minus_q + q) == Series.one(8)
 
 
 def test_add_of_conjugate_thetas_matches_product_oracle():
@@ -54,7 +61,7 @@ def test_add_of_conjugate_thetas_matches_product_oracle():
 
 def test_mul_identity_and_shifted_monomials():
     f = S([2, 0, -1], prec=9)
-    assert f * Series.one(INTEGER, 9) == f.truncate(9)
+    assert f * Series.one(9) == f.truncate(9)
     qinv = Series.monomial(INTEGER, -1, 5)
     q = Series.monomial(INTEGER, 1, 5)
     prod = qinv * q
@@ -104,7 +111,7 @@ def test_invert_requires_unit_lead():
 def test_shift_examples():
     f = S([1, 2], prec=7)
     assert f.shift(0) is f
-    q5 = Series.one(INTEGER, 1).shift(5)
+    q5 = Series.one(1).shift(5)
     assert q5.coeff(5) == 1 and q5.min_exp == 5 and q5.prec == 6
 
 
@@ -168,8 +175,8 @@ def test_dissect_deflate_inflate_round_trip():
 
 
 def test_compare_reports_first_mismatch():
-    a = Series.one(INTEGER, 100)
-    b = Series.one(INTEGER, 100) + Series.monomial(INTEGER, 50, 100)
+    a = Series.one(100)
+    b = Series.one(100) + Series.monomial(INTEGER, 50, 100)
     cmp = a.compare(b)
     assert not cmp.equal
     assert (cmp.exponent, cmp.lhs, cmp.rhs) == (50, 0, 1)
@@ -185,7 +192,7 @@ def test_compare_equal_and_empty_window():
 
 def test_compare_ring_mismatch():
     with pytest.raises(RingError):
-        Series.one(INTEGER, 5).compare(Series.one(RATIONAL, 5))
+        Series.one(5).compare(Series.monomial(RATIONAL, 0, 5))
 
 
 def test_constructor_checks_every_coefficient():
@@ -257,7 +264,7 @@ def test_invert_round_trip_500_random_unit_series():
         ]
         f = S(coeffs, prec=prec)
         prod = f * f.invert()
-        assert prod == Series.one(INTEGER, prod.prec)
+        assert prod == Series.one(prod.prec)
 
 
 @given(coeff_lists, coeff_lists)
@@ -271,16 +278,17 @@ def test_precision_never_overstated(xs, ys):
     lo = a_hi.truncate(12) * b_hi.truncate(10)
     for e in range(lo.min_exp, lo.prec):
         assert lo.coeff(e) == hi.coeff(e)
-    inv_src = Series.one(INTEGER, 20) + S(xs, min_exp=1, prec=20)
+    inv_src = Series.one(20) + S(xs, min_exp=1, prec=20)
     for e in range(inv_src.truncate(9).invert().prec):
         assert inv_src.truncate(9).invert().coeff(e) == inv_src.invert().coeff(e)
 
 
 # -- the product and inverse kernels against the dict oracles ------------------
 
-KERNEL_RINGS = [INTEGER, RATIONAL]
-# the cyclic ring holds count vectors: compared, never added or multiplied
-WINDOW_RINGS = KERNEL_RINGS + [cyclic_ring(3)]
+# the arithmetic runs over the integers alone; rational and count-vector
+# series are stored, compared and printed, never added or multiplied
+KERNEL_RINGS = [INTEGER]
+WINDOW_RINGS = KERNEL_RINGS + [RATIONAL, cyclic_ring(3)]
 DENSITIES = [0.05, 0.3, 1.0]
 
 
@@ -294,7 +302,7 @@ def _random_coeff(rng, ring, bits=70):
     if ring.kind == "cyclic-laurent":
         return CyclicLaurent(ring.modulus, [big() for _ in range(ring.modulus)])
     if rng.random() < 0.3:
-        return rng.choice([ring.one, -ring.one])
+        return rng.choice([1, -1])
     if ring == RATIONAL:
         return Fraction(big(), rng.randrange(1, 2**16))
     return big()
@@ -305,7 +313,7 @@ def _bumped(ring, c):
     class 0."""
     if ring.kind == "cyclic-laurent":
         return CyclicLaurent(ring.modulus, (c.counts[0] + 1,) + c.counts[1:])
-    return c + ring.one
+    return c + 1
 
 
 def _random_series(rng, ring, min_exp, length, density):
@@ -350,7 +358,7 @@ def test_mul_binomial_matches_oracle(ring):
         drop = min(0, e)
         assert (got.min_exp, got.prec) == (a.min_exp + drop, a.prec + drop)
         want = oracles.poly_mul(
-            oracles.series_to_poly(a), {0: ring.one, e: c}, got.prec
+            oracles.series_to_poly(a), {0: 1, e: c}, got.prec
         )
         assert oracles.series_to_poly(got) == want
     with pytest.raises(SeriesError):
@@ -364,7 +372,7 @@ def test_mul_by_zero_and_single_monomials(ring):
     zero = Series(ring, 1, [ring.zero] * 30, 31)
     _check_product(a, zero)
     _check_product(zero, a)
-    for c in (ring.one, -ring.one, _random_coeff(rng, ring)):
+    for c in (1, -1, _random_coeff(rng, ring)):
         for e in (-3, 0, 5):
             monomial = Series.monomial(ring, e, e + 35, c)
             _check_product(a, monomial)
@@ -446,62 +454,62 @@ def test_combine_window_rule():
     a = S([1, 2, 3], min_exp=-2, prec=10)
     muted = S([5, 5], min_exp=-4, prec=7)
     wide = S([1] * 30, prec=30)
-    out = Series.combine(INTEGER, 8, [(2, a), (0, muted), (-1, wide)])
+    out = Series.combine(8, [(2, a), (0, muted), (-1, wide)])
     # the zero-weight term still bounds the window at both ends
     assert (out.min_exp, out.prec) == (-4, 7)
     assert out.coeffs == (0, 0, 2, 4, 5, -1, -1, -1, -1, -1, -1)
     # prec bounds a term wider than it
-    out = Series.combine(INTEGER, 5, [(3, wide)])
+    out = Series.combine(5, [(3, wide)])
     assert (out.min_exp, out.prec) == (0, 5) and out.coeffs == (3,) * 5
-    out = Series.combine(INTEGER, 5, [(1, S([7], min_exp=9, prec=12))])
+    out = Series.combine(5, [(1, S([7], min_exp=9, prec=12))])
     assert (out.min_exp, out.prec) == (5, 5)
 
 
 def test_combine_of_no_terms_is_zero_through_prec():
-    for ring in KERNEL_RINGS:
-        out = Series.combine(ring, 6, [])
-        assert (out.ring, out.min_exp, out.prec, out.coeffs) == (ring, 6, 6, ())
+    out = Series.combine(6, [])
+    assert (out.ring, out.min_exp, out.prec, out.coeffs) == (INTEGER, 6, 6, ())
 
 
 def test_combine_rejects_a_term_over_another_ring():
-    one, half = Series.one(INTEGER, 5), Series.one(RATIONAL, 5)
+    one, half = Series.one(5), Series.monomial(RATIONAL, 0, 5)
     with pytest.raises(RingError, match="ring mismatch: integer vs rational"):
-        Series.combine(INTEGER, 5, [(1, one), (0, half)])
-    # the same message from every kernel that takes two series
-    for op in (lambda: half + one, lambda: half * one, lambda: half.compare(one)):
-        with pytest.raises(RingError, match="ring mismatch: rational vs integer"):
+        Series.combine(5, [(1, one), (0, half)])
+    # the arithmetic names the integer ring it needs, whichever side is off
+    for op in (lambda: half + one, lambda: one * half, lambda: half * one):
+        with pytest.raises(RingError, match="ring mismatch: integer vs rational"):
             op()
+    # compare reads two windows over any one ring, and names its own first
+    with pytest.raises(RingError, match="ring mismatch: rational vs integer"):
+        half.compare(one)
 
 
 def test_combine_coerces_each_scalar():
     zero = Series.zero(INTEGER, 4)
     # the scalar itself is checked, even on a term with no coefficients
     with pytest.raises(RingError, match="1/2 is not an integer"):
-        Series.combine(INTEGER, 4, [(Fraction(1, 2), zero)])
+        Series.combine(4, [(Fraction(1, 2), zero)])
     with pytest.raises(RingError, match="cannot coerce"):
-        Series.one(INTEGER, 4).scale(1.0)
-    out = Series.combine(INTEGER, 4, [(Fraction(6, 3), Series.one(INTEGER, 4))])
+        Series.one(4).scale(1.0)
+    out = Series.combine(4, [(Fraction(6, 3), Series.one(4))])
     assert out.coeffs == (2, 0, 0, 0) and all(type(c) is int for c in out.coeffs)
-    out = Series.combine(RATIONAL, 2, [(3, Series.one(RATIONAL, 2))])
-    assert out.coeffs == (3, 0) and all(type(c) is Fraction for c in out.coeffs)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_combine_matches_folded_add_and_scale(ring, data):
-    coeff = st.one_of(st.just(ring.zero), st.sampled_from([1, -1]), _hyp_coeffs(ring))
+    coeff = st.one_of(st.just(0), st.sampled_from([1, -1]), BIG_INTS)
     terms = []
     for _ in range(data.draw(st.integers(0, 5))):
         lo = data.draw(st.integers(-4, 6))
         coeffs = data.draw(st.lists(coeff, max_size=12))
         s = Series(ring, lo, coeffs, lo + len(coeffs))
-        terms.append((data.draw(st.one_of(st.sampled_from([0, 1, -1]), _hyp_coeffs(ring))), s))
+        terms.append((data.draw(st.one_of(st.sampled_from([0, 1, -1]), BIG_INTS)), s))
     prec = data.draw(st.integers(-2, 20))
     folded = Series.zero(ring, prec)
     for c, s in terms:
         folded = folded + s.scale(c)
-    out = Series.combine(ring, prec, terms)
+    out = Series.combine(prec, terms)
     assert (out.min_exp, out.prec, out.coeffs) == (folded.min_exp, folded.prec, folded.coeffs)
     for e in range(out.min_exp, out.prec):
         assert out.coeff(e) == sum((c * s.coeff(e) for c, s in terms), ring.zero)
@@ -563,18 +571,17 @@ def _check_inverse(f):
     v = f.valuation()
     assert inv.min_exp == -v
     assert inv.prec == f.prec - 2 * v
-    lead = f.coeff(v)
-    lead_inv = lead if f.ring == INTEGER else 1 / lead
-    g = {e - v: c * lead_inv for e, c in oracles.series_to_poly(f).items()}
+    lead = f.coeff(v)  # +-1, its own inverse
+    g = {e - v: c * lead for e, c in oracles.series_to_poly(f).items()}
     want = {
-        k - v: c * lead_inv
+        k - v: c * lead
         for k, c in oracles.poly_invert(g, f.prec - v).items()
     }
     assert oracles.series_to_poly(inv) == want
 
 
 @pytest.mark.parametrize("density", [0.0] + DENSITIES)
-@pytest.mark.parametrize("ring", [INTEGER, RATIONAL], ids=lambda r: r.tag())
+@pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
 def test_invert_matches_oracle(ring, density):
     # valuation v in 0..3 below a window that may start at a negative
     # exponent; density 0.0 inverts the single monomial lead * q^v
@@ -583,10 +590,7 @@ def test_invert_matches_oracle(ring, density):
         v = rng.randint(0, 3)
         min_exp = rng.randint(-3, v)
         tail = _random_series(rng, ring, v + 1, rng.randint(0, 50), density)
-        if ring == INTEGER:
-            lead = rng.choice([1, -1])
-        else:
-            lead = _random_coeff(rng, ring)
+        lead = rng.choice([1, -1])
         coeffs = [ring.zero] * (v - min_exp) + [lead] + list(tail.coeffs)
         _check_inverse(Series(ring, min_exp, coeffs, tail.prec))
 
@@ -594,19 +598,15 @@ def test_invert_matches_oracle(ring, density):
 # -- exact division against the dict oracles -----------------------------------
 
 
-def _hyp_coeffs(ring):
-    """Nonzero values of up to 70 bits, with a denominator over RATIONAL."""
-    big = st.integers(1, 2**70).flatmap(lambda n: st.sampled_from([n, -n]))
-    if ring == INTEGER:
-        return big
-    return st.builds(Fraction, big, st.integers(1, 2**16))
+# nonzero integers of up to 70 bits
+BIG_INTS = st.integers(1, 2**70).flatmap(lambda n: st.sampled_from([n, -n]))
 
 
 @st.composite
 def _division_case(draw, ring):
     """(dividend, divisor): a divisor with valuation v in -4..7, a unit
     lead, and a tail that is sparse (at most three nonzeros) or dense."""
-    coeff = _hyp_coeffs(ring)
+    coeff = BIG_INTS
     window = st.lists(st.one_of(st.just(ring.zero), coeff), max_size=30)
     lo = draw(st.integers(-4, 4))
     coeffs = draw(window)
@@ -614,7 +614,7 @@ def _division_case(draw, ring):
 
     lo = draw(st.integers(-4, 4))
     zeros = draw(st.integers(0, 3))
-    lead = draw(st.sampled_from([1, -1]) if ring == INTEGER else coeff)
+    lead = draw(st.sampled_from([1, -1]))
     length = draw(st.integers(0, 30))
     tail = [ring.zero] * length
     if draw(st.sampled_from(["sparse", "dense"])) == "dense":
@@ -638,7 +638,7 @@ def _check_division(a, d):
         oracles.series_to_poly(b), oracles.series_to_poly(d), b.prec + v
     )
     assert got == want
-    assert d.invert() == Series.one(d.ring, d.prec - v).divide(d)
+    assert d.invert() == Series.one(d.prec - v).divide(d)
 
 
 @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=lambda r: r.tag())
@@ -649,7 +649,7 @@ def test_divide_matches_oracle(ring, data):
 
 
 def test_divide_error_paths():
-    one = Series.one(INTEGER, 20)
+    one = Series.one(20)
     for vanishing in (Series.zero(INTEGER, 6), S([0, 0, 0], min_exp=-2, prec=1)):
         with pytest.raises(SeriesError, match="vanishes"):
             one.divide(vanishing)
@@ -662,7 +662,57 @@ def test_divide_error_paths():
     with pytest.raises(RingError, match="exponent 3"):
         one.divide(jbar.shift(3))
     with pytest.raises(RingError, match="ring mismatch"):
-        Series.one(RATIONAL, 20).divide(jbar)
+        Series.monomial(RATIONAL, 0, 20).divide(jbar)
+
+
+# every method that computes a coefficient, with the series s in each
+# operand slot the method has; `one` is an integer series
+INTEGER_ONLY = {
+    "+": lambda s, one: [lambda: s + one, lambda: one + s],
+    "scale": lambda s, one: [lambda: s.scale(2)],
+    "combine": lambda s, one: [lambda: Series.combine(s.prec, [(1, one), (0, s)])],
+    "*": lambda s, one: [lambda: s * one, lambda: one * s],
+    "divide": lambda s, one: [lambda: s.divide(one), lambda: one.divide(s)],
+    "invert": lambda s, one: [lambda: s.invert()],
+    "mul_binomial": lambda s, one: [lambda: s.mul_binomial(1, 2)],
+    "div_binomial": lambda s, one: [lambda: s.div_binomial(1, 2)],
+    "substitute_neg_q": lambda s, one: [lambda: s.substitute_neg_q()],
+}
+# the stored series of the other two rings, as the library hands them out
+STORED = {
+    "rational": lambda: deviation_series("crank", 1, 5, 12),
+    "cyclic-laurent(5)": lambda: count_series("rank", 5, 12),
+}
+
+
+@pytest.mark.parametrize("method", INTEGER_ONLY)
+@pytest.mark.parametrize("ring", [RATIONAL, cyclic_ring(5)], ids=lambda r: r.tag())
+def test_arithmetic_refuses_other_rings(ring, method):
+    s = STORED[ring.tag()]()
+    assert s.ring == ring
+    for call in INTEGER_ONLY[method](s, Series.one(s.prec)):
+        with pytest.raises(RingError, match=re.escape(f"ring mismatch: integer vs {ring.tag()}")):
+            call()
+
+
+@pytest.mark.parametrize("ring", WINDOW_RINGS, ids=lambda r: r.tag())
+def test_window_methods_work_on_every_ring(ring):
+    rng = random.Random(f"window {ring.tag()}")
+    poly = {e: _random_coeff(rng, ring) for e in range(-3, 20) if rng.random() < 0.5}
+    f = _window_of(ring, poly, -3, 20)
+    assert dict(f.nonzero_items()) == poly
+    assert f.valuation() == min(poly)
+    assert f.shift(4).coeff(7) == f.coeff(3) and f.shift(4).ring == ring
+    assert f.truncate(9) == _window_of(ring, poly, -3, 9)
+    part = f.dissect(3, 1)
+    assert dict(part.nonzero_items()) == {e: c for e, c in poly.items() if e % 3 == 1}
+    deflated = part.deflate(3, 1)
+    for n in range(deflated.min_exp, deflated.prec):
+        assert deflated.coeff(n) == f.coeff(3 * n + 1)
+    # the default coefficient 1 is coerced like any other
+    if ring.kind != "cyclic-laurent":
+        one = Series.monomial(ring, 0, 2)
+        assert one.coeffs == (1, 0) and type(one.coeffs[0]) is type(ring.zero)
 
 
 def test_kernels_through_q800():
@@ -695,10 +745,11 @@ def test_json_and_text_output_all_rings():
             "ring=rational min_exp=0 prec=3\nq^0: 1/3\nq^1: -5/2\nq^2: 0/1",
         ),
         (
-            Series.from_coeffs(
+            Series(
                 cyclic_ring(3),
                 0,
-                [CyclicLaurent(3, (1, 0, -2)), CyclicLaurent(3, (0, 4, 0))],
+                [CyclicLaurent(3, (1, 0, -2)), CyclicLaurent(3, (0, 4, 0)),
+                 CyclicLaurent.zero(3)],
                 3,
             ),
             {"ring": "cyclic-laurent(3)", "min_exp": 0, "prec": 3,

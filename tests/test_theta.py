@@ -107,15 +107,15 @@ def test_eta_quotient_cancellation():
     one = eta_quotient(
         [J(1, 5), J(2, 5)], [eta_atom(1), eta_atom(5)], prec=101
     )
-    assert one == Series.one(INTEGER, 101)
+    assert one == Series.one(101)
     one = eta_quotient(
         [J(1, 7), J(2, 7), J(3, 7)], [eta_atom(1), (eta_atom(7), 2)], prec=101
     )
-    assert one == Series.one(INTEGER, 101)
+    assert one == Series.one(101)
 
 
 def test_eta_quotient_empty_is_one():
-    assert eta_quotient(prec=10) == Series.one(INTEGER, 10)
+    assert eta_quotient(prec=10) == Series.one(10)
 
 
 def test_eta_quotient_zero_numerator_and_bad_denominator():
@@ -287,7 +287,7 @@ def test_euler_odd_even_product_relation():
     # (q^2;q^2)_inf = (q;q)_inf (-q;q)_inf: the atoms J2 and J1 against
     # the oracle's factor-by-factor (-q;q)_inf
     odd_even = oracles.pochhammer_product(-1, 1, 1, 80)
-    plus = Series.from_coeffs(INTEGER, 0, [odd_even.get(e, 0) for e in range(80)], 80)
+    plus = Series(INTEGER, 0, [odd_even.get(e, 0) for e in range(80)], 80)
     lhs = theta_j(eta_atom(2), 80)
     rhs = theta_j(eta_atom(1), 80) * plus
     assert lhs.compare(rhs).equal
@@ -472,7 +472,7 @@ def test_memo_stores_only_products_of_canonical_atoms(monkeypatch):
     inverses = _count_calls(monkeypatch, "invert")
     for atom in (J(2, 3), Jbar(3, 8)):
         got = theta.theta_j_inverse(atom, 40)
-        assert _same_window(got, Series.one(INTEGER, 40).divide(theta_j(atom, 40)))
+        assert _same_window(got, Series.one(40).divide(theta_j(atom, 40)))
     assert inverses == []
 
     # a cold registry pass stores factor tuples and g specializations only
@@ -596,7 +596,7 @@ def _unfolded_quotient(num, den, shift, prec):
     parts = [theta_j_sum(atom, valuation[atom] + rel) for atom, e in num for _ in range(e)]
     parts += [theta_j_sum(atom, valuation[atom] + rel).invert()
               for atom, e in den for _ in range(e)]
-    return reduce(mul, parts, Series.one(INTEGER, rel)).shift(shift)
+    return reduce(mul, parts, Series.one(rel)).shift(shift)
 
 
 @given(
