@@ -87,6 +87,11 @@ class _CountTable:
     so it is not kept, and the table grows by exactly the coefficients
     asked for.
 
+    Ranks and cranks are symmetric, N(a,M;n) = N(M-a,M;n), since the
+    numerators credit m and -m alike.  So ``rows[M - a]`` is the very
+    list ``rows[a]``: the table keeps floor(M/2)+1 distinct rows, and
+    ``grow`` runs the recurrence on those alone.
+
     ``count_series`` reads the rows as count vectors: ``cyclic`` is the
     widest cyclic window built so far, extended from the rows on demand,
     and ``window`` the truncation handed out last, so reading the M
@@ -98,7 +103,8 @@ class _CountTable:
     def __init__(self, stat: str, M: int):
         self.stat = stat
         self.modulus = M
-        self.rows = [[] for _ in range(M)]
+        self.rows = [[] for _ in range(M // 2 + 1)]
+        self.rows += self.rows[1 : (M + 1) // 2][::-1]  # rows[M - a] is rows[a]
         self.width = 0
         self.cyclic = self.window = Series.zero(cyclic_ring(M), 0)
 
@@ -106,7 +112,7 @@ class _CountTable:
         """Compute the counts at n in [width, prec) and widen."""
         stat, M = self.stat, self.modulus
         old = self.width
-        rows = self.rows
+        rows = self.rows[: M // 2 + 1]
         for row in rows:
             del row[old:]  # what an interrupted grow left
         # q^n terms of sum_k (-1)^(k-1) q^(e(k)+mk) (1-q^k) for m >= 0,
@@ -173,9 +179,10 @@ def count_series(stat: str, M: int, prec: int) -> Series:
     crank coefficient at n=1 is z + z^-1 - 1, as the sum gives it.
 
     Read from the table's rows, cached per (stat, M).  A wider request
-    computes only the missing counts, up to exactly prec, and builds
-    count vectors only for them; a narrower one is a truncation, reused
-    while the same width is asked again.
+    computes only the missing counts, up to exactly prec, and builds and
+    checks count vectors only for them, appended to the stored window; a
+    narrower one is a truncation, reused while the same width is asked
+    again.
     """
     with _count_lock:
         table = _table(stat, M, prec)
@@ -183,10 +190,7 @@ def count_series(stat: str, M: int, prec: int) -> Series:
             old = table.cyclic.prec
             if old < prec:
                 vectors = zip(*(_column(table, a, old, prec) for a in range(M)))
-                table.cyclic = Series(
-                    cyclic_ring(M), 0,
-                    table.cyclic.coeffs + tuple(CyclicLaurent(M, c) for c in vectors),
-                    prec)
+                table.cyclic = table.cyclic.extend(CyclicLaurent(M, c) for c in vectors)
             table.window = table.cyclic.truncate(prec)
         return table.window
 

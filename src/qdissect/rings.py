@@ -112,6 +112,12 @@ class Ring:
     def coerce_all(self, values) -> tuple:
         """Coerce a whole coefficient window, as ``coerce`` would each value.
 
+        ``Series.__init__`` calls it on every window computed by a kernel
+        or passed in by a caller, and only there: the window methods
+        (truncate, shift, dissect, deflate) move coefficients already
+        checked and carry that check past this scan, and
+        ``Series.extend`` scans only the coefficients it appends.
+
         One scan of the element types decides: when every value already
         has the ring's own type (``int``, ``Fraction``, or a
         ``CyclicLaurent`` of this modulus) the tuple is returned as it is.

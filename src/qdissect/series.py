@@ -12,12 +12,25 @@ coefficient (combine, and so + and scale; *, divide and invert; the
 binomial products and quotients; substitute_neg_q) takes integer series
 alone and raises RingError on any other ring.  The window methods, which
 only select, move or read stored coefficients (coeff, valuation,
-nonzero_items, truncate, shift, dissect, deflate, compare, ==, and the
-JSON and text output), work on every ring: rational and count-vector
-series are built, read and printed, never added or multiplied.
+nonzero_items, truncate, shift, extend, dissect, deflate, compare, ==,
+and the JSON and text output), work on every ring: rational and
+count-vector series are built, read and printed, never added or
+multiplied.
 
 Every weighted sum is one Series.combine, built in a single window:
 a + b and s.scale(c) are its two-term and one-term cases.
+
+Each coefficient is checked once, where it is computed or passed in:
+the constructor runs Ring.coerce_all over every window a kernel
+computed and every list or tuple a caller passed, and monomial coerces
+its one coefficient.  The window methods (truncate, shift, dissect,
+deflate, and extend for its stored part) only select, move or zero-fill
+coefficients that were checked when their series was built, so they
+carry the check: they hand the constructor a _Checked window, which it
+stores without a scan.  The mark is bound to the ring of the series it
+came from and lives only for the constructor call; a series stores a
+plain tuple, so its coefficients passed in again, under any ring, are
+checked like any other input.
 """
 
 from __future__ import annotations
@@ -57,6 +70,21 @@ class Comparison:
     notes: Tuple[str, ...] = ()
 
 
+class _Checked:
+    """Coefficients a window method moved out of a series over ``ring``,
+    so already checked: Series.__init__ stores them without a scan when
+    it is asked for that same ring."""
+
+    __slots__ = ("ring", "values")
+
+    def __init__(self, ring: Ring, values: Sequence):
+        self.ring = ring
+        self.values = values
+
+    def __iter__(self):
+        return iter(self.values)
+
+
 def _require_ring(ring: Ring, *series: "Series") -> None:
     for s in series:
         if s.ring != ring:
@@ -69,7 +97,10 @@ class Series:
     __slots__ = ("ring", "min_exp", "coeffs", "prec")
 
     def __init__(self, ring: Ring, min_exp: int, coeffs: Sequence, prec: int):
-        coeffs = ring.coerce_all(coeffs)
+        if type(coeffs) is _Checked and coeffs.ring is ring:
+            coeffs = tuple(coeffs.values)
+        else:
+            coeffs = ring.coerce_all(coeffs)
         if min_exp > prec:
             raise SeriesError(f"min_exp {min_exp} exceeds prec {prec}")
         if len(coeffs) != prec - min_exp:
@@ -98,12 +129,13 @@ class Series:
 
     @classmethod
     def monomial(cls, ring: Ring, exponent: int, prec: int, coeff=1) -> "Series":
-        """coeff * q^exponent, known through prec."""
+        """coeff * q^exponent, known through prec; coeff is the one value
+        checked."""
         if prec <= exponent:
             return cls.zero(ring, prec)
         window = [ring.zero] * (prec - exponent)
-        window[0] = coeff
-        return cls(ring, exponent, window, prec)
+        window[0] = ring.coerce(coeff)
+        return cls(ring, exponent, _Checked(ring, window), prec)
 
     @classmethod
     def combine(cls, prec: int, terms) -> "Series":
@@ -230,7 +262,8 @@ class Series:
         """Multiply by q^k exactly; min_exp and prec both move by k."""
         if k == 0:
             return self
-        return Series(self.ring, self.min_exp + k, self.coeffs, self.prec + k)
+        return Series(self.ring, self.min_exp + k, _Checked(self.ring, self.coeffs),
+                      self.prec + k)
 
     def mul_binomial(self, c, e: int) -> "Series":
         """Multiply by the exact binomial (1 + c*q^e), e != 0.
@@ -348,7 +381,16 @@ class Series:
         if prec >= self.prec:
             return self
         min_exp = min(self.min_exp, prec)
-        return Series(self.ring, min_exp, self.coeffs[: prec - min_exp], prec)
+        return Series(self.ring, min_exp,
+                      _Checked(self.ring, self.coeffs[: prec - min_exp]), prec)
+
+    def extend(self, coeffs) -> "Series":
+        """This series with coeffs appended as its coefficients at prec,
+        prec + 1, ...: the window grows upward by len(coeffs).  Only the
+        new coefficients are checked."""
+        coeffs = self.ring.coerce_all(coeffs)
+        return Series(self.ring, self.min_exp, _Checked(self.ring, self.coeffs + coeffs),
+                      self.prec + len(coeffs))
 
     # -- substitutions and dissections --------------------------------------
 
@@ -362,7 +404,7 @@ class Series:
             c if (self.min_exp + i) % t == r else self.ring.zero
             for i, c in enumerate(self.coeffs)
         ]
-        return Series(self.ring, self.min_exp, out, self.prec)
+        return Series(self.ring, self.min_exp, _Checked(self.ring, out), self.prec)
 
     def deflate(self, t: int, r: int) -> "Series":
         """Map the progression t*n + r onto n.
@@ -384,7 +426,7 @@ class Series:
                     f"{t}n+{r}; dissect first"
                 )
             out[(e - r) // t - min_exp] = c
-        return Series(self.ring, min_exp, out, prec)
+        return Series(self.ring, min_exp, _Checked(self.ring, out), prec)
 
     def substitute_neg_q(self) -> "Series":
         """Substitute q -> -q: the coefficient at q^n picks up (-1)^n."""

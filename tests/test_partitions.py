@@ -14,7 +14,7 @@ from qdissect.partitions import (
     residue_series,
     scaled_deviation,
 )
-from qdissect.rings import INTEGER, CyclicLaurent
+from qdissect.rings import INTEGER, CyclicLaurent, Ring
 from qdissect.series import Series
 
 
@@ -291,21 +291,50 @@ def test_count_cache_grows_to_exactly_the_width_asked(monkeypatch):
 def test_reading_every_class_of_one_n_builds_one_window(monkeypatch):
     # residue_count reads class a of n through count_series(stat, M, n + 1);
     # the table keeps the truncation it handed out last, so the M classes
-    # of one n share one window instead of building M
+    # of one n share one window instead of building M.  Each count vector
+    # is checked once, when it is appended: neither the stored window nor
+    # a truncation of it is scanned again
     monkeypatch.setattr(partitions, "_count_cache", {})
-    count_series("rank", 5, 301)
-    built = []
-    init = Series.__init__
+    built, scanned = [], []
+    init, coerce_all = Series.__init__, Ring.coerce_all
 
     def counting_init(self, *args):
         built.append(args[2])
         init(self, *args)
 
+    def counting_coerce_all(self, values):
+        values = coerce_all(self, values)
+        scanned.append(len(values))
+        return values
+
     monkeypatch.setattr(Series, "__init__", counting_init)
-    for n in range(301):
-        for a in range(5):
-            residue_count("rank", a, 5, n)
+    monkeypatch.setattr(Ring, "coerce_all", counting_coerce_all)
+
+    def read_every_class():
+        built.clear()
+        scanned.clear()
+        for n in range(301):
+            for a in range(5):
+                residue_count("rank", a, 5, n)
+
+    read_every_class()  # cold: the table grows one n at a time
+    assert sum(scanned) == 301  # one per vector, not 1 + 2 + ... + 301
+    read_every_class()  # warm: every read is a truncation
+    assert sum(scanned) == 0
     assert len(built) <= 301  # at most one per n, not one per (a, n)
+
+
+def test_every_class_reads_its_count_from_the_shared_rows(monkeypatch):
+    # N(a,M;n) = N(M-a,M;n), so class M - a reads the row of class a and a
+    # table keeps floor(M/2) + 1 distinct rows; every class, a > M/2 too,
+    # against enumeration
+    monkeypatch.setattr(partitions, "_count_cache", {})
+    for stat in ("rank", "crank"):
+        for M in range(1, 13):
+            rows = [residue_series(stat, a, M, 31) for a in range(M)]
+            for n in range(31):
+                assert [row.coeff(n) for row in rows] == _gf_counts(stat, M, n), (stat, M, n)
+            assert len({id(row) for row in partitions._count_cache[stat, M].rows}) == M // 2 + 1
 
 
 def test_counts_live_as_rows_and_vectors_are_built_on_read(monkeypatch):

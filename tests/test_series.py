@@ -219,6 +219,36 @@ def test_constructor_checks_every_coefficient():
         Series(ring, 0, [vector, CyclicLaurent(5, (1, 0, 0, 0, 0))], 2)
 
 
+def test_window_coefficients_are_checked_again_under_another_ring():
+    # a window method spares the constructor's scan for its own ring only;
+    # the coefficients a series stores, passed in again, are outside input
+    s = Series(INTEGER, -1, [3, -1, 4, 1, 5, 9], 5)
+    for window in (s.truncate(3), s.shift(2), s.dissect(2, 1), s.extend([2, 6]),
+                   Series.monomial(INTEGER, 1, 4, 7)):
+        f = Series(RATIONAL, window.min_exp, window.coeffs, window.prec)
+        assert f.coeffs == window.coeffs and all(type(c) is Fraction for c in f.coeffs)
+    counts = count_series("rank", 5, 12)
+    for window in (counts.truncate(6), counts.shift(1), counts.dissect(3, 0), counts):
+        with pytest.raises(RingError):
+            Series(INTEGER, window.min_exp, window.coeffs, window.prec)
+    # a bad value stays bad after a window of its own ring was built from it
+    values = (1, Fraction(1, 2), 2)
+    window = Series(RATIONAL, 0, values, 3).truncate(2).shift(1)
+    assert window.coeffs == (Fraction(1), Fraction(1, 2))
+    for coeffs in (values, list(values)):
+        with pytest.raises(RingError):
+            Series(INTEGER, 0, coeffs, 3)
+    # extend checks the coefficients it appends
+    assert s.extend([Fraction(4)]).coeffs == s.coeffs + (4,)
+    assert type(s.extend([Fraction(4)]).coeffs[-1]) is int
+    with pytest.raises(RingError):
+        s.extend([1, Fraction(1, 2)])
+    with pytest.raises(RingError):
+        counts.extend([CyclicLaurent(4, (1, 0, 0, 0))])
+    with pytest.raises(RingError):
+        Series.monomial(INTEGER, 0, 3, Fraction(1, 2))
+
+
 def test_coeff_window_discipline():
     f = S([1, 2], min_exp=3, prec=9)
     assert f.coeff(0) == 0  # below the window: known zero
