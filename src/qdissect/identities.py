@@ -12,14 +12,15 @@ An equality entry may carry more than two sides: every side is compared
 against the first, which is how chained equalities such as the four-way
 rank-crank relations are represented under a single stable id.
 
-A side is a tuple of (scale, build) parts and stands for the sum of
-scale * build(prec), where the scale is an int or a Fraction and build
-returns an integer series.  A statement with rational coefficients is
-checked multiplied through by its ``denominator`` d, the lcm of every
-scale's denominator: build_side gives d times a side over the integers
-as one ``Series.combine`` of its built parts, comparing d*LHS with d*RHS
-is the same test because d != 0, and a mismatch is printed back in the
-statement's own units as the reduced fraction v/d.
+A side is a tuple of (scale, part) pairs and stands for the sum of
+scale * part.build(prec), where the scale is an int or a Fraction and the
+part is an immutable, hashable named tuple (Quot, G, Counts, ThetaSum or
+Eulerian) whose build returns an integer series.  A statement with rational
+coefficients is checked multiplied through by its ``denominator`` d, the
+lcm of every scale's denominator: build_side gives d times a side over
+the integers as one ``Series.combine`` of its built parts, comparing
+d*LHS with d*RHS is the same test because d != 0, and a mismatch is
+printed back in the statement's own units as the reduced fraction v/d.
 
 Every kind runs the same way: build the sides, run one check, write one
 verdict.  Each check returns a series.Comparison, and verify_identity
@@ -35,16 +36,71 @@ from __future__ import annotations
 
 import fnmatch
 import time
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
-from .rings import INTEGER, RATIONAL
+from . import partitions, theta
+from .rings import RATIONAL
 from .series import Comparison, Series
 
-SeriesBuilder = Callable[[int], Series]
-Side = Tuple[Tuple[Union[int, Fraction], SeriesBuilder], ...]
+
+class Quot(namedtuple("Quot", "num den shift")):
+    """q^shift * prod(num)/prod(den) (theta.eta_quotient); Quot(shift=e) is q^e."""
+
+    __slots__ = ()
+
+    def __new__(cls, num=(), den=(), shift=0):
+        return super().__new__(cls, tuple(num), tuple(den), shift)
+
+    def build(self, prec: int) -> Series:
+        return theta.eta_quotient(self.num, self.den, self.shift, prec=prec)
+
+
+class G(namedtuple("G", "spec shift", defaults=(0,))):
+    """q^shift * g(spec), a mock-g specialization (theta.mock_g)."""
+
+    __slots__ = ()
+
+    def build(self, prec: int) -> Series:
+        return theta.mock_g(self.spec, prec - self.shift).shift(self.shift)
+
+
+class Counts(namedtuple("Counts", "rows t r twist")):
+    """Rows (c, stat, a, M) on t*n + r (partitions.count_combination); q -> -q if twist."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows, t=1, r=0, twist=False):
+        return super().__new__(cls, tuple(map(tuple, rows)), t, r, twist)
+
+    def build(self, prec: int) -> Series:
+        out = partitions.count_combination(self.rows, prec, self.t, self.r)
+        return out.substitute_neg_q() if self.twist else out
+
+
+class ThetaSum(namedtuple("ThetaSum", "atom base_sign")):
+    """The triple-product sum of atom at base base_sign*q^m (theta.theta_j_sum)."""
+
+    __slots__ = ()
+
+    def build(self, prec: int) -> Series:
+        return theta.theta_j_sum(self.atom, prec, base_sign=self.base_sign)
+
+
+class Eulerian(namedtuple("Eulerian", "kind")):
+    """The fifth-order Eulerian sum f0 or f1 (theta.eulerian_sum)."""
+
+    __slots__ = ()
+
+    def build(self, prec: int) -> Series:
+        return theta.eulerian_sum(self.kind, prec)
+
+
+Part = Union[Quot, G, Counts, ThetaSum, Eulerian]
+Side = Tuple[Tuple[Union[int, Fraction], Part], ...]
 
 KINDS = ("equality", "support", "positivity", "inequality")
 
@@ -67,6 +123,7 @@ class IdentityEntry:
     progression: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "sides", tuple(map(tuple, self.sides)))
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.default_prec < 50:
@@ -241,13 +298,13 @@ def inequality_check(lhs: Series, rhs: Series, threshold: int, max_n: int) -> Co
 
 
 def build_side(side: Side, d: int, prec: int) -> Series:
-    """d times the side: the integer series sum of (d*scale) * build(prec)
+    """d times the side: the integer series sum of (d*scale) * part.build(prec)
     over its parts, for a d that clears every scale, in one window (see
     Series.combine).  A lone part of weight one is its own build."""
-    weighted = [(scale.numerator * d // scale.denominator, build) for scale, build in side]
+    weighted = [(scale.numerator * d // scale.denominator, part) for scale, part in side]
     if len(weighted) == 1 and weighted[0][0] == 1:
-        return weighted[0][1](prec)
-    return Series.combine(prec, [(k, build(prec)) for k, build in weighted])
+        return weighted[0][1].build(prec)
+    return Series.combine(prec, [(k, part.build(prec)) for k, part in weighted])
 
 
 def verify_identity(entry: IdentityEntry, prec: Optional[int] = None) -> VerificationReport:
@@ -347,12 +404,12 @@ def report_text(reports: Sequence[VerificationReport]) -> str:
 
 def perturb_entry(entry: IdentityEntry, exponent: int, amount: int = 1) -> IdentityEntry:
     """Clone an entry with amount*q^exponent added to its last side, in the
-    statement's own units: one more part (amount, q^exponent).
+    statement's own units: one more part (amount, Quot(shift=exponent)).
 
     Fault-injection helper: a perturbed clone must fail at exactly the
     perturbed exponent while every untouched entry still passes.
     """
     if not entry.sides:
         raise ValueError("entry has no sides to perturb")
-    bump = (amount, lambda prec: Series.monomial(INTEGER, exponent, prec))
+    bump = (amount, Quot(shift=exponent))
     return replace(entry, sides=entry.sides[:-1] + (entry.sides[-1] + (bump,),))

@@ -20,10 +20,10 @@ z + z^-1 - 1 is 1), so p(n) shares the tables' one cache and one lock.
 
 count_combination is the one reader of rows as series: an integer
 combination of rows, read on a progression t*n + r.  residue_series,
-partition_series and scaled_deviation are views of it, and the registry
-and the CLI's table and check-congruence read through it.  Count vectors
-over Z[z]/(z^M-1) are built only by count_series, for residue_count and
-the benchmark.
+partition_series and scaled_deviation are views of it, and the registry's
+Counts parts and the CLI's table and check-congruence call it.  Count
+vectors over Z[z]/(z^M-1) are built only by count_series, for
+residue_count and the benchmark.
 
 Conventions (generating-function convention throughout):
   * n=0: the empty partition counts with statistic 0 in both tables.
@@ -210,19 +210,21 @@ def count_combination(parts, prec: int, t: int = 1, r: int = 0) -> Series:
     is c p(n).
 
     Every row is read on the progression, straight from the tables and
-    under one lock; the series is built once, at its own width.
+    under one lock; the series is built once, at its own width.  At
+    prec <= 0, once every part is checked, it is the zero series through prec.
     """
     if t < 1 or not 0 <= r < t:
         raise ValueError(f"progression {t}n+{r} needs t >= 1 and 0 <= r < t")
     for _, _, a, M in parts:
         if not 0 <= a < M:
             raise ValueError(f"residue {a} out of range for modulus {M}")
-    width = max(prec, 0)
-    stop = max(r + t * (width - 1) + 1, 0)  # one past the last n read
+    stop = max(r + t * (prec - 1) + 1, 0)  # one past the last n read
     with _count_lock:
         columns = [(c, _column(_table(stat, M, stop), a, r, stop, t))
                    for c, stat, a, M in parts]
-    total = [0] * width
+    if prec <= 0:
+        return Series.zero(INTEGER, prec)
+    total = [0] * prec
     for c, column in columns:
         total = list(map(add, total, column if c == 1 else map(mul, repeat(c), column)))
     return Series(INTEGER, 0, total, prec)
@@ -235,7 +237,7 @@ def residue_series(stat: str, a: int, M: int, prec: int) -> Series:
 
 def partition_series(prec: int) -> Series:
     """The generating function sum p(n) q^n as an integer series."""
-    return count_combination([(1, "crank", 0, 1)], max(prec, 0))
+    return count_combination([(1, "crank", 0, 1)], prec)
 
 
 def scaled_deviation(stat: str, a: int, M: int, prec: int) -> Series:
@@ -250,5 +252,5 @@ def deviation_series(stat: str, a: int, M: int, prec: int) -> Series:
     The n=0 coefficient is [a=0] - 1/M: the empty partition carries
     statistic 0 in the generating-function convention.
     """
-    scaled = scaled_deviation(stat, a, M, prec).coeffs
-    return Series(RATIONAL, 0, [Fraction(c, M) for c in scaled], prec)
+    scaled = scaled_deviation(stat, a, M, prec)
+    return Series(RATIONAL, scaled.min_exp, [Fraction(c, M) for c in scaled.coeffs], prec)

@@ -31,27 +31,25 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import partitions, theta
-from .identities import IdentityEntry
-from .rings import INTEGER
-from .series import Series
+from . import theta
+from .identities import Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum
 from .theta import GSpec, J, Jbar, eta_atom
 
 THETA_PREC = 200  # theta-only entries (cheap, sparse expansions)
-MOCK_PREC = 100  # entries whose builders evaluate mock g
+MOCK_PREC = 100  # entries whose parts evaluate mock g
 
 # atoms and numerators shared by many statements
 J4, J32 = eta_atom(4), eta_atom(32)
 Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 
 
-# -- small builder DSL -----------------------------------------------------------
+# -- the parts of a side ----------------------------------------------------------
 #
-# A builder is a callable prec -> integer Series, and a side of a statement
-# is a terms(...) tuple of (scale, builder) parts standing for the sum of
-# scale * q^shift * (eta quotient | g | monomial | deviation).  The helpers
-# below keep those transcriptions close to how the statements are
-# written, and the dissection families expand into the same parts.
+# A side of a statement is a terms(...) tuple of (scale, part) pairs, each
+# part a frozen record of identities (Quot, G, Counts, ThetaSum, Eulerian).
+# The helpers below keep those transcriptions close to how the statements
+# are written, and the dissection families expand into the same pairs; a
+# constant or monomial value*q^e is the empty quotient _quot(value, e).
 #
 # Scales are exact rationals (int or Fraction); the entry, not the
 # registry, clears them: IdentityEntry.denominator is the lcm of their
@@ -60,28 +58,23 @@ Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 
 
 def _quot(scale, shift, num=(), den=()):
-    return scale, lambda prec: theta.eta_quotient(num, den, shift, prec=prec)
+    return scale, Quot(num, den, shift)
 
 
 def _g(scale, shift, sign, a, m):
-    spec = GSpec(sign, a, m)
-    return scale, lambda prec: theta.mock_g(spec, prec - shift).shift(shift)
-
-
-def _monomial(value, exponent):
-    return value, lambda prec: Series.monomial(INTEGER, exponent, prec)
+    return scale, G(GSpec(sign, a, m), shift)
 
 
 def _dev(scale, stat, a, M):
-    return Fraction(scale, M), lambda prec: partitions.scaled_deviation(stat, a, M, prec)
+    return Fraction(scale, M), Counts(((M, stat, a, M), (-1, "crank", 0, 1)))
 
 
 def terms(*parts):
     return parts
 
 
-def atom_series(atom):
-    return lambda prec: theta.theta_j(atom, prec)
+def count_rows(rows, t=1, r=0, twist=False):
+    return terms((1, Counts(rows, t, r, twist)))
 
 
 def deviation(stat, a, M):
@@ -141,7 +134,7 @@ def family(name, coefficients, scale=1):
         slots = _G_FAMILIES[name]
 
         def slot_parts(c, const, shift, sign, a, m):
-            return [_g(c, shift, sign, a, m)] + ([_monomial(const * c, 0)] if const else [])
+            return [_g(c, shift, sign, a, m)] + ([_quot(const * c, 0)] if const else [])
     else:
         raise ValueError(f"unknown dissection family {name!r}")
     if len(coefficients) != len(slots):
@@ -156,26 +149,8 @@ def combo(*families):
     return terms(*(part for f in families for part in family(*f)))
 
 
-def counts(parts, t=1, r=0, twist=False):
-    """Integer combination of residue-count rows on the progression t*n+r
-    (partitions.count_combination), optionally (-1)^n-twisted."""
-
-    def build(prec):
-        out = partitions.count_combination(parts, prec, t, r)
-        return out.substitute_neg_q() if twist else out
-
-    return build
-
-
-def _entry(entry_id, label, kind, prec, sides, **fields):
-    """An entry of these sides; a side that is not a terms(...) tuple is
-    an integer builder, the one part ((1, build),)."""
-    sides = tuple(((1, side),) if callable(side) else side for side in sides)
-    return IdentityEntry(entry_id, label, kind, prec, sides, **fields)
-
-
 def _eq(entry_id, label, sides, prec, **fields):
-    return _entry(entry_id, label, "equality", prec, sides, **fields)
+    return IdentityEntry(entry_id, label, "equality", prec, sides, **fields)
 
 
 def _dev_lines(stat, M, k, lines):
@@ -203,27 +178,27 @@ def _toolkit_entries():
 
     rearr = [
         ("rearr-0a", "j(-1;q) = 2 j(-q;q^4)",
-         atom_series(Jbar(0, 1)), terms(_quot(2, 0, [Jbar(1, 4)]))),
+         terms(_quot(1, 0, [Jbar(0, 1)])), terms(_quot(2, 0, [Jbar(1, 4)]))),
         ("rearr-0b", "j(-q;q^4) = J2^2/J1",
-         atom_series(Jbar(1, 4)),
+         terms(_quot(1, 0, [Jbar(1, 4)])),
          terms(_quot(1, 0, [(eta_atom(2), 2)], [eta_atom(1)]))),
         ("rearr-1", "j(-q;q^2) = J2^5/(J1^2 J4^2)",
-         atom_series(Jbar(1, 2)),
+         terms(_quot(1, 0, [Jbar(1, 2)])),
          terms(_quot(1, 0, [(eta_atom(2), 5)], [(eta_atom(1), 2), (eta_atom(4), 2)]))),
         ("rearr-2", "j(q;q^2) = J1^2/J2",
-         atom_series(J(1, 2)),
+         terms(_quot(1, 0, [J(1, 2)])),
          terms(_quot(1, 0, [(eta_atom(1), 2)], [eta_atom(2)]))),
         ("rearr-3", "j(-q;q^3) = J2 J3^2/(J1 J6)",
-         atom_series(Jbar(1, 3)),
+         terms(_quot(1, 0, [Jbar(1, 3)])),
          terms(_quot(1, 0, [eta_atom(2), (eta_atom(3), 2)], [eta_atom(1), eta_atom(6)]))),
         ("rearr-4", "j(q;q^4) = J1 J4/J2",
-         atom_series(J(1, 4)),
+         terms(_quot(1, 0, [J(1, 4)])),
          terms(_quot(1, 0, [eta_atom(1), eta_atom(4)], [eta_atom(2)]))),
         ("rearr-5", "j(q;q^6) = J1 J6^2/(J2 J3)",
-         atom_series(J(1, 6)),
+         terms(_quot(1, 0, [J(1, 6)])),
          terms(_quot(1, 0, [eta_atom(1), (eta_atom(6), 2)], [eta_atom(2), eta_atom(3)]))),
         ("rearr-6", "j(-q;q^6) = J2^2 J3 J12/(J1 J4 J6)",
-         atom_series(Jbar(1, 6)),
+         terms(_quot(1, 0, [Jbar(1, 6)])),
          terms(_quot(1, 0, [(eta_atom(2), 2), eta_atom(3), eta_atom(12)],
                      [eta_atom(1), eta_atom(4), eta_atom(6)]))),
     ]
@@ -234,7 +209,7 @@ def _toolkit_entries():
     for i, (s, a, m) in enumerate([(1, 1, 3), (-1, 2, 5), (1, 3, 4), (-1, 1, 1), (1, 5, 8)]):
         entries.append(_eq(
             f"shift-law-{i}", "j(qx;q) = -x^-1 j(x;q)",
-            [atom_series(theta.ThetaAtom(s, a + m, m)),
+            [terms(_quot(1, 0, [theta.ThetaAtom(s, a + m, m)])),
              terms(_quot(-s, -a, [theta.ThetaAtom(s, a, m)]))],
             THETA_PREC,
         ))
@@ -243,8 +218,8 @@ def _toolkit_entries():
     for i, (s, a, m) in enumerate([(1, 1, 3), (-1, 1, 4), (1, 2, 7), (-1, 3, 8), (-1, 0, 5)]):
         entries.append(_eq(
             f"reflect-law-{i}", "j(x;q) = j(q/x;q)",
-            [atom_series(theta.ThetaAtom(s, a, m)),
-             atom_series(theta.ThetaAtom(s, m - a, m))],
+            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, m)])),
+             terms(_quot(1, 0, [theta.ThetaAtom(s, m - a, m)]))],
             THETA_PREC,
         ))
 
@@ -252,7 +227,7 @@ def _toolkit_entries():
     for i, (s, a, m) in enumerate([(1, 1, 2), (-1, 1, 3), (1, 2, 5), (-1, 3, 4), (1, 1, 8)]):
         entries.append(_eq(
             f"base-double-{i}", "j(x;q) = J1 j(x;q^2) j(qx;q^2)/J2^2",
-            [atom_series(theta.ThetaAtom(s, a, m)),
+            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, m)])),
              terms(_quot(1, 0,
                          [eta_atom(m), theta.ThetaAtom(s, a, 2 * m),
                           theta.ThetaAtom(s, a + m, 2 * m)],
@@ -262,12 +237,9 @@ def _toolkit_entries():
 
     # negated base j(x;-q) = j(x;q^2) j(-qx;q^2) / j(q;q^4)
     for i, (s, a, m) in enumerate([(1, 1, 1), (-1, 1, 1), (1, 1, 2), (-1, 3, 2), (1, 2, 3)]):
-        def lhs(prec, s=s, a=a, m=m):
-            return theta.theta_j_sum(theta.ThetaAtom(s, a, m), prec, base_sign=-1)
-
         entries.append(_eq(
             f"neg-base-{i}", "j(x;-q) = j(x;q^2) j(-qx;q^2)/j(q;q^4)",
-            [lhs,
+            [terms((1, ThetaSum(theta.ThetaAtom(s, a, m), -1))),
              terms(_quot(1, 0,
                          [theta.ThetaAtom(s, a, 2 * m), theta.ThetaAtom(-s, a + m, 2 * m)],
                          [J(m, 4 * m)]))],
@@ -292,7 +264,7 @@ def _toolkit_entries():
             parts.append(_quot(scale, shift, [atom]))
         entries.append(_eq(
             f"split-{m}-term-{i}", f"{m}-term splitting of j(z;q)",
-            [atom_series(theta.ThetaAtom(s, a, b)), terms(*parts)],
+            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, b)])), terms(*parts)],
             THETA_PREC,
         ))
 
@@ -306,7 +278,7 @@ def _toolkit_entries():
     for i, (s, a, m) in enumerate(jsplit_specs):
         entries.append(_eq(
             f"jsplit-{i}", "j(z;q) = j(-qz^2;q^4) - z j(-q^3z^2;q^4)",
-            [atom_series(theta.ThetaAtom(s, a, m)),
+            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, m)])),
              terms(_quot(1, 0, [Jbar(m + 2 * a, 4 * m)]),
                    _quot(-s, a, [Jbar(3 * m + 2 * a, 4 * m)]))],
             THETA_PREC,
@@ -424,7 +396,7 @@ def _toolkit_entries():
             "g(x;q) = -x^-1 + qx^-3 g(-q/x^2;q^4) - q g(-qx^2;q^4) "
             "+ J2 j(q^2;q^4)^2/(x j(x;q) j(-qx^2;q^2))",
             [terms(_g(1, 0, s, a, m)),
-             terms(_monomial(-s, -a),
+             terms(_quot(-s, -a),
                    _g(s, m - 3 * a, -1, m - 2 * a, 4 * m),
                    _g(-1, m, -1, m + 2 * a, 4 * m),
                    _quot(s, -a, [eta_atom(2 * m), (J(2 * m, 4 * m), 2)],
@@ -447,7 +419,7 @@ def _toolkit_entries():
             "g(x;q) - g(-x;q) = -2x^-1 + 2qx^-3 g(-q/x^2;q^4) "
             "+ 2 J2 j(-q;q^4)^2/(x j(-q^3x^2;q^4) j(x^2;q^2))",
             [terms(_g(1, 0, 1, a, m), _g(-1, 0, -1, a, m)),
-             terms(_monomial(-2, -a),
+             terms(_quot(-2, -a),
                    _g(2, m - 3 * a, -1, m - 2 * a, 4 * m),
                    _quot(2, -a, [eta_atom(2 * m), (Jbar(m, 4 * m), 2)],
                          [Jbar(3 * m + 2 * a, 4 * m), J(2 * a, 2 * m)]))],
@@ -461,19 +433,13 @@ def _toolkit_entries():
 
 
 def _mock_theta_entries():
-    def f0(prec):
-        return theta.eulerian_sum("f0", prec)
-
-    def f1(prec):
-        return theta.eulerian_sum("f1", prec)
-
     return [
         _eq("mock-theta-f0", "f0(q) = -2q^2 g(q^2;q^10) + j(q^5;q^10)j(q^2;q^5)/J1",
-            [f0, terms(_g(-2, 2, 1, 2, 10),
+            [terms((1, Eulerian("f0"))), terms(_g(-2, 2, 1, 2, 10),
                        _quot(1, 0, [J(5, 10), J(2, 5)], [eta_atom(1)]))],
             MOCK_PREC),
         _eq("mock-theta-f1", "f1(q) = -2q^3 g(q^4;q^10) + j(q^5;q^10)j(q;q^5)/J1",
-            [f1, terms(_g(-2, 3, 1, 4, 10),
+            [terms((1, Eulerian("f1"))), terms(_g(-2, 3, 1, 4, 10),
                        _quot(1, 0, [J(5, 10), J(1, 5)], [eta_atom(1)]))],
             MOCK_PREC),
     ]
@@ -513,7 +479,7 @@ def _deviation_entries():
     entries.append(_eq(
         "dev-rank-0-4-pre", "D(0,4) via g(-q^2;q^16)",
         [deviation("rank", 0, 4),
-         terms(_monomial(2, 0), _g(-2, 2, -1, 2, 16),
+         terms(_quot(2, 0), _g(-2, 2, -1, 2, 16),
                _quot(-2, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                _quot(Fraction(1, 2), 0, Q14BAR, [J4]),
                _quot(Fraction(1, 4), 0, Q14, [J4]))],
@@ -521,7 +487,7 @@ def _deviation_entries():
     entries.append(_eq(
         "dev-rank-1-4-pre", "D(1,4) via g(-q^2;q^16), g(-q^6;q^16)",
         [deviation("rank", 1, 4),
-         terms(_monomial(-1, 0), _g(1, 2, -1, 2, 16), _g(1, 5, -1, 6, 16),
+         terms(_quot(-1, 0), _g(1, 2, -1, 2, 16), _g(1, 5, -1, 6, 16),
                _quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4]),
                _quot(Fraction(-1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
@@ -632,13 +598,13 @@ def _mod8_entries():
     extra8 = [eta_atom(8), Jbar(1, 2), J(1, 8), Jbar(3, 8)]
     extra8_den = [(J4, 2), eta_atom(16)]
     pre_forms = {
-        0: terms(_monomial(2, 0), _g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
+        0: terms(_quot(2, 0), _g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
                  _quot(-1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
                  _quot(-1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
                  _quot(quarter, 0, Q14BAR, [J4]),
                  _quot(eighth, 0, Q14, [J4]),
                  _quot(half, 0, extra8, extra8_den)),
-        1: terms(_monomial(-1, 0), _g(-half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
+        1: terms(_quot(-1, 0), _g(-half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
                  _g(half, 5, 1, 6, 16), _g(half, 5, -1, 6, 16),
                  _quot(half, 0, [Jbar(4, 8), J(1, 4)], [J4]),
                  _quot(-half, 1, [Jbar(4, 8), J(2, 16)], [J4]),
@@ -679,16 +645,16 @@ def _mod8_entries():
 
     base_splits = [
         ("base-split-0", "j(-q^6;q^16) split to base q^64",
-         atom_series(Jbar(6, 16)),
+         terms(_quot(1, 0, [Jbar(6, 16)])),
          terms(_quot(1, 0, [Jbar(28, 64)]), _quot(1, 6, [Jbar(60, 64)]))),
         ("base-split-1", "j(-q^2;q^16) split to base q^64",
-         atom_series(Jbar(2, 16)),
+         terms(_quot(1, 0, [Jbar(2, 16)])),
          terms(_quot(1, 0, [Jbar(20, 64)]), _quot(1, 2, [Jbar(52, 64)]))),
         ("base-split-2", "j(q^6;q^16) split to base q^64",
-         atom_series(J(6, 16)),
+         terms(_quot(1, 0, [J(6, 16)])),
          terms(_quot(1, 0, [Jbar(28, 64)]), _quot(-1, 6, [Jbar(60, 64)]))),
         ("base-split-3", "j(q^2;q^16) split to base q^64",
-         atom_series(J(2, 16)),
+         terms(_quot(1, 0, [J(2, 16)])),
          terms(_quot(1, 0, [Jbar(20, 64)]), _quot(-1, 2, [Jbar(52, 64)]))),
     ]
     for entry_id, label, lhs, rhs in base_splits:
@@ -771,8 +737,8 @@ def _rank_crank_entries():
     QUAD_PREC = 76  # arguments 4n+k up to 307
 
     def nc(entry_id, label, t, r, legs, prec):
-        builders = [counts(parts, t=t, r=r) for parts in legs]
-        entries.append(_eq(entry_id, label, builders, prec, progression=(t, r)))
+        sides = [count_rows(rows, t=t, r=r) for rows in legs]
+        entries.append(_eq(entry_id, label, sides, prec, progression=(t, r)))
 
     N, C = "rank", "crank"
     nc("NC-8", "Lewis/Santa-Gadea (8)", 2, 0,
@@ -801,15 +767,15 @@ def _rank_crank_entries():
     entries.append(_eq(
         "rank-diff-mod4-even",
         "N(0,4;2n) - N(2,4;2n) = (-1)^n [N(0,8;2n) - N(4,8;2n)]",
-        [counts([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=0),
-         counts([(1, N, 0, 8), (-1, N, 4, 8)], t=2, r=0, twist=True)],
+        [count_rows([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=0),
+         count_rows([(1, N, 0, 8), (-1, N, 4, 8)], t=2, r=0, twist=True)],
         EVEN_PREC, progression=(2, 0)))
     entries.append(_eq(
         "rank-diff-mod4-odd",
         "N(0,4;2n+1) - N(2,4;2n+1) = (-1)^n [N(0,8;2n+1) + 2N(1,8;2n+1) "
         "- 2N(3,8;2n+1) - N(4,8;2n+1)]",
-        [counts([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=1),
-         counts([(1, N, 0, 8), (2, N, 1, 8), (-2, N, 3, 8), (-1, N, 4, 8)],
+        [count_rows([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=1),
+         count_rows([(1, N, 0, 8), (2, N, 1, 8), (-2, N, 3, 8), (-1, N, 4, 8)],
                 t=2, r=1, twist=True)],
         EVEN_PREC, progression=(2, 1)))
 
@@ -817,8 +783,8 @@ def _rank_crank_entries():
         "rank-diff-04-gf",
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) + 2q^5 g(-q^6;q^16) "
         "- J_{2,4}Jbar_{6,16}/J4 + q J_{2,4}Jbar_{2,16}/J4",
-        [counts([(1, N, 0, 4), (-1, N, 2, 4)]),
-         terms(_monomial(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
+        [count_rows([(1, N, 0, 4), (-1, N, 2, 4)]),
+         terms(_quot(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
                _quot(-1, 0, [J(2, 4), Jbar(6, 16)], [J4]),
                _quot(1, 1, [J(2, 4), Jbar(2, 16)], [J4]))],
         MOCK_PREC))
@@ -826,8 +792,8 @@ def _rank_crank_entries():
         "rank-diff-08-gf",
         "sum (N(0,8;n)-N(4,8;n)) q^n = 2 + 2q^2 g(q^2;q^16) "
         "- Jbar_{2,4}J_{6,16}/J4 + q Jbar_{2,4}J_{2,16}/J4",
-        [counts([(1, N, 0, 8), (-1, N, 4, 8)]),
-         terms(_monomial(2, 0), _g(2, 2, 1, 2, 16),
+        [count_rows([(1, N, 0, 8), (-1, N, 4, 8)]),
+         terms(_quot(2, 0), _g(2, 2, 1, 2, 16),
                _quot(-1, 0, [Jbar(2, 4), J(6, 16)], [J4]),
                _quot(1, 1, [Jbar(2, 4), J(2, 16)], [J4]))],
         MOCK_PREC))
@@ -835,8 +801,8 @@ def _rank_crank_entries():
         "rank-diff-18-gf",
         "sum (N(1,8;n)-N(3,8;n)) q^n = -1 - q^2 g(q^2;q^16) + q^5 g(q^6;q^16) "
         "+ Jbar_{2,4}J_{6,16}/J4",
-        [counts([(1, N, 1, 8), (-1, N, 3, 8)]),
-         terms(_monomial(-1, 0), _g(-1, 2, 1, 2, 16), _g(1, 5, 1, 6, 16),
+        [count_rows([(1, N, 1, 8), (-1, N, 3, 8)]),
+         terms(_quot(-1, 0), _g(-1, 2, 1, 2, 16), _g(1, 5, 1, 6, 16),
                _quot(1, 0, [Jbar(2, 4), J(6, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
@@ -852,8 +818,8 @@ def _rank_crank_entries():
         "rank-diff-04-prefinal",
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) "
         "+ 2q^5 g(-q^6;q^16) - J_{1,2}Jbar_{1,4}/J4",
-        [counts([(1, N, 0, 4), (-1, N, 2, 4)]),
-         terms(_monomial(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
+        [count_rows([(1, N, 0, 4), (-1, N, 2, 4)]),
+         terms(_quot(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
                _quot(-1, 0, [J(1, 2), Jbar(1, 4)], [J4]))],
         MOCK_PREC))
     # the two Hecke-sum consequences that collapse the mod-8 differences
@@ -891,18 +857,18 @@ def _support_entries():
          terms(_g(-2, 18, -1, 20, 64),
                _quot(2, 2, [J32, (Jbar(16, 64), 2)], [Jbar(20, 64), J(4, 32)]))),
         ("g2-minus", "q^2[g(q^2;q^16) - g(-q^2;q^16)]", g_comb(2, -1), 0,
-         terms(_monomial(-2, 0), _g(2, 12, -1, 12, 64),
+         terms(_quot(-2, 0), _g(2, 12, -1, 12, 64),
                _quot(2, 0, [J32, (Jbar(16, 64), 2)], [Jbar(52, 64), J(4, 32)]))),
         ("g6-plus", "q^5[g(q^6;q^16) + g(-q^6;q^16)]", g_comb(5, 1), 1,
          terms(_g(-2, 21, -1, 28, 64),
                _quot(2, 5, [J32, (Jbar(16, 64), 2)], [Jbar(28, 64), J(12, 32)]))),
         ("g6-minus", "q^5[g(q^6;q^16) - g(-q^6;q^16)]", g_comb(5, -1), 3,
-         terms(_monomial(-2, -1), _g(2, 3, -1, 4, 64),
+         terms(_quot(-2, -1), _g(2, 3, -1, 4, 64),
                _quot(2, -1, [J32, (Jbar(16, 64), 2)], [Jbar(60, 64), J(12, 32)]))),
     ]
     for entry_id, label, lhs, residue, rhs in combos:
         entries.append(_eq(entry_id, label + " expansion", [lhs, rhs], MOCK_PREC))
-        entries.append(_entry(
+        entries.append(IdentityEntry(
             f"{entry_id}-support", label + f" supported on {residue} mod 4",
             "support", MOCK_PREC, [lhs], support_t=4,
             support_allowed=frozenset([residue])))
@@ -964,7 +930,7 @@ def _mod57_entries():
     entries.append(_eq(
         "eta1-quintuple",
         "J1 = J25 (J_{10,25}/J_{5,25} - q^2 J_{20,25}/J_{10,25} - q)",
-        [atom_series(eta_atom(1)),
+        [terms(_quot(1, 0, [eta_atom(1)])),
          terms(_quot(1, 0, [eta_atom(25), J(10, 25)], [J(5, 25)]),
                _quot(-1, 2, [eta_atom(25), J(20, 25)], [J(10, 25)]),
                _quot(-1, 1, [eta_atom(25)]))],
@@ -1045,7 +1011,7 @@ def _lewis_entries():
 
     entries.append(_eq(
         "eta1-as-quotient", "J1 as a base-16 quotient, q^4-deflated",
-        [atom_series(eta_atom(1)),
+        [terms(_quot(1, 0, [eta_atom(1)])),
          terms(_quot(1, 0, [(J(2, 16), 2), J(4, 16), (J(6, 16), 2), J(8, 16),
                             Jbar(8, 32)],
                      [Jbar(1, 16), Jbar(3, 16), Jbar(5, 16), Jbar(7, 16),
@@ -1086,11 +1052,11 @@ def _lewis_entries():
     entries.append(_eq(
         "lewis-positivity-id",
         "sum (N(0,8;4n+3) - C(0,8;4n+3)) q^n = q Jbar_{0,8} Jbar_{13,16}/J1",
-        [counts([(1, N, 0, 8), (-1, C, 0, 8)], t=4, r=3),
+        [count_rows([(1, N, 0, 8), (-1, C, 0, 8)], t=4, r=3),
          terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))],
         101, progression=(4, 3)))
 
-    entries.append(_entry(
+    entries.append(IdentityEntry(
         "lewis-positivity", "q Jbar_{0,8} Jbar_{13,16}/J1 has positive coefficients",
         "positivity", 151,
         [terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))]))
@@ -1101,9 +1067,9 @@ def _lewis_entries():
         ("lewis-ineq-2", "N(0,8;4n+3) >= C(0,8;4n+3) for n >= 1", 3, 1, N, C),
     ]
     for entry_id, label, r, threshold, lhs, rhs in ineqs:
-        entries.append(_entry(
+        entries.append(IdentityEntry(
             entry_id, label, "inequality", 100,
-            [counts([(1, stat, 0, 8)], t=4, r=r) for stat in (lhs, rhs)],
+            [count_rows([(1, stat, 0, 8)], t=4, r=r) for stat in (lhs, rhs)],
             ineq_threshold=threshold, progression=(4, r)))
 
     return entries

@@ -208,7 +208,8 @@ def eta_quotient(
     wider product multiplies the canonical numerator atoms, then divides
     by each denominator atom with multiplicity: k - 1 products and l
     divisions for k and l factors, each walking the O(sqrt(prec/m))
-    nonzeros of one atom; no factor is a dense inverse.
+    nonzeros of one atom; no factor is a dense inverse.  With no factor
+    left the quotient is the monomial unit * q^shift, one window.
     """
     form = _normal_form(numerator, denominator, shift)
     if form is None:
@@ -218,6 +219,8 @@ def eta_quotient(
     if prec <= shift:
         # the monomial alone puts the quotient beyond the window
         return Series.zero(INTEGER, prec)
+    if not factors:
+        return Series.monomial(INTEGER, shift, prec, unit)
     out = _quotient(factors, prec - shift).shift(shift)
     return out if unit == 1 else out.scale(unit)
 

@@ -5,12 +5,13 @@ their entries at the precision the statement demands (prec 101 checks
 exponents 0..100 inclusive, prec 201 checks through q^200).
 """
 
+import json
 import time
 
 import pytest
 
-from qdissect import theta
-from qdissect.identities import perturb_entry, verify_all, verify_identity
+from qdissect import cli, theta
+from qdissect.identities import perturb_entry, report_json, verify_all, verify_identity
 from qdissect.partitions import count_series, partition_series, residue_count
 from qdissect.registry import build_registry
 
@@ -58,6 +59,17 @@ def test_criterion_01_full_registry_passes(full_run, registry):
         f"\nACCEPTANCE 1: PASS - {len(reports)} registry entries verified "
         f"at default precisions in {elapsed:.1f}s"
     )
+
+
+def test_default_report_matches_the_golden_report(full_run, pytestconfig):
+    # the golden file is `qdissect verify --json` at the default
+    # precisions without "ms" and "timestamp"
+    golden = pytestconfig.rootpath / "tests" / "golden" / "verify_default.json"
+    payload = report_json(full_run[0], cli.DEFAULT_PREC, "")
+    del payload["run"]["timestamp"]
+    for result in payload["results"]:
+        del result["ms"]
+    assert payload == json.loads(golden.read_text())
 
 
 def test_criterion_02_mock_theta_conjectures(by_id):

@@ -6,6 +6,7 @@ import pytest
 
 from qdissect.identities import (
     JSON_REPORT_SCHEMA,
+    Counts,
     IdentityEntry,
     Mismatch,
     equality_check,
@@ -17,7 +18,7 @@ from qdissect.identities import (
     verify_all,
     verify_identity,
 )
-from qdissect.registry import build_registry, counts
+from qdissect.registry import build_registry
 from qdissect.rings import INTEGER
 from qdissect.series import Comparison, Series
 from qdissect import theta
@@ -26,6 +27,15 @@ from qdissect import theta
 @pytest.fixture(scope="module")
 def registry():
     return build_registry()
+
+
+class FnPart:
+    """A test-only part: its build is the given prec -> Series function
+    (the library's parts are data records; these tests need parts that
+    fail, count their calls or stop short)."""
+
+    def __init__(self, build):
+        self.build = build
 
 
 def test_registry_size_and_unique_ids(registry):
@@ -204,7 +214,7 @@ def test_positivity_check_basics():
 
 
 def test_inequality_check_reflexive():
-    ranks = counts([(1, "rank", 0, 8)], t=4, r=1)(41)
+    ranks = Counts([(1, "rank", 0, 8)], t=4, r=1).build(41)
     out = inequality_check(ranks, ranks, 0, 40)
     assert out.equal and not out.notes
 
@@ -213,8 +223,8 @@ def test_inequality_below_threshold_is_informational():
     # swapped first Lewis pair: C(0,8;1) = -1 < 1 = N(0,8;1) at n=0, but
     # C(0,8;5) = N(0,8;5); with threshold 1 and max_n 1 the n=0 violation
     # is a note, not a failure
-    lhs = counts([(1, "crank", 0, 8)], t=4, r=1)(2)
-    rhs = counts([(1, "rank", 0, 8)], t=4, r=1)(2)
+    lhs = Counts([(1, "crank", 0, 8)], t=4, r=1).build(2)
+    rhs = Counts([(1, "rank", 0, 8)], t=4, r=1).build(2)
     out = inequality_check(lhs, rhs, 1, 1)
     assert out.equal
     assert any("below threshold" in note for note in out.notes)
@@ -237,13 +247,13 @@ def test_perturbed_inequality_fails_at_its_index(registry):
 
 
 def test_equality_entry_window_discipline():
-    # builders that cannot reach the requested precision are an error,
+    # parts that cannot reach the requested precision are an error,
     # never a silent pass
     def narrow(prec):
         return Series.one(min(prec, 20))
 
     entry = IdentityEntry("window-test", "window", "equality", 50,
-                          (((1, narrow),), ((1, narrow),)))
+                          (((1, FnPart(narrow)),), ((1, FnPart(narrow)),)))
     report = verify_identity(entry, prec=50)
     assert report.status == "error"
     assert "window" in report.notes[0]
@@ -252,7 +262,7 @@ def test_equality_entry_window_discipline():
 def test_support_entry_window_discipline():
     entry = IdentityEntry(
         "s", "s", "support", 50,
-        sides=(((1, lambda p: Series.zero(INTEGER, min(p, 20))),),),
+        sides=(((1, FnPart(lambda p: Series.zero(INTEGER, min(p, 20)))),),),
         support_t=2, support_allowed=frozenset({0}))
     report = verify_identity(entry, prec=50)
     assert (report.status, report.verified_through) == ("error", 20)
@@ -274,7 +284,7 @@ def _ones(prec):
 def test_short_windows_read_alike_for_every_kind(kind, extra):
     # a check that holds on every exponent it can read, through q^19 of a
     # q^50 run, is an error through 20 for every kind, with the same note
-    side = ((1, _ones),)
+    side = ((1, FnPart(_ones)),)
     sides = (side,) if kind in ("support", "positivity") else (side, side)
     entry = IdentityEntry("short", "short", kind, 50, sides, **extra)
     report = verify_identity(entry, prec=50)
@@ -293,7 +303,7 @@ def test_equality_stops_building_at_the_first_failing_leg():
         return build
 
     entry = IdentityEntry("legs", "legs", "equality", 50,
-                          tuple(((1, counted(v)),) for v in (1, 2, 1)))
+                          tuple(((1, FnPart(counted(v))),) for v in (1, 2, 1)))
     report = verify_identity(entry)
     assert report.status == "fail"
     assert report.first_mismatch == Mismatch(3, "1", "2")
@@ -316,7 +326,7 @@ def test_builder_exceptions_are_reported():
         raise ValueError("deliberate builder failure")
 
     entry = IdentityEntry("error-test", "error", "equality", 50,
-                          (((1, boom),), ((1, lambda prec: Series.one(prec)),)))
+                          (((1, FnPart(boom)),), ((1, FnPart(Series.one)),)))
     report = verify_identity(entry)
     assert report.status == "error"
     assert "deliberate builder failure" in report.notes[0]
@@ -329,8 +339,10 @@ def test_one_broken_entry_does_not_stop_the_run():
     def one(prec):
         return Series.one(prec)
 
-    broken = IdentityEntry("broken", "broken", "equality", 50, (((1, boom),), ((1, one),)))
-    fine = IdentityEntry("fine", "fine", "equality", 50, (((1, one),), ((1, one),)))
+    broken = IdentityEntry("broken", "broken", "equality", 50,
+                           (((1, FnPart(boom)),), ((1, FnPart(one)),)))
+    fine = IdentityEntry("fine", "fine", "equality", 50,
+                         (((1, FnPart(one)),), ((1, FnPart(one)),)))
     reports = verify_all([broken, fine])
     assert [r.status for r in reports] == ["error", "pass"]
     payload = report_json(reports, 50, "t")

@@ -264,6 +264,29 @@ def test_count_combination_edges():
             count_combination([(1, "rank", 0, 3)], 10, t, r)
 
 
+@pytest.mark.parametrize("prec", [-3, 0])
+def test_count_views_end_where_asked_at_nonpositive_prec(prec):
+    views = [
+        count_combination([(2, "rank", 1, 5), (-1, "crank", 0, 1)], prec, 3, 2),
+        residue_series("crank", 3, 7, prec),
+        partition_series(prec),
+        scaled_deviation("rank", 0, 8, prec),
+        deviation_series("crank", 2, 4, prec),
+        count_series("rank", 5, prec),
+    ]
+    assert all(view.valuation() is None for view in views)
+    # a folded atom keeps its terms below q^0: j(-q^7;q^3) starts at q^-5
+    views += [theta.theta_j(theta.J(1, 5), prec), theta.theta_j(theta.Jbar(7, 3), prec)]
+    assert [view.prec for view in views] == [prec] * len(views)
+    # the progression and the rows are checked before the early return
+    with pytest.raises(ValueError, match="out of range"):
+        count_combination([(1, "rank", 5, 5)], prec)
+    with pytest.raises(ValueError, match="unknown statistic"):
+        count_combination([(1, "spin", 0, 5)], prec)
+    with pytest.raises(ValueError, match="progression"):
+        count_combination([(1, "rank", 0, 5)], prec, 2, 2)
+
+
 def test_concurrent_cache_reads_are_consistent():
     # count-series and theta caches are shared; hammer them from threads
     from concurrent.futures import ThreadPoolExecutor

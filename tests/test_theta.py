@@ -114,8 +114,14 @@ def test_eta_quotient_cancellation():
     assert one == Series.one(101)
 
 
-def test_eta_quotient_empty_is_one():
+def test_eta_quotient_empty_is_one(monkeypatch):
     assert eta_quotient(prec=10) == Series.one(10)
+    # with no factor left, unit * q^shift is built as the monomial window
+    # and the memo stores nothing: j(q^3;q^2)/j(q;q^2) = -q^-1
+    monkeypatch.setattr(theta, "_memo", {})
+    assert eta_quotient(shift=3, prec=10) == Series.monomial(INTEGER, 3, 10)
+    assert eta_quotient([J(3, 2)], [J(1, 2)], prec=10) == Series.monomial(INTEGER, -1, 10, -1)
+    assert theta._memo == {}
 
 
 def test_eta_quotient_zero_numerator_and_bad_denominator():
