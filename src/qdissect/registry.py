@@ -6,9 +6,11 @@ Groups, in registry order:
      base-doubling laws, the generic two-theta product identities, the
      three-term Weierstrass relation, the quintuple product, the two
      Hecke-type vanishing sums, the lost-notebook split of the universal
-     mock theta function g and its even/odd root-of-unity corollaries
-     (generic-variable identities are checked at fixed batches of
-     specializations x = +-q^a, enumerated here);
+     mock theta function g and its even/odd root-of-unity corollaries.
+     Each generic-variable law is written once in LAWS, over exponent
+     vectors in q and its variables; its entries are that law at fixed
+     batches of specializations q -> q^m, x -> +-q^a, listed here and
+     mapped by the one substitution _monomial;
   B. the fifth-order mock theta conjectures (f0, f1);
   C. 2-dissections of rank and crank deviations mod 4, with the
      intermediate forms and the split rewrites that connect them;
@@ -31,9 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import theta
 from .identities import Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum
-from .theta import GSpec, J, Jbar, eta_atom
+from .theta import GSpec, J, Jbar, ThetaAtom, eta_atom
 
 THETA_PREC = 200  # theta-only entries (cheap, sparse expansions)
 MOCK_PREC = 100  # entries whose parts evaluate mock g
@@ -50,6 +51,9 @@ Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 # The helpers below keep those transcriptions close to how the statements
 # are written, and the dissection families expand into the same pairs; a
 # constant or monomial value*q^e is the empty quotient _quot(value, e).
+# The toolkit's generic laws (group A) are not written as pairs: each is
+# one statement over exponent vectors, and _law_entry substitutes a
+# specialization into it to make these same pairs.
 #
 # Scales are exact rationals (int or Fraction); the entry, not the
 # registry, clears them: IdentityEntry.denominator is the lcm of their
@@ -173,9 +177,167 @@ def _dev_sum(stat, M):
 # -- group A: toolkit -------------------------------------------------------------
 
 
-def _toolkit_entries():
-    entries = []
+# Each generic law is written once, as data over its variables x_0, x_1, ...
+# An exponent vector (c, k_0, k_1, ...) stands for q^c x_0^k_0 x_1^k_1 ...;
+# an atom (sign, vec, b) is j(sign*q^vec; q^b), and (atom, p) its p-th
+# power.  A term (scale, vec, part) is scale * q^vec * part, where part is
+# ("quot", num[, den]), a quotient of atoms, ("g", atom), g at the atom's
+# argument and base, or ("sum", atom), the atom's triple-product sum at
+# base -q^b.  LAWS maps a law's id to (label, prec, sides).
+#
+# A specialization (m, (s_0, a_0), ...) puts q -> q^m and x_i -> s_i q^a_i.
+# _monomial is the one place that maps a vector under it, and _law_entry
+# the one place that turns a law at a specialization into an entry.
 
+_JX = (1, (0, 1), 1)  # j(x;q)
+_J1, _J2, _J4 = (1, (1,), 3), (1, (2,), 6), (1, (4,), 12)  # J_k = j(q^k;q^3k)
+
+
+def _split_sides(M):
+    # term k: (-1)^k q^C(k,2) z^k j((-1)^(M+1) q^(C(M,2)+Mk) z^M; q^(M^2))
+    return ([(1, (0,), ("quot", [_JX]))],
+            [((-1) ** k, (k * (k - 1) // 2, k),
+              ("quot", [((-1) ** (M + 1), (M * (M - 1) // 2 + M * k, M), M * M)]))
+             for k in range(M)])
+
+
+LAWS = {
+    "shift-law": ("j(qx;q) = -x^-1 j(x;q)", THETA_PREC, (
+        [(1, (0,), ("quot", [(1, (1, 1), 1)]))],
+        [(-1, (0, -1), ("quot", [_JX]))])),
+    "reflect-law": ("j(x;q) = j(q/x;q)", THETA_PREC, (
+        [(1, (0,), ("quot", [_JX]))],
+        [(1, (0,), ("quot", [(1, (1, -1), 1)]))])),
+    "base-double": ("j(x;q) = J1 j(x;q^2) j(qx;q^2)/J2^2", THETA_PREC, (
+        [(1, (0,), ("quot", [_JX]))],
+        [(1, (0,), ("quot", [_J1, (1, (0, 1), 2), (1, (1, 1), 2)], [(_J2, 2)]))])),
+    "neg-base": ("j(x;-q) = j(x;q^2) j(-qx;q^2)/j(q;q^4)", THETA_PREC, (
+        [(1, (0,), ("sum", _JX))],
+        [(1, (0,), ("quot", [(1, (0, 1), 2), (-1, (1, 1), 2)], [(1, (1,), 4)]))])),
+    **{f"split-{M}-term": (f"{M}-term splitting of j(z;q)", THETA_PREC, _split_sides(M))
+       for M in (2, 3, 5)},
+    "jsplit": ("j(z;q) = j(-qz^2;q^4) - z j(-q^3z^2;q^4)", THETA_PREC, (
+        [(1, (0,), ("quot", [_JX]))],
+        [(1, (0,), ("quot", [(-1, (1, 2), 4)])),
+         (-1, (0, 1), ("quot", [(-1, (3, 2), 4)]))])),
+    # variables x, y
+    "theta-pair": (
+        "j(x;q)j(y;q) = j(-xy;q^2)j(-qy/x;q^2) - x j(-qxy;q^2)j(-y/x;q^2)", THETA_PREC, (
+            [(1, (0,), ("quot", [_JX, (1, (0, 0, 1), 1)]))],
+            [(1, (0,), ("quot", [(-1, (0, 1, 1), 2), (-1, (1, -1, 1), 2)])),
+             (-1, (0, 1), ("quot", [(-1, (1, 1, 1), 2), (-1, (0, -1, 1), 2)]))])),
+    "theta-pair-even": (
+        "j(-x;q)j(y;q) + j(x;q)j(-y;q) = 2 j(xy;q^2) j(qy/x;q^2)", THETA_PREC, (
+            [(1, (0,), ("quot", [(-1, (0, 1), 1), (1, (0, 0, 1), 1)])),
+             (1, (0,), ("quot", [_JX, (-1, (0, 0, 1), 1)]))],
+            [(2, (0,), ("quot", [(1, (0, 1, 1), 2), (1, (1, -1, 1), 2)]))])),
+    # variables a, b, c, d: j(ac)j(a/c)j(bd)j(b/d)
+    #   = j(ad)j(a/d)j(bc)j(b/c) + (b/c) j(ab)j(a/b)j(cd)j(c/d), all on base q
+    "weierstrass": ("three-term Weierstrass relation", THETA_PREC, (
+        [(1, (0,), ("quot", [(1, (0, 1, 0, 1, 0), 1), (1, (0, 1, 0, -1, 0), 1),
+                             (1, (0, 0, 1, 0, 1), 1), (1, (0, 0, 1, 0, -1), 1)]))],
+        [(1, (0,), ("quot", [(1, (0, 1, 0, 0, 1), 1), (1, (0, 1, 0, 0, -1), 1),
+                             (1, (0, 0, 1, 1, 0), 1), (1, (0, 0, 1, -1, 0), 1)])),
+         (1, (0, 0, 1, -1, 0), ("quot", [
+             (1, (0, 1, 1, 0, 0), 1), (1, (0, 1, -1, 0, 0), 1),
+             (1, (0, 0, 0, 1, 1), 1), (1, (0, 0, 0, 1, -1), 1)]))])),
+    "quintuple": ("quintuple product identity", THETA_PREC, (
+        [(1, (0,), ("quot", [(1, (1, 3), 3)])),
+         (1, (0, 1), ("quot", [(1, (2, 3), 3)]))],
+        [(1, (0,), ("quot", [_J1, (1, (0, 2), 1)], [_JX]))])),
+    "hecke-sum": (
+        "j(q^2x;q^4)j(q^5x;q^8) + (q/x) j(x;q^4)j(qx;q^8) "
+        "= (J1/J4) j(-q^3x;q^4)j(q^3x;q^8)", THETA_PREC, (
+            [(1, (0,), ("quot", [(1, (2, 1), 4), (1, (5, 1), 8)])),
+             (1, (1, -1), ("quot", [(1, (0, 1), 4), (1, (1, 1), 8)])),
+             (-1, (0,), ("quot", [_J1, (-1, (3, 1), 4), (1, (3, 1), 8)], [_J4]))],
+            [])),
+    "hecke-sum-alt": (
+        "j(-x;q^4)j(-q^5x;q^8) - j(-q^2x;q^4)j(-qx;q^8) "
+        "= x (J1/J4) j(q^3x;q^4)j(-q^7x;q^8)", THETA_PREC, (
+            [(1, (0,), ("quot", [(-1, (0, 1), 4), (-1, (5, 1), 8)])),
+             (-1, (0,), ("quot", [(-1, (2, 1), 4), (-1, (1, 1), 8)])),
+             (-1, (0, 1), ("quot", [_J1, (1, (3, 1), 4), (-1, (7, 1), 8)], [_J4]))],
+            [])),
+    "gsplit": (
+        "g(x;q) = -x^-1 + qx^-3 g(-q/x^2;q^4) - q g(-qx^2;q^4) "
+        "+ J2 j(q^2;q^4)^2/(x j(x;q) j(-qx^2;q^2))", MOCK_PREC, (
+            [(1, (0,), ("g", _JX))],
+            [(-1, (0, -1), ("quot", [])),
+             (1, (1, -3), ("g", (-1, (1, -2), 4))),
+             (-1, (1,), ("g", (-1, (1, 2), 4))),
+             (1, (0, -1), ("quot", [_J2, ((1, (2,), 4), 2)], [_JX, (-1, (1, 2), 2)]))])),
+    "g-even-part": (
+        "g(x;q) + g(-x;q) = -2q g(-qx^2;q^4) "
+        "+ 2 J2 j(-q;q^4)^2/(j(-qx^2;q^4) j(x^2;q^2))", MOCK_PREC, (
+            [(1, (0,), ("g", _JX)), (1, (0,), ("g", (-1, (0, 1), 1)))],
+            [(-2, (1,), ("g", (-1, (1, 2), 4))),
+             (2, (0,), ("quot", [_J2, ((-1, (1,), 4), 2)],
+                        [(-1, (1, 2), 4), (1, (0, 2), 2)]))])),
+    "g-odd-part": (
+        "g(x;q) - g(-x;q) = -2x^-1 + 2qx^-3 g(-q/x^2;q^4) "
+        "+ 2 J2 j(-q;q^4)^2/(x j(-q^3x^2;q^4) j(x^2;q^2))", MOCK_PREC, (
+            [(1, (0,), ("g", _JX)), (-1, (0,), ("g", (-1, (0, 1), 1)))],
+            [(-2, (0, -1), ("quot", [])),
+             (2, (1, -3), ("g", (-1, (1, -2), 4))),
+             (2, (0, -1), ("quot", [_J2, ((-1, (1,), 4), 2)],
+                           [(-1, (3, 2), 4), (1, (0, 2), 2)]))])),
+}
+
+
+def _monomial(vec, spec):
+    """(sign, e) with q^c x_0^k_0 ... = sign * q^e under spec."""
+    n = len(vec)
+    if n > len(spec):
+        raise ValueError(f"vector {vec} has more variables than specialization {spec}")
+    sign, e = 1, spec[0] * vec[0]
+    for i in range(1, n):
+        s, a = spec[i]
+        k = vec[i]
+        if k % 2:  # s ** k is a float for k < 0
+            sign *= s
+        e += k * a
+    return sign, e
+
+
+def _atom(atom, spec):
+    """The ThetaAtom of atom under spec; a power stays on its pair."""
+    if len(atom) == 2:
+        return _atom(atom[0], spec), atom[1]
+    sign, vec, b = atom
+    s, e = _monomial(vec, spec)
+    return ThetaAtom(sign * s, e, b * spec[0])
+
+
+def _term(term, spec):
+    scale, vec, part = term
+    sign, shift = _monomial(vec, spec)
+    scale *= sign
+    if part[0] == "quot":
+        return _quot(scale, shift, [_atom(a, spec) for a in part[1]],
+                     [_atom(a, spec) for a in part[2]] if len(part) > 2 else ())
+    atom = _atom(part[1], spec)
+    if part[0] == "g":
+        return _g(scale, shift, atom.sign, atom.a, atom.m)
+    if shift:
+        raise ValueError("a base -q^b sum takes no monomial")
+    return scale, ThetaSum(atom, -1)
+
+
+def _law_entry(entry_id, name, spec, label=None):
+    """The entry stating law `name` at the specialization spec."""
+    law_label, prec, sides = LAWS[name]
+    return _eq(entry_id, label or law_label,
+               [terms(*[_term(term, spec) for term in side]) for side in sides], prec)
+
+
+def _specialize(names, specs):
+    """Entries <name>-<i> for the laws at the i-th spec, interleaved by spec."""
+    return [_law_entry(f"{name}-{i}", name, spec)
+            for i, spec in enumerate(specs) for name in names]
+
+
+def _toolkit_entries():
     rearr = [
         ("rearr-0a", "j(-1;q) = 2 j(-q;q^4)",
          terms(_quot(1, 0, [Jbar(0, 1)])), terms(_quot(2, 0, [Jbar(1, 4)]))),
@@ -202,231 +364,53 @@ def _toolkit_entries():
          terms(_quot(1, 0, [(eta_atom(2), 2), eta_atom(3), eta_atom(12)],
                      [eta_atom(1), eta_atom(4), eta_atom(6)]))),
     ]
-    for entry_id, label, lhs, rhs in rearr:
-        entries.append(_eq(entry_id, label, [lhs, rhs], THETA_PREC))
 
-    # shift law j(q^m x; q^m) = -x^-1 j(x; q^m)
-    for i, (s, a, m) in enumerate([(1, 1, 3), (-1, 2, 5), (1, 3, 4), (-1, 1, 1), (1, 5, 8)]):
-        entries.append(_eq(
-            f"shift-law-{i}", "j(qx;q) = -x^-1 j(x;q)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, a + m, m)])),
-             terms(_quot(-s, -a, [theta.ThetaAtom(s, a, m)]))],
-            THETA_PREC,
-        ))
-
-    # reflection j(x;q) = j(q/x;q)
-    for i, (s, a, m) in enumerate([(1, 1, 3), (-1, 1, 4), (1, 2, 7), (-1, 3, 8), (-1, 0, 5)]):
-        entries.append(_eq(
-            f"reflect-law-{i}", "j(x;q) = j(q/x;q)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, m)])),
-             terms(_quot(1, 0, [theta.ThetaAtom(s, m - a, m)]))],
-            THETA_PREC,
-        ))
-
-    # base doubling j(x;q) = J1 j(x;q^2) j(qx;q^2) / J2^2
-    for i, (s, a, m) in enumerate([(1, 1, 2), (-1, 1, 3), (1, 2, 5), (-1, 3, 4), (1, 1, 8)]):
-        entries.append(_eq(
-            f"base-double-{i}", "j(x;q) = J1 j(x;q^2) j(qx;q^2)/J2^2",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, m)])),
-             terms(_quot(1, 0,
-                         [eta_atom(m), theta.ThetaAtom(s, a, 2 * m),
-                          theta.ThetaAtom(s, a + m, 2 * m)],
-                         [(eta_atom(2 * m), 2)]))],
-            THETA_PREC,
-        ))
-
-    # negated base j(x;-q) = j(x;q^2) j(-qx;q^2) / j(q;q^4)
-    for i, (s, a, m) in enumerate([(1, 1, 1), (-1, 1, 1), (1, 1, 2), (-1, 3, 2), (1, 2, 3)]):
-        entries.append(_eq(
-            f"neg-base-{i}", "j(x;-q) = j(x;q^2) j(-qx;q^2)/j(q;q^4)",
-            [terms((1, ThetaSum(theta.ThetaAtom(s, a, m), -1))),
-             terms(_quot(1, 0,
-                         [theta.ThetaAtom(s, a, 2 * m), theta.ThetaAtom(-s, a + m, 2 * m)],
-                         [J(m, 4 * m)]))],
-            THETA_PREC,
-        ))
-
-    # m-term theta splitting at m = 2, 3, 5
-    splitgen_specs = [(2, 1, 1, 1), (2, -1, 1, 3), (3, 1, 1, 2),
-                      (3, -1, 2, 3), (5, 1, 1, 3), (5, -1, 1, 2)]
-    for i, (m, s, a, b) in enumerate(splitgen_specs):
-        parts = []
-        for k in range(m):
-            # term k: (-1)^k q^(b C(k,2)) z^k j((-1)^(m+1) q^(b(C(m,2)+mk)) z^m; q^(bm^2))
-            arg_sign = ((-1) ** (m + 1)) * (s if m % 2 else 1)
-            scale = ((-1) ** k) * (s if k % 2 else 1)
-            shift = b * (k * (k - 1) // 2) + a * k
-            atom = theta.ThetaAtom(
-                arg_sign,
-                b * (m * (m - 1) // 2) + b * m * k + a * m,
-                b * m * m,
-            )
-            parts.append(_quot(scale, shift, [atom]))
-        entries.append(_eq(
-            f"split-{m}-term-{i}", f"{m}-term splitting of j(z;q)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, b)])), terms(*parts)],
-            THETA_PREC,
-        ))
-
-    # two-square splitting j(z;q) = j(-qz^2;q^4) - z j(-q^3 z^2;q^4)
-    jsplit_specs = [
-        (1, 1, 1), (-1, 1, 1), (1, 1, 2), (-1, 1, 2), (1, 1, 4), (-1, 1, 4),
-        (1, 3, 4), (-1, 3, 4), (1, 2, 16), (-1, 2, 16), (1, 6, 16), (-1, 6, 16),
-        (1, 1, 8), (-1, 5, 8), (1, 4, 32), (-1, 8, 32), (1, 2, 3), (-1, 2, 5),
-        (1, 7, 16), (-1, 3, 7),
-    ]
-    for i, (s, a, m) in enumerate(jsplit_specs):
-        entries.append(_eq(
-            f"jsplit-{i}", "j(z;q) = j(-qz^2;q^4) - z j(-q^3z^2;q^4)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, a, m)])),
-             terms(_quot(1, 0, [Jbar(m + 2 * a, 4 * m)]),
-                   _quot(-s, a, [Jbar(3 * m + 2 * a, 4 * m)]))],
-            THETA_PREC,
-        ))
-
-    # product of two thetas: j(x;q) j(y;q)
-    pair_specs = [
-        (1, 1, 1, 2, 3), (1, 1, -1, 1, 3), (-1, 1, -1, 2, 3), (1, 2, 1, 3, 5),
-        (-1, 1, 1, 3, 5), (1, 1, 1, 4, 5), (-1, 2, -1, 3, 7), (1, 3, -1, 1, 7),
-        (1, 1, 1, 1, 2), (-1, 1, 1, 2, 4), (1, 3, -1, 2, 4), (1, 1, -1, 5, 8),
-        (-1, 3, -1, 7, 8), (1, 2, 1, 7, 9), (1, 1, 1, 5, 6), (-1, 1, -1, 1, 1),
-        (1, 4, 1, 1, 5), (-1, 2, 1, 5, 8), (1, 1, -1, 2, 2), (1, 5, 1, 2, 12),
-    ]
-    for i, (s1, a, s2, b, m) in enumerate(pair_specs):
-        entries.append(_eq(
-            f"theta-pair-{i}",
-            "j(x;q)j(y;q) = j(-xy;q^2)j(-qy/x;q^2) - x j(-qxy;q^2)j(-y/x;q^2)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s1, a, m), theta.ThetaAtom(s2, b, m)])),
-             terms(_quot(1, 0, [theta.ThetaAtom(-s1 * s2, a + b, 2 * m),
-                                theta.ThetaAtom(-s1 * s2, m - a + b, 2 * m)]),
-                   _quot(-s1, a, [theta.ThetaAtom(-s1 * s2, m + a + b, 2 * m),
-                                  theta.ThetaAtom(-s1 * s2, b - a, 2 * m)]))],
-            THETA_PREC,
-        ))
-        entries.append(_eq(
-            f"theta-pair-even-{i}",
-            "j(-x;q)j(y;q) + j(x;q)j(-y;q) = 2 j(xy;q^2) j(qy/x;q^2)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(-s1, a, m), theta.ThetaAtom(s2, b, m)]),
-                   _quot(1, 0, [theta.ThetaAtom(s1, a, m), theta.ThetaAtom(-s2, b, m)])),
-             terms(_quot(2, 0, [theta.ThetaAtom(s1 * s2, a + b, 2 * m),
-                                theta.ThetaAtom(s1 * s2, m - a + b, 2 * m)]))],
-            THETA_PREC,
-        ))
-
-    # three-term Weierstrass relation
-    weier_specs = [
-        ((-1, 32), (1, 20), (1, 16), (-1, 8), 64),
-        ((1, 3), (1, 2), (1, 1), (-1, 1), 5),
-        ((-1, 2), (1, 3), (-1, 1), (1, 1), 4),
-        ((1, 5), (-1, 3), (1, 2), (1, 1), 8),
-        ((1, 4), (1, 3), (1, 2), (1, 1), 7),
-        ((-1, 3), (-1, 2), (1, 1), (-1, 1), 3),
-        ((1, 6), (1, 5), (-1, 3), (1, 2), 12),
-        ((1, 2), (-1, 1), (1, 1), (-1, 2), 2),
-        ((-1, 7), (1, 4), (1, 3), (1, 1), 16),
-        ((1, 9), (1, 6), (-1, 4), (1, 2), 11),
-    ]
-    for i, (pa, pb, pc, pd, m) in enumerate(weier_specs):
-        (sa, ea), (sb, eb), (sc, ec), (sd, ed) = pa, pb, pc, pd
-
-        def pairs(p, q):
-            (s1, e1), (s2, e2) = p, q
-            return (theta.ThetaAtom(s1 * s2, e1 + e2, m),
-                    theta.ThetaAtom(s1 * s2, e1 - e2, m))
-
-        lhs_atoms = pairs(pa, pc) + pairs(pb, pd)
-        rhs1_atoms = pairs(pa, pd) + pairs(pb, pc)
-        rhs2_atoms = pairs(pa, pb) + pairs(pc, pd)
-        entries.append(_eq(
-            f"weierstrass-{i}", "three-term Weierstrass relation",
-            [terms(_quot(1, 0, lhs_atoms)),
-             terms(_quot(1, 0, rhs1_atoms),
-                   _quot(sb * sc, eb - ec, rhs2_atoms))],
-            THETA_PREC,
-        ))
-
-    # quintuple product j(qx^3;q^3) + x j(q^2x^3;q^3) = J1 j(x^2;q)/j(x;q)
-    quint_specs = [
-        (1, 1, 4), (-1, 1, 4), (1, 1, 5), (1, 2, 5), (-1, 1, 7),
-        (1, 2, 7), (-1, 3, 8), (1, 1, 3), (1, 5, 25), (1, 10, 25),
-    ]
-    for i, (s, a, m) in enumerate(quint_specs):
-        entries.append(_eq(
-            f"quintuple-{i}", "quintuple product identity",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, m + 3 * a, 3 * m)]),
-                   _quot(s, a, [theta.ThetaAtom(s, 2 * m + 3 * a, 3 * m)])),
-             terms(_quot(1, 0, [eta_atom(m), J(2 * a, m)],
-                         [theta.ThetaAtom(s, a, m)]))],
-            THETA_PREC,
-        ))
-
-    # Hecke-type vanishing sums
-    for i, (s, a) in enumerate([(1, 1), (-1, 1), (1, 2), (-1, 2), (1, 3),
-                                (-1, 3), (1, 5), (-1, 5), (1, 6), (-1, 6)]):
-        entries.append(_eq(
-            f"hecke-sum-{i}",
-            "j(q^2x;q^4)j(q^5x;q^8) + (q/x) j(x;q^4)j(qx;q^8) "
-            "= (J1/J4) j(-q^3x;q^4)j(q^3x;q^8)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(s, 2 + a, 4), theta.ThetaAtom(s, 5 + a, 8)]),
-                   _quot(s, 1 - a, [theta.ThetaAtom(s, a, 4), theta.ThetaAtom(s, 1 + a, 8)]),
-                   _quot(-1, 0, [eta_atom(1), theta.ThetaAtom(-s, 3 + a, 4),
-                                 theta.ThetaAtom(s, 3 + a, 8)], [eta_atom(4)])),
-             terms()],
-            THETA_PREC,
-        ))
-        entries.append(_eq(
-            f"hecke-sum-alt-{i}",
-            "j(-x;q^4)j(-q^5x;q^8) - j(-q^2x;q^4)j(-qx;q^8) "
-            "= x (J1/J4) j(q^3x;q^4)j(-q^7x;q^8)",
-            [terms(_quot(1, 0, [theta.ThetaAtom(-s, a, 4), theta.ThetaAtom(-s, 5 + a, 8)]),
-                   _quot(-1, 0, [theta.ThetaAtom(-s, 2 + a, 4), theta.ThetaAtom(-s, 1 + a, 8)]),
-                   _quot(-s, a, [eta_atom(1), theta.ThetaAtom(s, 3 + a, 4),
-                                 theta.ThetaAtom(-s, 7 + a, 8)], [eta_atom(4)])),
-             terms()],
-            THETA_PREC,
-        ))
-
-    # the lost-notebook split of g and its root-of-unity corollaries
-    g_pairs = [(1, 4), (2, 16), (6, 16), (2, 10), (4, 10), (5, 25), (10, 25),
-               (7, 49), (21, 49), (14, 49), (12, 64), (20, 64), (4, 64), (28, 64)]
-    gsplit_specs = [(1, a, m) for a, m in g_pairs] + [(-1, 1, 4), (-1, 2, 16), (-1, 6, 16)]
-    for i, (s, a, m) in enumerate(gsplit_specs):
-        entries.append(_eq(
-            f"gsplit-{i}",
-            "g(x;q) = -x^-1 + qx^-3 g(-q/x^2;q^4) - q g(-qx^2;q^4) "
-            "+ J2 j(q^2;q^4)^2/(x j(x;q) j(-qx^2;q^2))",
-            [terms(_g(1, 0, s, a, m)),
-             terms(_quot(-s, -a),
-                   _g(s, m - 3 * a, -1, m - 2 * a, 4 * m),
-                   _g(-1, m, -1, m + 2 * a, 4 * m),
-                   _quot(s, -a, [eta_atom(2 * m), (J(2 * m, 4 * m), 2)],
-                         [theta.ThetaAtom(s, a, m), Jbar(m + 2 * a, 2 * m)]))],
-            MOCK_PREC,
-        ))
-    for i, (a, m) in enumerate(g_pairs):
-        entries.append(_eq(
-            f"g-even-part-{i}",
-            "g(x;q) + g(-x;q) = -2q g(-qx^2;q^4) "
-            "+ 2 J2 j(-q;q^4)^2/(j(-qx^2;q^4) j(x^2;q^2))",
-            [terms(_g(1, 0, 1, a, m), _g(1, 0, -1, a, m)),
-             terms(_g(-2, m, -1, m + 2 * a, 4 * m),
-                   _quot(2, 0, [eta_atom(2 * m), (Jbar(m, 4 * m), 2)],
-                         [Jbar(m + 2 * a, 4 * m), J(2 * a, 2 * m)]))],
-            MOCK_PREC,
-        ))
-        entries.append(_eq(
-            f"g-odd-part-{i}",
-            "g(x;q) - g(-x;q) = -2x^-1 + 2qx^-3 g(-q/x^2;q^4) "
-            "+ 2 J2 j(-q;q^4)^2/(x j(-q^3x^2;q^4) j(x^2;q^2))",
-            [terms(_g(1, 0, 1, a, m), _g(-1, 0, -1, a, m)),
-             terms(_quot(-2, -a),
-                   _g(2, m - 3 * a, -1, m - 2 * a, 4 * m),
-                   _quot(2, -a, [eta_atom(2 * m), (Jbar(m, 4 * m), 2)],
-                         [Jbar(3 * m + 2 * a, 4 * m), J(2 * a, 2 * m)]))],
-            MOCK_PREC,
-        ))
-
-    return entries
+    # the g laws at x = q^a on base q^m; gsplit also at x = -q^a
+    g_specs = [(4, (1, 1)), (16, (1, 2)), (16, (1, 6)), (10, (1, 2)), (10, (1, 4)),
+               (25, (1, 5)), (25, (1, 10)), (49, (1, 7)), (49, (1, 21)), (49, (1, 14)),
+               (64, (1, 12)), (64, (1, 20)), (64, (1, 4)), (64, (1, 28))]
+    return (
+        [_eq(entry_id, label, [lhs, rhs], THETA_PREC) for entry_id, label, lhs, rhs in rearr]
+        + _specialize(["shift-law"], [(3, (1, 1)), (5, (-1, 2)), (4, (1, 3)), (1, (-1, 1)),
+                                      (8, (1, 5))])
+        + _specialize(["reflect-law"], [(3, (1, 1)), (4, (-1, 1)), (7, (1, 2)), (8, (-1, 3)),
+                                        (5, (-1, 0))])
+        + _specialize(["base-double"], [(2, (1, 1)), (3, (-1, 1)), (5, (1, 2)), (4, (-1, 3)),
+                                        (8, (1, 1))])
+        + _specialize(["neg-base"], [(1, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 3)),
+                                     (3, (1, 2))])
+        # one index across M = 2, 3, 5
+        + [_law_entry(f"split-{M}-term-{i}", f"split-{M}-term", spec)
+           for i, (M, spec) in enumerate([(2, (1, (1, 1))), (2, (3, (-1, 1))),
+                                          (3, (2, (1, 1))), (3, (3, (-1, 2))),
+                                          (5, (3, (1, 1))), (5, (2, (-1, 1)))])]
+        + _specialize(["jsplit"], [
+            (1, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
+            (4, (1, 3)), (4, (-1, 3)), (16, (1, 2)), (16, (-1, 2)), (16, (1, 6)),
+            (16, (-1, 6)), (8, (1, 1)), (8, (-1, 5)), (32, (1, 4)), (32, (-1, 8)),
+            (3, (1, 2)), (5, (-1, 2)), (16, (1, 7)), (7, (-1, 3))])
+        + _specialize(["theta-pair", "theta-pair-even"], [
+            (3, (1, 1), (1, 2)), (3, (1, 1), (-1, 1)), (3, (-1, 1), (-1, 2)),
+            (5, (1, 2), (1, 3)), (5, (-1, 1), (1, 3)), (5, (1, 1), (1, 4)),
+            (7, (-1, 2), (-1, 3)), (7, (1, 3), (-1, 1)), (2, (1, 1), (1, 1)),
+            (4, (-1, 1), (1, 2)), (4, (1, 3), (-1, 2)), (8, (1, 1), (-1, 5)),
+            (8, (-1, 3), (-1, 7)), (9, (1, 2), (1, 7)), (6, (1, 1), (1, 5)),
+            (1, (-1, 1), (-1, 1)), (5, (1, 4), (1, 1)), (8, (-1, 2), (1, 5)),
+            (2, (1, 1), (-1, 2)), (12, (1, 5), (1, 2))])
+        + _specialize(["weierstrass"], [
+            (64, (-1, 32), (1, 20), (1, 16), (-1, 8)), (5, (1, 3), (1, 2), (1, 1), (-1, 1)),
+            (4, (-1, 2), (1, 3), (-1, 1), (1, 1)), (8, (1, 5), (-1, 3), (1, 2), (1, 1)),
+            (7, (1, 4), (1, 3), (1, 2), (1, 1)), (3, (-1, 3), (-1, 2), (1, 1), (-1, 1)),
+            (12, (1, 6), (1, 5), (-1, 3), (1, 2)), (2, (1, 2), (-1, 1), (1, 1), (-1, 2)),
+            (16, (-1, 7), (1, 4), (1, 3), (1, 1)), (11, (1, 9), (1, 6), (-1, 4), (1, 2))])
+        + _specialize(["quintuple"], [
+            (4, (1, 1)), (4, (-1, 1)), (5, (1, 1)), (5, (1, 2)), (7, (-1, 1)),
+            (7, (1, 2)), (8, (-1, 3)), (3, (1, 1)), (25, (1, 5)), (25, (1, 10))])
+        + _specialize(["hecke-sum", "hecke-sum-alt"], [
+            (1, (s, a)) for a in (1, 2, 3, 5, 6) for s in (1, -1)])
+        + _specialize(["gsplit"], g_specs + [(4, (-1, 1)), (16, (-1, 2)), (16, (-1, 6))])
+        + _specialize(["g-even-part", "g-odd-part"], g_specs)
+    )
 
 
 # -- group B: fifth-order mock theta conjectures -----------------------------------
@@ -643,22 +627,12 @@ def _mod8_entries():
                _quot(-1, 1, [Jbar(4, 8), J(14, 16)], [J4]))],
         THETA_PREC))
 
-    base_splits = [
-        ("base-split-0", "j(-q^6;q^16) split to base q^64",
-         terms(_quot(1, 0, [Jbar(6, 16)])),
-         terms(_quot(1, 0, [Jbar(28, 64)]), _quot(1, 6, [Jbar(60, 64)]))),
-        ("base-split-1", "j(-q^2;q^16) split to base q^64",
-         terms(_quot(1, 0, [Jbar(2, 16)])),
-         terms(_quot(1, 0, [Jbar(20, 64)]), _quot(1, 2, [Jbar(52, 64)]))),
-        ("base-split-2", "j(q^6;q^16) split to base q^64",
-         terms(_quot(1, 0, [J(6, 16)])),
-         terms(_quot(1, 0, [Jbar(28, 64)]), _quot(-1, 6, [Jbar(60, 64)]))),
-        ("base-split-3", "j(q^2;q^16) split to base q^64",
-         terms(_quot(1, 0, [J(2, 16)])),
-         terms(_quot(1, 0, [Jbar(20, 64)]), _quot(-1, 2, [Jbar(52, 64)]))),
-    ]
-    for entry_id, label, lhs, rhs in base_splits:
-        entries.append(_eq(entry_id, label, [lhs, rhs], THETA_PREC))
+    # the jsplit law at q -> q^16, x = -+q^6 and -+q^2
+    entries += [_law_entry(f"base-split-{i}", "jsplit", (16, x), label) for i, (label, x) in
+                enumerate([("j(-q^6;q^16) split to base q^64", (-1, 6)),
+                           ("j(-q^2;q^16) split to base q^64", (-1, 2)),
+                           ("j(q^6;q^16) split to base q^64", (1, 6)),
+                           ("j(q^2;q^16) split to base q^64", (1, 2))])]
 
     # crank deviations mod 8: 4-dissections
     entries += _dev_lines("crank", 8, 4, {

@@ -118,9 +118,10 @@ def _normal_form(numerator: Iterable[AtomLike], denominator: Iterable[AtomLike],
     once and the exponents of both sides merged, so atom order, repeated
     atoms, an atom on both sides and a folded atom give one key.  None
     when a numerator atom vanishes identically; a vanishing denominator
-    atom raises.
+    atom raises, also over a vanishing numerator (0/0 is no series).
     """
     unit = 1
+    vanishes = False
     exponents: dict = {}
     for side, atoms in ((1, numerator), (-1, denominator)):
         for item in atoms:
@@ -130,13 +131,15 @@ def _normal_form(numerator: Iterable[AtomLike], denominator: Iterable[AtomLike],
             sign, m = atom.sign, atom.m
             k, a = divmod(atom.a, m)
             if sign == 1 and a == 0:
-                if side == 1:
-                    return None
-                raise SeriesError(f"division by the vanishing theta series {atom}")
+                if side == -1:
+                    raise SeriesError(f"division by the vanishing theta series {atom}")
+                vanishes = True
             if sign == 1 and k % 2 and e % 2:
                 unit = -unit
             shift -= side * e * (m * (k * (k - 1) // 2) + a * k)
             exponents[sign, a, m] = exponents.get((sign, a, m), 0) + side * e
+    if vanishes:
+        return None
     factors = tuple(sorted((*atom, k) for atom, k in exponents.items() if k))
     return unit, shift, factors
 

@@ -8,13 +8,15 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qdissect.identities import (Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum,
-                                 build_side, verify_all)
-from qdissect.registry import _dev, _eq, _quot, build_registry, deviation_sum, terms
+                                 build_side, verify_all, verify_identity)
+from qdissect.registry import (LAWS, _dev, _eq, _g, _law_entry, _monomial, _quot,
+                               build_registry, deviation_sum, terms)
 from qdissect.rings import INTEGER
 from qdissect.series import Series
-from qdissect.theta import J
+from qdissect.theta import J, Jbar, ThetaAtom, eta_atom
 
 RECORDS = (Quot, G, Counts, ThetaSum, Eulerian)
 
@@ -106,3 +108,58 @@ def test_build_side_builds_its_parts_and_one_sum(monkeypatch):
     assert len(built) == 4
     assert (out.min_exp, out.prec) == (-1, 10)
     assert out.coeffs == (-6, 0, 2, 1) + (0,) * 7
+
+
+def test_generated_entries_match_their_hand_written_sides(by_id):
+    T = ThetaAtom
+    hand = {
+        "theta-pair-2": [terms(_quot(1, 0, [T(-1, 1, 3), T(-1, 2, 3)])),
+                         terms(_quot(1, 0, [T(-1, 3, 6), T(-1, 4, 6)]),
+                               _quot(1, 1, [T(-1, 6, 6), T(-1, 1, 6)]))],
+        "weierstrass-1": [
+            terms(_quot(1, 0, [T(1, 4, 5), T(1, 2, 5), T(-1, 3, 5), T(-1, 1, 5)])),
+            terms(_quot(1, 0, [T(-1, 4, 5), T(-1, 2, 5), T(1, 3, 5), T(1, 1, 5)]),
+                  _quot(1, 1, [T(1, 5, 5), T(1, 1, 5), T(-1, 2, 5), T(-1, 0, 5)]))],
+        "gsplit-14": [terms(_g(1, 0, -1, 1, 4)),
+                      terms(_quot(1, -1), _g(-1, 1, -1, 2, 16), _g(-1, 4, -1, 6, 16),
+                            _quot(-1, -1, [eta_atom(8), (J(8, 16), 2)],
+                                  [T(-1, 1, 4), Jbar(6, 8)]))],
+        "base-split-2": [terms(_quot(1, 0, [J(6, 16)])),
+                         terms(_quot(1, 0, [Jbar(28, 64)]), _quot(-1, 6, [Jbar(60, 64)]))],
+    }
+    for entry_id, sides in hand.items():
+        assert by_id[entry_id].sides == tuple(sides), entry_id
+
+
+def test_a_spec_covers_every_variable_of_its_law():
+    with pytest.raises(ValueError):
+        _monomial((0, 1, 1), (3, (1, 1)))
+    with pytest.raises(ValueError):
+        _law_entry("pair", "theta-pair", (3, (1, 1)))
+    # a variable the vector leaves out has power 0
+    assert _monomial((2,), (3, (-1, 1), (-1, 5))) == (1, 6)
+    # odd negative powers keep the sign an int
+    for vec in ((0, -1), (1, -3), (0, -2)):
+        sign, _ = _monomial(vec, (3, (-1, 2)))
+        assert type(sign) is int and sign == (1 if vec[1] % 2 == 0 else -1)
+
+
+THETA_LAWS = [name for name, (_, _, sides) in LAWS.items()
+              if all(part[0] != "g" for side in sides for _, _, part in side)]
+SPECS = st.integers(min_value=1, max_value=12).flatmap(lambda m: st.tuples(
+    st.just(m), *[st.tuples(st.sampled_from([1, -1]), st.integers(-m, 2 * m))] * 4))
+
+
+@given(SPECS)
+@example((3, (1, 3), (1, 1), (1, 1), (1, 1)))  # x = q^m: the quintuple's j(x;q) vanishes
+@settings(max_examples=40, deadline=None)
+def test_the_theta_laws_hold_off_their_spec_lists(spec):
+    assert len(THETA_LAWS) == 14
+    for name in THETA_LAWS:
+        report = verify_identity(_law_entry(name, name, spec), 50)
+        vanishing = any("vanishing theta series" in note for note in report.notes)
+        assert report.status == "pass" or (report.status == "error" and vanishing), (
+            name, spec, report)
+    # 0/0 is an error, not a zero quotient that fails
+    if spec[1][1] % spec[0] == 0 and spec[1][0] == 1:
+        assert verify_identity(_law_entry("q", "quintuple", spec), 50).status == "error"

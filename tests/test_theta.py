@@ -131,6 +131,15 @@ def test_eta_quotient_zero_numerator_and_bad_denominator():
         eta_quotient([eta_atom(1)], [J(10, 5)], prec=20)
 
 
+def test_zero_over_zero_raises():
+    # every atom is read before the quotient is called zero, so a vanishing
+    # denominator raises even where a numerator atom vanishes too
+    for num, den in (([J(0, 5)], [J(5, 5)]), ([J(5, 5), J(1, 3)], [J(1, 4), J(0, 3)])):
+        with pytest.raises(SeriesError):
+            eta_quotient(num, den, prec=20)
+    assert eta_quotient([J(0, 5)], [J(1, 5)], prec=20).valuation() is None
+
+
 def test_mock_g_leading_terms():
     # x = -q^2, base q^16: x^-1(-1 + 1/(1-x) + ...) = 1 - q^2 + q^4 - ...
     g = mock_g(GSpec(-1, 2, 16), 14)
