@@ -119,8 +119,6 @@ class IdentityEntry:
     support_allowed: frozenset = frozenset()
     # inequality kind: sides[0] >= sides[1] for n >= threshold
     ineq_threshold: int = 0
-    # (t, r) when the sides index the arguments t*n + r by n
-    progression: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "sides", tuple(map(tuple, self.sides)))
@@ -134,6 +132,16 @@ class IdentityEntry:
             raise ValueError(f"{self.kind} entries take exactly one side")
         if self.kind == "inequality" and len(self.sides) != 2:
             raise ValueError("inequality entries take exactly two sides")
+        self.progression  # refuses count parts on two progressions
+
+    @property
+    def progression(self) -> Optional[Tuple[int, int]]:
+        """(t, r) when the sides index the arguments t*n + r by n: the one
+        progression of the Counts parts, or None for (1, 0) or none."""
+        found = {(p.t, p.r) for side in self.sides for _, p in side if type(p) is Counts}
+        if len(found) > 1:
+            raise ValueError(f"count parts on more than one progression: {sorted(found)}")
+        return next(iter(found - {(1, 0)}), None)
 
     @property
     def denominator(self) -> int:

@@ -40,7 +40,7 @@ THETA_PREC = 200  # theta-only entries (cheap, sparse expansions)
 MOCK_PREC = 100  # entries whose parts evaluate mock g
 
 # atoms and numerators shared by many statements
-J4, J32 = eta_atom(4), eta_atom(32)
+J4 = eta_atom(4)
 Q14, Q14BAR = (J(1, 2), J(1, 4)), (Jbar(1, 2), Jbar(1, 4))
 
 
@@ -309,10 +309,11 @@ def _atom(atom, spec):
     return ThetaAtom(sign * s, e, b * spec[0])
 
 
-def _term(term, spec):
+def _term(term, spec, law_shift):
     scale, vec, part = term
     sign, shift = _monomial(vec, spec)
     scale *= sign
+    shift += law_shift
     if part[0] == "quot":
         return _quot(scale, shift, [_atom(a, spec) for a in part[1]],
                      [_atom(a, spec) for a in part[2]] if len(part) > 2 else ())
@@ -324,11 +325,12 @@ def _term(term, spec):
     return scale, ThetaSum(atom, -1)
 
 
-def _law_entry(entry_id, name, spec, label=None):
-    """The entry stating law `name` at the specialization spec."""
+def _law_entry(entry_id, name, spec, label=None, shift=0):
+    """The entry stating q^shift times law `name` at the specialization spec."""
     law_label, prec, sides = LAWS[name]
     return _eq(entry_id, label or law_label,
-               [terms(*[_term(term, spec) for term in side]) for side in sides], prec)
+               [terms(*[_term(term, spec, shift) for term in side]) for side in sides],
+               prec)
 
 
 def _specialize(names, specs):
@@ -385,9 +387,9 @@ def _toolkit_entries():
                                           (3, (2, (1, 1))), (3, (3, (-1, 2))),
                                           (5, (3, (1, 1))), (5, (2, (-1, 1)))])]
         + _specialize(["jsplit"], [
-            (1, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
-            (4, (1, 3)), (4, (-1, 3)), (16, (1, 2)), (16, (-1, 2)), (16, (1, 6)),
-            (16, (-1, 6)), (8, (1, 1)), (8, (-1, 5)), (32, (1, 4)), (32, (-1, 8)),
+            (1, (-1, 2)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
+            (4, (1, 3)), (4, (-1, 3)), (16, (1, 3)), (16, (-1, 3)), (16, (1, 5)),
+            (16, (-1, 5)), (8, (1, 1)), (8, (-1, 5)), (32, (1, 4)), (32, (-1, 8)),
             (3, (1, 2)), (5, (-1, 2)), (16, (1, 7)), (7, (-1, 3))])
         + _specialize(["theta-pair", "theta-pair-even"], [
             (3, (1, 1), (1, 2)), (3, (1, 1), (-1, 1)), (3, (-1, 1), (-1, 2)),
@@ -712,7 +714,7 @@ def _rank_crank_entries():
 
     def nc(entry_id, label, t, r, legs, prec):
         sides = [count_rows(rows, t=t, r=r) for rows in legs]
-        entries.append(_eq(entry_id, label, sides, prec, progression=(t, r)))
+        entries.append(_eq(entry_id, label, sides, prec))
 
     N, C = "rank", "crank"
     nc("NC-8", "Lewis/Santa-Gadea (8)", 2, 0,
@@ -742,16 +744,14 @@ def _rank_crank_entries():
         "rank-diff-mod4-even",
         "N(0,4;2n) - N(2,4;2n) = (-1)^n [N(0,8;2n) - N(4,8;2n)]",
         [count_rows([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=0),
-         count_rows([(1, N, 0, 8), (-1, N, 4, 8)], t=2, r=0, twist=True)],
-        EVEN_PREC, progression=(2, 0)))
+         count_rows([(1, N, 0, 8), (-1, N, 4, 8)], t=2, r=0, twist=True)], EVEN_PREC))
     entries.append(_eq(
         "rank-diff-mod4-odd",
         "N(0,4;2n+1) - N(2,4;2n+1) = (-1)^n [N(0,8;2n+1) + 2N(1,8;2n+1) "
         "- 2N(3,8;2n+1) - N(4,8;2n+1)]",
         [count_rows([(1, N, 0, 4), (-1, N, 2, 4)], t=2, r=1),
          count_rows([(1, N, 0, 8), (2, N, 1, 8), (-2, N, 3, 8), (-1, N, 4, 8)],
-                t=2, r=1, twist=True)],
-        EVEN_PREC, progression=(2, 1)))
+                t=2, r=1, twist=True)], EVEN_PREC))
 
     entries.append(_eq(
         "rank-diff-04-gf",
@@ -819,32 +819,21 @@ def _rank_crank_entries():
 
 
 def _support_entries():
+    # q^shift [g(q^a;q^16) +- g(-q^a;q^16)]: q^shift times the even or odd
+    # part of g at x = q^a on base q^16
     entries = []
-
-    def g_comb(shift, sign2):
-        # q^shift [g(q^a;q^16) + sign2 * g(-q^a;q^16)] with a tied to shift
-        a = 2 if shift == 2 else 6
-        return terms(_g(1, shift, 1, a, 16), _g(sign2, shift, -1, a, 16))
-
     combos = [
-        ("g2-plus", "q^2[g(q^2;q^16) + g(-q^2;q^16)]", g_comb(2, 1), 2,
-         terms(_g(-2, 18, -1, 20, 64),
-               _quot(2, 2, [J32, (Jbar(16, 64), 2)], [Jbar(20, 64), J(4, 32)]))),
-        ("g2-minus", "q^2[g(q^2;q^16) - g(-q^2;q^16)]", g_comb(2, -1), 0,
-         terms(_quot(-2, 0), _g(2, 12, -1, 12, 64),
-               _quot(2, 0, [J32, (Jbar(16, 64), 2)], [Jbar(52, 64), J(4, 32)]))),
-        ("g6-plus", "q^5[g(q^6;q^16) + g(-q^6;q^16)]", g_comb(5, 1), 1,
-         terms(_g(-2, 21, -1, 28, 64),
-               _quot(2, 5, [J32, (Jbar(16, 64), 2)], [Jbar(28, 64), J(12, 32)]))),
-        ("g6-minus", "q^5[g(q^6;q^16) - g(-q^6;q^16)]", g_comb(5, -1), 3,
-         terms(_quot(-2, -1), _g(2, 3, -1, 4, 64),
-               _quot(2, -1, [J32, (Jbar(16, 64), 2)], [Jbar(60, 64), J(12, 32)]))),
+        ("g2-plus", "q^2[g(q^2;q^16) + g(-q^2;q^16)]", "g-even-part", 2, 2, 2),
+        ("g2-minus", "q^2[g(q^2;q^16) - g(-q^2;q^16)]", "g-odd-part", 2, 2, 0),
+        ("g6-plus", "q^5[g(q^6;q^16) + g(-q^6;q^16)]", "g-even-part", 6, 5, 1),
+        ("g6-minus", "q^5[g(q^6;q^16) - g(-q^6;q^16)]", "g-odd-part", 6, 5, 3),
     ]
-    for entry_id, label, lhs, residue, rhs in combos:
-        entries.append(_eq(entry_id, label + " expansion", [lhs, rhs], MOCK_PREC))
+    for entry_id, label, law, a, shift, residue in combos:
+        expansion = _law_entry(entry_id, law, (16, (1, a)), label + " expansion", shift)
+        entries.append(expansion)
         entries.append(IdentityEntry(
             f"{entry_id}-support", label + f" supported on {residue} mod 4",
-            "support", MOCK_PREC, [lhs], support_t=4,
+            "support", MOCK_PREC, expansion.sides[:1], support_t=4,
             support_allowed=frozenset([residue])))
 
     return entries
@@ -943,7 +932,7 @@ def _lewis_entries():
         "lewis-dissection-raw", "D(0,8) - D_C(0,8) before reduction",
         [dev_diff,
          terms(_g(2, 12, -1, 12, 64),
-               _quot(2, 0, [J32, (Jbar(16, 64), 2)], [Jbar(52, 64), J(4, 32)]),
+               _quot(2, 0, [eta_atom(32), (Jbar(16, 64), 2)], [Jbar(52, 64), J(4, 32)]),
                _quot(-2, 0, [Jbar(16, 32), Jbar(28, 64)], [J4]),
                _quot(-1, 4, [Jbar(0, 32), Jbar(28, 64)], [J4]),
                _quot(2, 4, [Jbar(8, 32), Jbar(52, 64)], [J4]),
@@ -1027,8 +1016,7 @@ def _lewis_entries():
         "lewis-positivity-id",
         "sum (N(0,8;4n+3) - C(0,8;4n+3)) q^n = q Jbar_{0,8} Jbar_{13,16}/J1",
         [count_rows([(1, N, 0, 8), (-1, C, 0, 8)], t=4, r=3),
-         terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))],
-        101, progression=(4, 3)))
+         terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))], 101))
 
     entries.append(IdentityEntry(
         "lewis-positivity", "q Jbar_{0,8} Jbar_{13,16}/J1 has positive coefficients",
@@ -1044,7 +1032,7 @@ def _lewis_entries():
         entries.append(IdentityEntry(
             entry_id, label, "inequality", 100,
             [count_rows([(1, stat, 0, 8)], t=4, r=r) for stat in (lhs, rhs)],
-            ineq_threshold=threshold, progression=(4, r)))
+            ineq_threshold=threshold))
 
     return entries
 

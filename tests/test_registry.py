@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from qdissect.identities import (Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum,
                                  build_side, verify_all, verify_identity)
 from qdissect.registry import (LAWS, _dev, _eq, _g, _law_entry, _monomial, _quot,
-                               build_registry, deviation_sum, terms)
+                               build_registry, count_rows, deviation_sum, terms)
 from qdissect.rings import INTEGER
 from qdissect.series import Series
 from qdissect.theta import J, Jbar, ThetaAtom, eta_atom
@@ -76,9 +76,9 @@ def test_every_part_is_a_hashable_record(registry, parts):
                 assert isinstance(scale, (int, Fraction)), entry.id
                 hash(part)
     census = Counter(type(part).__name__ for part in parts)
-    assert census == {"Quot": 498, "Counts": 89, "G": 73, "ThetaSum": 5, "Eulerian": 2}
-    # 485 distinct quotients have atoms; the other 13 are monomials q^e
-    assert sum(1 for part in parts if type(part) is Quot and (part.num or part.den)) == 485
+    assert census == {"Quot": 508, "Counts": 89, "G": 73, "ThetaSum": 5, "Eulerian": 2}
+    # 495 distinct quotients have atoms; the other 13 are monomials q^e
+    assert sum(1 for part in parts if type(part) is Quot and (part.num or part.den)) == 495
     # lists are normalised to tuples, so equal data is one part
     assert Quot([J(1, 2)], [], 3) == Quot((J(1, 2),), (), 3)
     assert Counts([[1, "rank", 0, 4]]) == Counts(((1, "rank", 0, 4),))
@@ -126,9 +126,54 @@ def test_generated_entries_match_their_hand_written_sides(by_id):
                                   [T(-1, 1, 4), Jbar(6, 8)]))],
         "base-split-2": [terms(_quot(1, 0, [J(6, 16)])),
                          terms(_quot(1, 0, [Jbar(28, 64)]), _quot(-1, 6, [Jbar(60, 64)]))],
+        # q^2 and q^5 times the even and odd parts of g at x = q^2, q^6 on base q^16
+        "g2-plus": [terms(_g(1, 2, 1, 2, 16), _g(1, 2, -1, 2, 16)),
+                    terms(_g(-2, 18, -1, 20, 64),
+                          _quot(2, 2, [eta_atom(32), (Jbar(16, 64), 2)],
+                                [Jbar(20, 64), J(4, 32)]))],
+        "g2-minus": [terms(_g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16)),
+                     terms(_quot(-2, 0), _g(2, 12, -1, 12, 64),
+                           _quot(2, 0, [eta_atom(32), (Jbar(16, 64), 2)],
+                                 [Jbar(52, 64), J(4, 32)]))],
+        "g6-plus": [terms(_g(1, 5, 1, 6, 16), _g(1, 5, -1, 6, 16)),
+                    terms(_g(-2, 21, -1, 28, 64),
+                          _quot(2, 5, [eta_atom(32), (Jbar(16, 64), 2)],
+                                [Jbar(28, 64), J(12, 32)]))],
+        "g6-minus": [terms(_g(1, 5, 1, 6, 16), _g(-1, 5, -1, 6, 16)),
+                     terms(_quot(-2, -1), _g(2, 3, -1, 4, 64),
+                           _quot(2, -1, [eta_atom(32), (Jbar(16, 64), 2)],
+                                 [Jbar(60, 64), J(12, 32)]))],
     }
     for entry_id, sides in hand.items():
         assert by_id[entry_id].sides == tuple(sides), entry_id
+    # each support lemma reads its expansion's left side
+    for entry_id in ("g2-plus", "g2-minus", "g6-plus", "g6-minus"):
+        assert by_id[f"{entry_id}-support"].sides == by_id[entry_id].sides[:1]
+
+
+def test_no_statement_has_two_ids(registry):
+    ids = {}
+    for entry in registry:
+        key = (entry.kind, entry.default_prec, entry.sides)
+        assert key not in ids, (ids.get(key), entry.id)
+        ids[key] = entry.id
+
+
+def test_progression_is_read_off_the_count_parts(by_id):
+    assert "progression" not in {f.name for f in fields(IdentityEntry)}
+    with pytest.raises(TypeError):
+        IdentityEntry("p", "p", "equality", 50, [terms(), terms()], progression=(2, 0))
+    with pytest.raises(AttributeError):
+        by_id["NC-10"].progression = (2, 0)
+    assert by_id["NC-10"].progression == (4, 0)
+    assert by_id["rank-diff-mod4-odd"].progression == (2, 1)
+    assert by_id["lewis-positivity-id"].progression == (4, 3)
+    # rows read on every argument, and no count part at all
+    assert by_id["dev-rank-1-4"].progression is None
+    assert by_id["rearr-1"].progression is None
+    with pytest.raises(ValueError, match="more than one progression"):
+        _eq("two", "two", [count_rows([(1, "rank", 0, 4)], t=2, r=0),
+                           count_rows([(1, "rank", 0, 8)], t=4, r=1)], 50)
 
 
 def test_a_spec_covers_every_variable_of_its_law():
