@@ -77,8 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("stat", choices=["rank", "crank"])
     p_table.add_argument("--modulus", type=int, required=True)
     p_table.add_argument("--max-n", type=int, required=True)
-    p_table.add_argument("--tsv", action="store_true")
-    p_table.add_argument("--json", action="store_true")
+    table_format = p_table.add_mutually_exclusive_group()
+    table_format.add_argument("--tsv", action="store_true")
+    table_format.add_argument("--json", action="store_true")
 
     p_dev = sub.add_parser("deviation", help="deviation series coefficients")
     p_dev.add_argument("stat", choices=["rank", "crank"])
@@ -122,6 +123,7 @@ def _expand_target(args) -> Series:
         _check(len(args.params) == 2, f"{args.target} takes two integers: a m")
     else:
         _check(not args.params, f"{args.target} takes no parameters")
+    _check(args.target == "g" or not args.neg, "--neg applies to g only")
     if args.target in ("J", "Jbar"):
         with _usage_errors():
             atom = ThetaAtom(1 if args.target == "J" else -1, *args.params)

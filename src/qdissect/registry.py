@@ -24,6 +24,10 @@ Groups, in registry order:
      its reduction identities (checked in q^4-deflated form), the
      inequalities, and the closing positivity statement.
 
+Groups C, D and G read every deviation line from one table, _LINES: the
+k-dissection entries, the pairwise sums mod 8 and the halved mod-4 crank
+lines in the 2-dissected D_C(0,8) and D_C(2,8).
+
 Entry ids are stable across releases.  Chained equalities (for example
 the four-way relations) live under one id with every leg compared
 against the first.
@@ -96,7 +100,8 @@ def deviation_sum(stat, M, residues=None):
 # Each theta family is (d, denominator atoms, one (shift, numerator atoms)
 # slot per coefficient), with the prefactor 1/d; each G family has one
 # (constant, shift, sign, a, m) slot per coefficient, standing for
-# constant + q^shift g(sign*q^a; q^m).
+# constant + q^shift g(sign*q^a; q^m).  Groups C, D and G read their
+# deviation lines from _LINES, written in these families.
 
 _THETA_FAMILIES = {
     "theta4": (4, (eta_atom(4),), (
@@ -123,6 +128,50 @@ _G_FAMILIES = {
     "G8": ((1, 2, 1, 2, 16), (-1, 2, -1, 2, 16), (0, 5, 1, 6, 16), (0, 5, -1, 6, 16)),
     "G5": ((0, 5, 1, 5, 25), (0, 8, 1, 10, 25)),
     "G7": ((1, 7, 1, 7, 49), (0, 16, 1, 21, 49), (0, 13, 1, 14, 49)),
+}
+
+# The k-dissection of each deviation D(a,M) (D_C for cranks), one line per
+# residue a <= M/2: _LINES[(stat, M)] = (k, family names, {a: one
+# (coefficients, scale) per family}).
+_LINES = {
+    ("rank", 4): (2, ("theta4", "G4"), {
+        0: (((-5, 3, 1, 1), 1), ((-1, 0), 2)),
+        1: (((3, -1, -3, 1), 1), ((1, 1), 1)),
+        2: (((-1, -1, 5, -3), 1), ((0, -1), 2))}),
+    ("crank", 4): (2, ("theta4",), {
+        0: (((3, -1, 1, -3), 1),),
+        1: (((-1, -1, 1, 1), 1),),
+        2: (((-1, 3, -3, 1), 1),)}),
+    ("rank", 8): (2, ("theta8", "G8"), {
+        0: (((-9, 7, -3, 5, -1, -1, 5, -3), 1), ((1, -1, 0, 0), 1)),
+        1: (((7, -5, -3, 1, 3, -1, -3, 1), 1), ((-1, 1, 1, 1), Fraction(1, 2))),
+        2: (((-1, -1, 5, -3, -1, -1, 5, -3), 1), ((0, 0, 0, -1), 1)),
+        3: (((-1, 3, -3, 1, -5, 7, -3, 1), 1), ((1, 1, -1, 1), Fraction(1, 2))),
+        4: (((-1, -1, 5, -3, 7, -9, -3, 5), 1), ((-1, -1, 0, 0), 1))}),
+    ("crank", 8): (4, ("theta8", "theta8prime"), {
+        0: (((3, -1, 1, -3, -1, 3, 1, -3), 1), ((1, -1, -1, 1), 1)),
+        1: (((-1, -1, 1, 1, -1, -1, 1, 1), 1), ((0, 1, 0, -1), 1)),
+        2: (((-1, 3, -3, 1, 3, -1, -3, 1), 1), ((0, 0, 0, 0), 1)),
+        3: (((-1, -1, 1, 1, -1, -1, 1, 1), 1), ((0, -1, 0, 1), 1)),
+        4: (((3, -1, 1, -3, -1, 3, 1, -3), 1), ((-1, 1, 1, -1), 1))}),
+    ("rank", 5): (5, ("theta5", "G5"), {
+        0: (((2, 2, -1, 1), 2), ((-1, 0), 2)),
+        1: (((-1, -1, 3, -3), 1), ((1, -1), 1)),
+        2: (((-1, -1, -2, 2), 1), ((0, 1), 1))}),
+    ("crank", 5): (5, ("theta5",), {
+        0: (((2, -3, -1, 1), 2),),
+        1: (((-1, 4, -2, -3), 1),),
+        2: (((-1, -1, 3, 2), 1),)}),
+    ("rank", 7): (7, ("theta7", "G7"), {
+        0: (((-4, 3, -1, 2, 1, -2), 2), ((1, 0, 0), 2)),
+        1: (((6, -1, 5, -3, 2, 3), 1), ((-1, 1, 0), 1)),
+        2: (((-1, -1, -2, 4, -5, 3), 1), ((0, -1, 1), 1)),
+        3: (((-1, -1, -2, -3, 2, -4), 1), ((0, 0, -1), 1))}),
+    ("crank", 7): (7, ("theta7",), {
+        0: (((3, -4, -1, 2, 1, -2), 2),),
+        1: (((-1, 6, -2, -3, -5, 3), 1),),
+        2: (((-1, -1, 5, -3, 2, -4), 1),),
+        3: (((-1, -1, -2, 4, 2, 3), 1),)}),
 }
 
 
@@ -157,16 +206,30 @@ def _eq(entry_id, label, sides, prec, **fields):
     return IdentityEntry(entry_id, label, "equality", prec, sides, **fields)
 
 
-def _dev_lines(stat, M, k, lines):
-    """The k-dissection entries of D(a,M) (D_C for cranks), for lines
-    {a: dissection families}; for 0 < a < M - a the entry also states
-    D(a,M) = D(M-a,M)."""
-    letter = "D" if stat == "rank" else "D_C"
-    return [_eq(f"dev-{stat}-{a}-{M}", f"{letter}({a},{M}) {k}-dissection",
+def _line(stat, M, residues, scale=1):
+    """scale times the sum of the _LINES lines of D(a,M) (D_C for cranks)
+    over the residues, as a side."""
+    _, names, lines = _LINES[stat, M]
+    families = []
+    for i, name in enumerate(names):
+        rows = [[c * s * scale for c in coeffs] for coeffs, s in (lines[a][i] for a in residues)]
+        families.append((name, [sum(col) for col in zip(*rows)], 1))
+    return combo(*families)
+
+
+def _letter(stat):
+    return "D" if stat == "rank" else "D_C"
+
+
+def _dev_lines(stat, M):
+    """The k-dissection entries of D(a,M) (D_C for cranks), one per line of
+    _LINES; for 0 < a < M - a the entry also states D(a,M) = D(M-a,M)."""
+    k, _, lines = _LINES[stat, M]
+    return [_eq(f"dev-{stat}-{a}-{M}", f"{_letter(stat)}({a},{M}) {k}-dissection",
                 [deviation(stat, a, M)]
                 + ([deviation(stat, M - a, M)] if 0 < a < M - a else [])
-                + [combo(*families)], MOCK_PREC)
-            for a, families in lines.items()]
+                + [_line(stat, M, (a,))], MOCK_PREC)
+            for a in lines]
 
 
 def _dev_sum(stat, M):
@@ -440,25 +503,18 @@ def _deviation_entries():
     # rank deviations mod 4: 2-dissection
     entries.append(_eq(
         "dev-rank-0-4", "D(0,4) 2-dissection",
-        [deviation("rank", 0, 4),
-         combo(("theta4", (-5, 3, 1, 1), 1), ("G4", (-1, 0), 2))],
-        MOCK_PREC))
+        [deviation("rank", 0, 4), _line("rank", 4, (0,))], MOCK_PREC))
     entries.append(_eq(
         "dev-rank-1-4", "D(1,4) = D(3,4) 2-dissection",
-        [deviation("rank", 1, 4), deviation("rank", 3, 4),
-         combo(("theta4", (3, -1, -3, 1), 1), ("G4", (1, 1), 1))],
+        [deviation("rank", 1, 4), deviation("rank", 3, 4), _line("rank", 4, (1,))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4", "D(2,4) 2-dissection",
-        [deviation("rank", 2, 4),
-         combo(("theta4", (-1, -1, 5, -3), 1), ("G4", (0, -1), 2))],
-        MOCK_PREC))
+        [deviation("rank", 2, 4), _line("rank", 4, (2,))], MOCK_PREC))
     entries.append(_dev_sum("rank", 4))
 
     # crank deviations mod 4
-    entries += _dev_lines("crank", 4, 2, {
-        a: [("theta4", coeffs, 1)]
-        for a, coeffs in [(0, (3, -1, 1, -3)), (1, (-1, -1, 1, 1)), (2, (-1, 3, -3, 1))]})
+    entries += _dev_lines("crank", 4)
     entries.append(_dev_sum("crank", 4))
 
     # mod 4 rank proposition (g on base q^16) and its first-stage form (base q^4)
@@ -522,59 +578,23 @@ def _deviation_entries():
                _quot(Fraction(1, 4), 0, Q14, [J4]))],
         MOCK_PREC))
 
-    # split rewrites connecting the two shapes (theta only)
-    pair1 = terms(_quot(1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-                  _quot(1, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
-                  _quot(-1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-                  _quot(-1, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]))
-    pair2 = terms(_quot(1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-                  _quot(1, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
-                  _quot(1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-                  _quot(1, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]))
-    entries.append(_eq(
-        "split-rw-1", "J_{1,2}J_{1,4}/J4 two-square split",
-        [terms(_quot(1, 0, Q14, [J4])), pair1], THETA_PREC))
-    entries.append(_eq(
-        "split-rw-2", "Jbar_{1,2}Jbar_{1,4}/J4 two-square split",
-        [terms(_quot(1, 0, Q14BAR, [J4])), pair2], THETA_PREC))
-    entries.append(_eq(
-        "split-rw-3", "Jbar_{4,8}J_{1,4}/J4 two-square split",
-        [terms(_quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4])),
-         terms(_quot(1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-               _quot(-1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]))],
-        THETA_PREC))
-    entries.append(_eq(
-        "split-rw-crank", "J_{1,2}Jbar_{1,4}/J4 two-square split",
-        [terms(_quot(1, 0, [J(1, 2), Jbar(1, 4)], [J4])),
-         terms(_quot(1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-               _quot(-1, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
-               _quot(1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-               _quot(-1, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]))],
-        THETA_PREC))
+    # split rewrites connecting the two shapes (theta only): each quotient
+    # is a sum of theta4 slots, the family's 1/4 cleared by the scale 4
+    for entry_id, quotient, num, coefficients in [
+            ("split-rw-1", "J_{1,2}J_{1,4}", Q14, (1, 1, -1, -1)),
+            ("split-rw-2", "Jbar_{1,2}Jbar_{1,4}", Q14BAR, (1, 1, 1, 1)),
+            ("split-rw-3", "Jbar_{4,8}J_{1,4}", (Jbar(4, 8), J(1, 4)), (1, 0, -1, 0)),
+            ("split-rw-crank", "J_{1,2}Jbar_{1,4}", (J(1, 2), Jbar(1, 4)), (1, -1, 1, -1))]:
+        entries.append(_eq(
+            entry_id, f"{quotient}/J4 two-square split",
+            [terms(_quot(1, 0, num, [J4])), combo(("theta4", coefficients, 4))],
+            THETA_PREC))
 
     return entries
 
 
-_D8_THETA = {
-    0: ((-9, 7, -3, 5, -1, -1, 5, -3), (1, -1, 0, 0), 1),
-    1: ((7, -5, -3, 1, 3, -1, -3, 1), (-1, 1, 1, 1), Fraction(1, 2)),
-    2: ((-1, -1, 5, -3, -1, -1, 5, -3), (0, 0, 0, -1), 1),
-    3: ((-1, 3, -3, 1, -5, 7, -3, 1), (1, 1, -1, 1), Fraction(1, 2)),
-    4: ((-1, -1, 5, -3, 7, -9, -3, 5), (-1, -1, 0, 0), 1),
-}
-
-_DC8_THETA = {
-    0: ((3, -1, 1, -3, -1, 3, 1, -3), (1, -1, -1, 1)),
-    1: ((-1, -1, 1, 1, -1, -1, 1, 1), (0, 1, 0, -1)),
-    2: ((-1, 3, -3, 1, 3, -1, -3, 1), (0, 0, 0, 0)),
-    3: ((-1, -1, 1, 1, -1, -1, 1, 1), (0, -1, 0, 1)),
-    4: ((3, -1, 1, -3, -1, 3, 1, -3), (-1, 1, 1, -1)),
-}
-
-
 def _mod8_entries():
-    entries = _dev_lines("rank", 8, 2, {
-        a: [("theta8", tc, 1), ("G8", gc, gs)] for a, (tc, gc, gs) in _D8_THETA.items()})
+    entries = _dev_lines("rank", 8)
     entries.append(_dev_sum("rank", 8))
 
     # first-stage forms of the rank deviations mod 8
@@ -637,8 +657,7 @@ def _mod8_entries():
                            ("j(q^2;q^16) split to base q^64", (1, 2))])]
 
     # crank deviations mod 8: 4-dissections
-    entries += _dev_lines("crank", 8, 4, {
-        a: [("theta8", tc, 1), ("theta8prime", pc, 1)] for a, (tc, pc) in _DC8_THETA.items()})
+    entries += _dev_lines("crank", 8)
     entries.append(_dev_sum("crank", 8))
 
     # first-stage crank forms
@@ -650,15 +669,14 @@ def _mod8_entries():
                _quot(quarter, 0, [J(1, 2), Jbar(1, 4)], [J4]),
                _quot(eighth, 0, Q14, [J4]))],
         MOCK_PREC))
+    # D_C(a,4) = D_C(a,8) + D_C(a+4,8) and D_C(6,8) = D_C(2,8): D_C(2,8) is half
+    # the D_C(2,4) line, D_C(0,8) half the D_C(0,4) line plus (D_C(0,8) - D_C(4,8))/2
     entries.append(_eq(
         "dev-crank-0-8-mid", "D_C(0,8) 2-dissected",
         [deviation("crank", 0, 8),
-         terms(_quot(Fraction(3, 8), 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-               _quot(-eighth, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
-               _quot(eighth, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-               _quot(Fraction(-3, 8), 1, [Jbar(0, 8), Jbar(6, 16)], [J4]),
-               _quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
-               _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]))],
+         _line("crank", 4, (0,), half)
+         + terms(_quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
+                 _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-2-8-pre", "D_C(2,8) before 2-dissection",
@@ -668,38 +686,13 @@ def _mod8_entries():
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-2-8-mid", "D_C(2,8) 2-dissected",
-        [deviation("crank", 2, 8),
-         terms(_quot(-eighth, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-               _quot(Fraction(3, 8), 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
-               _quot(Fraction(-3, 8), 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-               _quot(eighth, 1, [Jbar(0, 8), Jbar(6, 16)], [J4]))],
-        MOCK_PREC))
+        [deviation("crank", 2, 8), _line("crank", 4, (2,), half)], MOCK_PREC))
 
     # pairwise sums used by the four-way relations
-    entries.append(_eq(
-        "dev-crank-8-sum-01", "D_C(0,8) + D_C(1,8)",
-        [deviation_sum("crank", 8, (0, 1)),
-         combo(("theta8", (2, -2, 2, -2, -2, 2, 2, -2), 1),
-               ("theta8prime", (1, 0, -1, 0), 1))],
-        MOCK_PREC))
-    entries.append(_eq(
-        "dev-crank-8-sum-34", "D_C(3,8) + D_C(4,8)",
-        [deviation_sum("crank", 8, (3, 4)),
-         combo(("theta8", (2, -2, 2, -2, -2, 2, 2, -2), 1),
-               ("theta8prime", (-1, 0, 1, 0), 1))],
-        MOCK_PREC))
-    entries.append(_eq(
-        "dev-rank-8-sum-12", "D(1,8) + D(2,8)",
-        [deviation_sum("rank", 8, (1, 2)),
-         combo(("theta8", (6, -6, 2, -2, 2, -2, 2, -2), 1),
-               ("G8", (-1, 1, 1, -1), half))],
-        MOCK_PREC))
-    entries.append(_eq(
-        "dev-rank-8-sum-34", "D(3,8) + D(4,8)",
-        [deviation_sum("rank", 8, (3, 4)),
-         combo(("theta8", (-2, 2, 2, -2, 2, -2, -6, 6), 1),
-               ("G8", (-1, -1, -1, 1), half))],
-        MOCK_PREC))
+    for stat, a, b in [("crank", 0, 1), ("crank", 3, 4), ("rank", 1, 2), ("rank", 3, 4)]:
+        entries.append(_eq(
+            f"dev-{stat}-8-sum-{a}{b}", f"{_letter(stat)}({a},8) + {_letter(stat)}({b},8)",
+            [deviation_sum(stat, 8, (a, b)), _line(stat, 8, (a, b))], MOCK_PREC))
 
     return entries
 
@@ -842,43 +835,12 @@ def _support_entries():
 # -- group G: dissections mod 5 and 7 ----------------------------------------------------
 
 
-_M5_RANK = {
-    0: ((2, 2, -1, 1), 2, (-1, 0), 2),
-    1: ((-1, -1, 3, -3), 1, (1, -1), 1),
-    2: ((-1, -1, -2, 2), 1, (0, 1), 1),
-}
-_M5_CRANK = {
-    0: ((2, -3, -1, 1), 2),
-    1: ((-1, 4, -2, -3), 1),
-    2: ((-1, -1, 3, 2), 1),
-}
-_M7_RANK = {
-    0: ((-4, 3, -1, 2, 1, -2), 2, (1, 0, 0), 2),
-    1: ((6, -1, 5, -3, 2, 3), 1, (-1, 1, 0), 1),
-    2: ((-1, -1, -2, 4, -5, 3), 1, (0, -1, 1), 1),
-    3: ((-1, -1, -2, -3, 2, -4), 1, (0, 0, -1), 1),
-}
-_M7_CRANK = {
-    0: ((3, -4, -1, 2, 1, -2), 2),
-    1: ((-1, 6, -2, -3, -5, 3), 1),
-    2: ((-1, -1, 5, -3, 2, -4), 1),
-    3: ((-1, -1, -2, 4, 2, 3), 1),
-}
-
-
 def _mod57_entries():
     entries = []
 
-    entries += _dev_lines("rank", 5, 5, {
-        a: [("theta5", tc, ts), ("G5", gc, gs)] for a, (tc, ts, gc, gs) in _M5_RANK.items()})
-    entries += _dev_lines("crank", 5, 5, {
-        a: [("theta5", tc, ts)] for a, (tc, ts) in _M5_CRANK.items()})
-    entries += [_dev_sum("rank", 5), _dev_sum("crank", 5)]
-    entries += _dev_lines("rank", 7, 7, {
-        a: [("theta7", tc, ts), ("G7", gc, gs)] for a, (tc, ts, gc, gs) in _M7_RANK.items()})
-    entries += _dev_lines("crank", 7, 7, {
-        a: [("theta7", tc, ts)] for a, (tc, ts) in _M7_CRANK.items()})
-    entries += [_dev_sum("rank", 7), _dev_sum("crank", 7)]
+    for M in (5, 7):
+        entries += _dev_lines("rank", M) + _dev_lines("crank", M)
+        entries += [_dev_sum("rank", M), _dev_sum("crank", M)]
 
     entries.append(_eq(
         "theta-product-5", "J_{1,5}J_{2,5} = J1 J5",

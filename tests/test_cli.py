@@ -174,10 +174,18 @@ def test_bad_input_exits_2(capsys):
         ["check-congruence", "5", "--max", "-3"],
         ["check-congruence", "7", "--max", "4"],  # below 5, the first 7n+5
         ["check-congruence", "11", "--max", "5"],  # below 6, the first 11n+6
+        ["expand", "J", "1", "5", "--neg"],  # --neg applies to g only
+        ["dissect", "Jbar", "1", "4", "--neg", "--t", "2", "--r", "0"],
     ):
         code, _ = run(argv)
         assert code == cli.EXIT_USAGE, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+    # two output formats at once: argparse rejects the pair with its usage line
+    code, out = run(["table", "rank", "--modulus", "5", "--max-n", "3", "--tsv", "--json"])
+    assert code == cli.EXIT_USAGE and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qdissect table")
+    assert "error: argument --json: not allowed with argument --tsv" in err
 
 
 def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys):

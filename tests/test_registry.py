@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdissect.identities import (Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum,
                                  build_side, verify_all, verify_identity)
-from qdissect.registry import (LAWS, _dev, _eq, _g, _law_entry, _monomial, _quot,
-                               build_registry, count_rows, deviation_sum, terms)
+from qdissect.registry import (LAWS, J4, _dev, _eq, _g, _law_entry, _monomial, _quot,
+                               build_registry, combo, count_rows, deviation_sum, terms)
 from qdissect.rings import INTEGER
 from qdissect.series import Series
 from qdissect.theta import J, Jbar, ThetaAtom, eta_atom
@@ -149,6 +149,31 @@ def test_generated_entries_match_their_hand_written_sides(by_id):
     # each support lemma reads its expansion's left side
     for entry_id in ("g2-plus", "g2-minus", "g6-plus", "g6-minus"):
         assert by_id[f"{entry_id}-support"].sides == by_id[entry_id].sides[:1]
+    # right sides read from the deviation lines and the theta4 slots
+    half, eighth = Fraction(1, 2), Fraction(1, 8)
+    right = {
+        "split-rw-1": terms(_quot(1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
+                            _quot(1, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
+                            _quot(-1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
+                            _quot(-1, 1, [Jbar(0, 8), Jbar(6, 16)], [J4])),
+        "split-rw-crank": terms(_quot(1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
+                                _quot(-1, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
+                                _quot(1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
+                                _quot(-1, 1, [Jbar(0, 8), Jbar(6, 16)], [J4])),
+        "dev-crank-0-8-mid": terms(
+            _quot(Fraction(3, 8), 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
+            _quot(-eighth, 2, [Jbar(0, 8), Jbar(14, 16)], [J4]),
+            _quot(eighth, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
+            _quot(Fraction(-3, 8), 1, [Jbar(0, 8), Jbar(6, 16)], [J4]),
+            _quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
+            _quot(-half, 1, [J(4, 8), J(2, 16)], [J4])),
+        "dev-crank-8-sum-01": combo(("theta8", (2, -2, 2, -2, -2, 2, 2, -2), 1),
+                                    ("theta8prime", (1, 0, -1, 0), 1)),
+        "dev-rank-8-sum-12": combo(("theta8", (6, -6, 2, -2, 2, -2, 2, -2), 1),
+                                   ("G8", (-1, 1, 1, -1), half)),
+    }
+    for entry_id, side in right.items():
+        assert by_id[entry_id].sides[-1] == side, entry_id
 
 
 def test_no_statement_has_two_ids(registry):
