@@ -245,12 +245,16 @@ def _dev_sum(stat, M):
 # an atom (sign, vec, b) is j(sign*q^vec; q^b), and (atom, p) its p-th
 # power.  A term (scale, vec, part) is scale * q^vec * part, where part is
 # ("quot", num[, den]), a quotient of atoms, ("g", atom), g at the atom's
-# argument and base, or ("sum", atom), the atom's triple-product sum at
-# base -q^b.  LAWS maps a law's id to (label, prec, sides).
+# argument and base, or ("sum", atom, s), the atom's triple-product sum at
+# base s*q^b, evaluated unfolded.  LAWS maps a law's id to (label, prec,
+# sides); jsplit shares split-2-term's sides under its own label.
 #
 # A specialization (m, (s_0, a_0), ...) puts q -> q^m and x_i -> s_i q^a_i.
 # _monomial is the one place that maps a vector under it, and _law_entry
-# the one place that turns a law at a specialization into an entry.
+# the one place that turns a law at a specialization into an entry.  The
+# specs name distinct statements once atoms are folded: the fold maps x
+# to q^m x, theta-pair-even is unchanged under (x, y) -> (-x, -y), and
+# hecke-sum-alt at x is hecke-sum at -q^(+-4m) x.
 
 _JX = (1, (0, 1), 1)  # j(x;q)
 _J1, _J2, _J4 = (1, (1,), 3), (1, (2,), 6), (1, (4,), 12)  # J_k = j(q^k;q^3k)
@@ -266,7 +270,7 @@ def _split_sides(M):
 
 LAWS = {
     "shift-law": ("j(qx;q) = -x^-1 j(x;q)", THETA_PREC, (
-        [(1, (0,), ("quot", [(1, (1, 1), 1)]))],
+        [(1, (0,), ("sum", (1, (1, 1), 1), 1))],
         [(-1, (0, -1), ("quot", [_JX]))])),
     "reflect-law": ("j(x;q) = j(q/x;q)", THETA_PREC, (
         [(1, (0,), ("quot", [_JX]))],
@@ -275,14 +279,11 @@ LAWS = {
         [(1, (0,), ("quot", [_JX]))],
         [(1, (0,), ("quot", [_J1, (1, (0, 1), 2), (1, (1, 1), 2)], [(_J2, 2)]))])),
     "neg-base": ("j(x;-q) = j(x;q^2) j(-qx;q^2)/j(q;q^4)", THETA_PREC, (
-        [(1, (0,), ("sum", _JX))],
+        [(1, (0,), ("sum", _JX, -1))],
         [(1, (0,), ("quot", [(1, (0, 1), 2), (-1, (1, 1), 2)], [(1, (1,), 4)]))])),
     **{f"split-{M}-term": (f"{M}-term splitting of j(z;q)", THETA_PREC, _split_sides(M))
        for M in (2, 3, 5)},
-    "jsplit": ("j(z;q) = j(-qz^2;q^4) - z j(-q^3z^2;q^4)", THETA_PREC, (
-        [(1, (0,), ("quot", [_JX]))],
-        [(1, (0,), ("quot", [(-1, (1, 2), 4)])),
-         (-1, (0, 1), ("quot", [(-1, (3, 2), 4)]))])),
+    "jsplit": ("j(z;q) = j(-qz^2;q^4) - z j(-q^3z^2;q^4)", THETA_PREC, _split_sides(2)),
     # variables x, y
     "theta-pair": (
         "j(x;q)j(y;q) = j(-xy;q^2)j(-qy/x;q^2) - x j(-qxy;q^2)j(-y/x;q^2)", THETA_PREC, (
@@ -384,8 +385,8 @@ def _term(term, spec, law_shift):
     if part[0] == "g":
         return _g(scale, shift, atom.sign, atom.a, atom.m)
     if shift:
-        raise ValueError("a base -q^b sum takes no monomial")
-    return scale, ThetaSum(atom, -1)
+        raise ValueError("a triple-product sum takes no monomial")
+    return scale, ThetaSum(atom, part[2])
 
 
 def _law_entry(entry_id, name, spec, label=None, shift=0):
@@ -396,85 +397,81 @@ def _law_entry(entry_id, name, spec, label=None, shift=0):
                prec)
 
 
-def _specialize(names, specs):
-    """Entries <name>-<i> for the laws at the i-th spec, interleaved by spec."""
+def _specialize(laws):
+    """Entries <name>-<i> for each law at the i-th spec of its list,
+    interleaved by i."""
     return [_law_entry(f"{name}-{i}", name, spec)
-            for i, spec in enumerate(specs) for name in names]
+            for i, specs in enumerate(zip(*laws.values())) for name, spec in zip(laws, specs)]
 
 
 def _toolkit_entries():
+    # each rearrangement writes one atom as c * num/den
     rearr = [
-        ("rearr-0a", "j(-1;q) = 2 j(-q;q^4)",
-         terms(_quot(1, 0, [Jbar(0, 1)])), terms(_quot(2, 0, [Jbar(1, 4)]))),
-        ("rearr-0b", "j(-q;q^4) = J2^2/J1",
-         terms(_quot(1, 0, [Jbar(1, 4)])),
-         terms(_quot(1, 0, [(eta_atom(2), 2)], [eta_atom(1)]))),
-        ("rearr-1", "j(-q;q^2) = J2^5/(J1^2 J4^2)",
-         terms(_quot(1, 0, [Jbar(1, 2)])),
-         terms(_quot(1, 0, [(eta_atom(2), 5)], [(eta_atom(1), 2), (eta_atom(4), 2)]))),
-        ("rearr-2", "j(q;q^2) = J1^2/J2",
-         terms(_quot(1, 0, [J(1, 2)])),
-         terms(_quot(1, 0, [(eta_atom(1), 2)], [eta_atom(2)]))),
-        ("rearr-3", "j(-q;q^3) = J2 J3^2/(J1 J6)",
-         terms(_quot(1, 0, [Jbar(1, 3)])),
-         terms(_quot(1, 0, [eta_atom(2), (eta_atom(3), 2)], [eta_atom(1), eta_atom(6)]))),
-        ("rearr-4", "j(q;q^4) = J1 J4/J2",
-         terms(_quot(1, 0, [J(1, 4)])),
-         terms(_quot(1, 0, [eta_atom(1), eta_atom(4)], [eta_atom(2)]))),
-        ("rearr-5", "j(q;q^6) = J1 J6^2/(J2 J3)",
-         terms(_quot(1, 0, [J(1, 6)])),
-         terms(_quot(1, 0, [eta_atom(1), (eta_atom(6), 2)], [eta_atom(2), eta_atom(3)]))),
-        ("rearr-6", "j(-q;q^6) = J2^2 J3 J12/(J1 J4 J6)",
-         terms(_quot(1, 0, [Jbar(1, 6)])),
-         terms(_quot(1, 0, [(eta_atom(2), 2), eta_atom(3), eta_atom(12)],
-                     [eta_atom(1), eta_atom(4), eta_atom(6)]))),
+        ("rearr-0a", "j(-1;q) = 2 j(-q;q^4)", Jbar(0, 1), 2, [Jbar(1, 4)], []),
+        ("rearr-0b", "j(-q;q^4) = J2^2/J1", Jbar(1, 4), 1, [(eta_atom(2), 2)], [eta_atom(1)]),
+        ("rearr-1", "j(-q;q^2) = J2^5/(J1^2 J4^2)", Jbar(1, 2),
+         1, [(eta_atom(2), 5)], [(eta_atom(1), 2), (eta_atom(4), 2)]),
+        ("rearr-2", "j(q;q^2) = J1^2/J2", J(1, 2), 1, [(eta_atom(1), 2)], [eta_atom(2)]),
+        ("rearr-3", "j(-q;q^3) = J2 J3^2/(J1 J6)", Jbar(1, 3),
+         1, [eta_atom(2), (eta_atom(3), 2)], [eta_atom(1), eta_atom(6)]),
+        ("rearr-4", "j(q;q^4) = J1 J4/J2", J(1, 4), 1, [eta_atom(1), eta_atom(4)], [eta_atom(2)]),
+        ("rearr-5", "j(q;q^6) = J1 J6^2/(J2 J3)", J(1, 6),
+         1, [eta_atom(1), (eta_atom(6), 2)], [eta_atom(2), eta_atom(3)]),
+        ("rearr-6", "j(-q;q^6) = J2^2 J3 J12/(J1 J4 J6)", Jbar(1, 6),
+         1, [(eta_atom(2), 2), eta_atom(3), eta_atom(12)], [eta_atom(1), eta_atom(4), eta_atom(6)]),
     ]
 
-    # the g laws at x = q^a on base q^m; gsplit also at x = -q^a
+    # the g laws at x = q^a on base q^m; gsplit also at x = -q^a, and the g
+    # parts at a = 3, 5 on base q^16 (at 2 and 6 they are group F's g2/g6)
     g_specs = [(4, (1, 1)), (16, (1, 2)), (16, (1, 6)), (10, (1, 2)), (10, (1, 4)),
                (25, (1, 5)), (25, (1, 10)), (49, (1, 7)), (49, (1, 21)), (49, (1, 14)),
                (64, (1, 12)), (64, (1, 20)), (64, (1, 4)), (64, (1, 28))]
+    g_parts = g_specs[:1] + [(16, (1, 3)), (16, (1, 5))] + g_specs[3:]
+    pairs = [(3, (1, 1), (1, 2)), (3, (1, 1), (-1, 1)), (3, (-1, 1), (-1, 2)),
+             (5, (1, 2), (1, 3)), (5, (-1, 1), (1, 3)), (5, (1, 1), (1, 4)),
+             (7, (-1, 2), (-1, 3)), (7, (1, 3), (-1, 1)), (2, (1, 1), (1, 1)),
+             (4, (-1, 1), (1, 2)), (4, (1, 3), (-1, 2)), (8, (1, 1), (-1, 5)),
+             (8, (-1, 3), (-1, 7)), (9, (1, 2), (1, 7)), (6, (1, 1), (1, 5)),
+             (1, (-1, 1), (-1, 1)), (5, (1, 4), (1, 1)), (8, (-1, 2), (1, 5)),
+             (2, (1, 1), (-1, 2)), (12, (1, 5), (1, 2))]
     return (
-        [_eq(entry_id, label, [lhs, rhs], THETA_PREC) for entry_id, label, lhs, rhs in rearr]
-        + _specialize(["shift-law"], [(3, (1, 1)), (5, (-1, 2)), (4, (1, 3)), (1, (-1, 1)),
-                                      (8, (1, 5))])
-        + _specialize(["reflect-law"], [(3, (1, 1)), (4, (-1, 1)), (7, (1, 2)), (8, (-1, 3)),
-                                        (5, (-1, 0))])
-        + _specialize(["base-double"], [(2, (1, 1)), (3, (-1, 1)), (5, (1, 2)), (4, (-1, 3)),
-                                        (8, (1, 1))])
-        + _specialize(["neg-base"], [(1, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 3)),
-                                     (3, (1, 2))])
+        [_eq(entry_id, label, [terms(_quot(1, 0, [atom])), terms(_quot(c, 0, num, den))],
+             THETA_PREC) for entry_id, label, atom, c, num, den in rearr]
+        + _specialize({"shift-law": [(3, (1, 1)), (5, (-1, 2)), (4, (1, 3)), (1, (-1, 1)),
+                                     (8, (1, 5))]})
+        + _specialize({"reflect-law": [(3, (1, 1)), (4, (-1, 1)), (7, (1, 2)), (8, (-1, 3)),
+                                       (5, (-1, 1))]})
+        + _specialize({"base-double": [(2, (1, 1)), (3, (-1, 1)), (5, (1, 2)), (4, (-1, 3)),
+                                       (8, (1, 1))]})
+        + _specialize({"neg-base": [(1, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 3)),
+                                    (3, (1, 2))]})
         # one index across M = 2, 3, 5
         + [_law_entry(f"split-{M}-term-{i}", f"split-{M}-term", spec)
-           for i, (M, spec) in enumerate([(2, (1, (1, 1))), (2, (3, (-1, 1))),
+           for i, (M, spec) in enumerate([(2, (5, (1, 1))), (2, (3, (-1, 1))),
                                           (3, (2, (1, 1))), (3, (3, (-1, 2))),
                                           (5, (3, (1, 1))), (5, (2, (-1, 1)))])]
-        + _specialize(["jsplit"], [
-            (1, (-1, 2)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
+        + _specialize({"jsplit": [
+            (6, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
             (4, (1, 3)), (4, (-1, 3)), (16, (1, 3)), (16, (-1, 3)), (16, (1, 5)),
             (16, (-1, 5)), (8, (1, 1)), (8, (-1, 5)), (32, (1, 4)), (32, (-1, 8)),
-            (3, (1, 2)), (5, (-1, 2)), (16, (1, 7)), (7, (-1, 3))])
-        + _specialize(["theta-pair", "theta-pair-even"], [
-            (3, (1, 1), (1, 2)), (3, (1, 1), (-1, 1)), (3, (-1, 1), (-1, 2)),
-            (5, (1, 2), (1, 3)), (5, (-1, 1), (1, 3)), (5, (1, 1), (1, 4)),
-            (7, (-1, 2), (-1, 3)), (7, (1, 3), (-1, 1)), (2, (1, 1), (1, 1)),
-            (4, (-1, 1), (1, 2)), (4, (1, 3), (-1, 2)), (8, (1, 1), (-1, 5)),
-            (8, (-1, 3), (-1, 7)), (9, (1, 2), (1, 7)), (6, (1, 1), (1, 5)),
-            (1, (-1, 1), (-1, 1)), (5, (1, 4), (1, 1)), (8, (-1, 2), (1, 5)),
-            (2, (1, 1), (-1, 2)), (12, (1, 5), (1, 2))])
-        + _specialize(["weierstrass"], [
+            (3, (1, 2)), (5, (-1, 2)), (16, (1, 7)), (7, (-1, 3))]})
+        + _specialize({"theta-pair": pairs, "theta-pair-even": pairs[:2] + [(4, (1, 1), (-1, 1))]
+                       + pairs[3:15] + [(5, (1, 1), (-1, 1))] + pairs[16:]})
+        + _specialize({"weierstrass": [
             (64, (-1, 32), (1, 20), (1, 16), (-1, 8)), (5, (1, 3), (1, 2), (1, 1), (-1, 1)),
-            (4, (-1, 2), (1, 3), (-1, 1), (1, 1)), (8, (1, 5), (-1, 3), (1, 2), (1, 1)),
+            (4, (-1, 2), (1, 3), (-1, 1), (1, 2)), (8, (1, 5), (-1, 3), (1, 2), (1, 1)),
             (7, (1, 4), (1, 3), (1, 2), (1, 1)), (3, (-1, 3), (-1, 2), (1, 1), (-1, 1)),
             (12, (1, 6), (1, 5), (-1, 3), (1, 2)), (2, (1, 2), (-1, 1), (1, 1), (-1, 2)),
-            (16, (-1, 7), (1, 4), (1, 3), (1, 1)), (11, (1, 9), (1, 6), (-1, 4), (1, 2))])
-        + _specialize(["quintuple"], [
+            (16, (-1, 7), (1, 4), (1, 3), (1, 1)), (11, (1, 9), (1, 6), (-1, 4), (1, 2))]})
+        + _specialize({"quintuple": [
             (4, (1, 1)), (4, (-1, 1)), (5, (1, 1)), (5, (1, 2)), (7, (-1, 1)),
-            (7, (1, 2)), (8, (-1, 3)), (3, (1, 1)), (25, (1, 5)), (25, (1, 10))])
-        + _specialize(["hecke-sum", "hecke-sum-alt"], [
-            (1, (s, a)) for a in (1, 2, 3, 5, 6) for s in (1, -1)])
-        + _specialize(["gsplit"], g_specs + [(4, (-1, 1)), (16, (-1, 2)), (16, (-1, 6))])
-        + _specialize(["g-even-part", "g-odd-part"], g_specs)
+            (7, (1, 2)), (8, (-1, 3)), (3, (1, 1)), (25, (1, 5)), (25, (1, 10))]})
+        + _specialize({
+            "hecke-sum": [(1, (s, a)) for a in (1, 2, 3, 5, 6) for s in (1, -1)],
+            "hecke-sum-alt": [(m, (s, a)) for m, a in ((2, 1), (2, 5), (1, 3), (3, 1), (3, 2))
+                              for s in (1, -1)]})
+        + _specialize({"gsplit": g_specs + [(4, (-1, 1)), (16, (-1, 2)), (16, (-1, 6))]})
+        + _specialize({"g-even-part": g_parts, "g-odd-part": g_parts})
     )
 
 

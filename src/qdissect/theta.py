@@ -219,10 +219,8 @@ def eta_quotient(
         # a vanishing theta factor kills the whole quotient exactly
         return Series.monomial(INTEGER, 0, prec, 0)
     unit, shift, factors = form
-    if prec <= shift:
-        # the monomial alone puts the quotient beyond the window
-        return Series.zero(INTEGER, prec)
-    if not factors:
+    if not factors or prec <= shift:
+        # the monomial unit * q^shift, zero in a window ending at or below it
         return Series.monomial(INTEGER, shift, prec, unit)
     out = _quotient(factors, prec - shift).shift(shift)
     return out if unit == 1 else out.scale(unit)
