@@ -84,7 +84,8 @@ class Counts(namedtuple("Counts", "rows t r twist")):
 class ThetaSum(namedtuple("ThetaSum", "atom base_sign")):
     """The triple-product sum of atom at base base_sign*q^m, the atom not
     folded (theta.theta_j_sum): the left side of neg-base at base -q^m and
-    of shift-law at base +q^m, whose folded quotient is the right side."""
+    of shift-law and reflect-law at base +q^m, whose folded quotient is
+    the right side."""
 
     __slots__ = ()
 

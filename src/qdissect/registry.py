@@ -246,15 +246,19 @@ def _dev_sum(stat, M):
 # power.  A term (scale, vec, part) is scale * q^vec * part, where part is
 # ("quot", num[, den]), a quotient of atoms, ("g", atom), g at the atom's
 # argument and base, or ("sum", atom, s), the atom's triple-product sum at
-# base s*q^b, evaluated unfolded.  LAWS maps a law's id to (label, prec,
-# sides); jsplit shares split-2-term's sides under its own label.
+# base s*q^b, evaluated unfolded: the shift and reflection laws state the
+# fold itself, so their left sides are such sums.  LAWS maps a law's id to
+# (label, prec, sides); jsplit shares split-2-term's sides under its own
+# label.
 #
 # A specialization (m, (s_0, a_0), ...) puts q -> q^m and x_i -> s_i q^a_i.
 # _monomial is the one place that maps a vector under it, and _law_entry
 # the one place that turns a law at a specialization into an entry.  The
-# specs name distinct statements once atoms are folded: the fold maps x
-# to q^m x, theta-pair-even is unchanged under (x, y) -> (-x, -y), and
-# hecke-sum-alt at x is hecke-sum at -q^(+-4m) x.
+# specs name distinct statements once atoms are folded: the fold maps an
+# atom's x to q^m x and to q^m/x, theta-pair-even is unchanged under
+# (x, y) -> (-x, -y), and hecke-sum-alt at x is hecke-sum at -q^(+-4m) x.
+# No spec puts a vanishing factor j(q^(km);q^m) into a quotient, which
+# would drop its term from the check.
 
 _JX = (1, (0, 1), 1)  # j(x;q)
 _J1, _J2, _J4 = (1, (1,), 3), (1, (2,), 6), (1, (4,), 12)  # J_k = j(q^k;q^3k)
@@ -273,8 +277,8 @@ LAWS = {
         [(1, (0,), ("sum", (1, (1, 1), 1), 1))],
         [(-1, (0, -1), ("quot", [_JX]))])),
     "reflect-law": ("j(x;q) = j(q/x;q)", THETA_PREC, (
-        [(1, (0,), ("quot", [_JX]))],
-        [(1, (0,), ("quot", [(1, (1, -1), 1)]))])),
+        [(1, (0,), ("sum", (1, (1, -1), 1), 1))],
+        [(1, (0,), ("quot", [_JX]))])),
     "base-double": ("j(x;q) = J1 j(x;q^2) j(qx;q^2)/J2^2", THETA_PREC, (
         [(1, (0,), ("quot", [_JX]))],
         [(1, (0,), ("quot", [_J1, (1, (0, 1), 2), (1, (1, 1), 2)], [(_J2, 2)]))])),
@@ -432,8 +436,14 @@ def _toolkit_entries():
              (7, (-1, 2), (-1, 3)), (7, (1, 3), (-1, 1)), (2, (1, 1), (1, 1)),
              (4, (-1, 1), (1, 2)), (4, (1, 3), (-1, 2)), (8, (1, 1), (-1, 5)),
              (8, (-1, 3), (-1, 7)), (9, (1, 2), (1, 7)), (6, (1, 1), (1, 5)),
-             (1, (-1, 1), (-1, 1)), (5, (1, 4), (1, 1)), (8, (-1, 2), (1, 5)),
+             (1, (-1, 1), (-1, 1)), (8, (1, 2), (1, 3)), (8, (-1, 2), (1, 5)),
              (2, (1, 1), (-1, 2)), (12, (1, 5), (1, 2))]
+    # each law's own spec where the shared one would restate another id
+    # or hold a vanishing factor
+    pair_specs = {
+        "theta-pair": {1: (5, (-1, 1), (-1, 1))},
+        "theta-pair-even": {2: (4, (1, 1), (-1, 1)), 10: (12, (1, 2), (-1, 5)),
+                            15: (5, (1, 1), (-1, 1)), 18: (4, (1, 1), (1, 2))}}
     return (
         [_eq(entry_id, label, [terms(_quot(1, 0, [atom])), terms(_quot(c, 0, num, den))],
              THETA_PREC) for entry_id, label, atom, c, num, den in rearr]
@@ -443,7 +453,7 @@ def _toolkit_entries():
                                        (5, (-1, 1))]})
         + _specialize({"base-double": [(2, (1, 1)), (3, (-1, 1)), (5, (1, 2)), (4, (-1, 3)),
                                        (8, (1, 1))]})
-        + _specialize({"neg-base": [(1, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 3)),
+        + _specialize({"neg-base": [(1, (1, 1)), (2, (-1, 1)), (2, (1, 1)), (2, (-1, 3)),
                                     (3, (1, 2))]})
         # one index across M = 2, 3, 5
         + [_law_entry(f"split-{M}-term-{i}", f"split-{M}-term", spec)
@@ -451,25 +461,27 @@ def _toolkit_entries():
                                           (3, (2, (1, 1))), (3, (3, (-1, 2))),
                                           (5, (3, (1, 1))), (5, (2, (-1, 1)))])]
         + _specialize({"jsplit": [
-            (6, (1, 1)), (1, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
-            (4, (1, 3)), (4, (-1, 3)), (16, (1, 3)), (16, (-1, 3)), (16, (1, 5)),
+            (6, (1, 1)), (5, (-1, 1)), (2, (1, 1)), (2, (-1, 1)), (4, (1, 1)), (4, (-1, 1)),
+            (5, (1, 2)), (6, (-1, 1)), (16, (1, 3)), (16, (-1, 3)), (16, (1, 5)),
             (16, (-1, 5)), (8, (1, 1)), (8, (-1, 5)), (32, (1, 4)), (32, (-1, 8)),
             (3, (1, 2)), (5, (-1, 2)), (16, (1, 7)), (7, (-1, 3))]})
-        + _specialize({"theta-pair": pairs, "theta-pair-even": pairs[:2] + [(4, (1, 1), (-1, 1))]
-                       + pairs[3:15] + [(5, (1, 1), (-1, 1))] + pairs[16:]})
+        + _specialize({name: [own.get(i, spec) for i, spec in enumerate(pairs)]
+                       for name, own in pair_specs.items()})
         + _specialize({"weierstrass": [
-            (64, (-1, 32), (1, 20), (1, 16), (-1, 8)), (5, (1, 3), (1, 2), (1, 1), (-1, 1)),
+            (64, (-1, 32), (1, 20), (1, 16), (-1, 8)), (4, (1, 2), (-1, 4), (1, 1), (-1, 1)),
             (4, (-1, 2), (1, 3), (-1, 1), (1, 2)), (8, (1, 5), (-1, 3), (1, 2), (1, 1)),
-            (7, (1, 4), (1, 3), (1, 2), (1, 1)), (3, (-1, 3), (-1, 2), (1, 1), (-1, 1)),
+            (8, (1, 2), (1, 3), (1, 1), (-1, 2)), (4, (1, 2), (1, 4), (1, 1), (-1, 1)),
             (12, (1, 6), (1, 5), (-1, 3), (1, 2)), (2, (1, 2), (-1, 1), (1, 1), (-1, 2)),
-            (16, (-1, 7), (1, 4), (1, 3), (1, 1)), (11, (1, 9), (1, 6), (-1, 4), (1, 2))]})
+            (16, (-1, 7), (1, 4), (1, 3), (1, 1)), (8, (1, 2), (-1, 2), (1, 4), (1, 8))]})
         + _specialize({"quintuple": [
             (4, (1, 1)), (4, (-1, 1)), (5, (1, 1)), (5, (1, 2)), (7, (-1, 1)),
-            (7, (1, 2)), (8, (-1, 3)), (3, (1, 1)), (25, (1, 5)), (25, (1, 10))]})
+            (7, (1, 2)), (8, (-1, 3)), (8, (1, 3)), (25, (1, 5)), (25, (1, 10))]})
         + _specialize({
-            "hecke-sum": [(1, (s, a)) for a in (1, 2, 3, 5, 6) for s in (1, -1)],
-            "hecke-sum-alt": [(m, (s, a)) for m, a in ((2, 1), (2, 5), (1, 3), (3, 1), (3, 2))
-                              for s in (1, -1)]})
+            "hecke-sum": [(1, (1, 1)), (4, (-1, 2)), (2, (1, 1)), (1, (-1, 2)), (2, (-1, 1)),
+                          (3, (-1, 2)), (3, (1, 1)), (3, (-1, 1)), (3, (1, 2)), (1, (-1, 6))],
+            "hecke-sum-alt": [(2, (1, 1)), (2, (-1, 1)), (2, (1, 5)), (2, (-1, 5)), (1, (1, 3)),
+                              (2, (1, 4)), (3, (1, 1)), (3, (-1, 1)), (3, (1, 2)),
+                              (3, (-1, 2))]})
         + _specialize({"gsplit": g_specs + [(4, (-1, 1)), (16, (-1, 2)), (16, (-1, 6))]})
         + _specialize({"g-even-part": g_parts, "g-odd-part": g_parts})
     )

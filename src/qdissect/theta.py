@@ -12,13 +12,16 @@ All special functions used by the verification registry are built here:
   * the Eulerian sums defining the fifth-order functions f0 and f1,
     which, like g, add all their terms in one Series.combine.
 
-Folding uses j(q*x;q) = -x^-1 j(x;q), iterated:
+Folding uses two laws.  The shift law j(q*x;q) = -x^-1 j(x;q), iterated,
 
-    j(s*q^(a0+mk); q^m) = (-1)^k s^k q^(-m*k(k-1)/2 - a0*k) j(s*q^a0; q^m)
+    j(s*q^(a0+mk); q^m) = (-1)^k s^k q^(-m*k(k-1)/2 - a0*k) j(s*q^a0; q^m),
 
-which moves any exponent into 0 <= a0 < m; _normal_form applies it once
-per atom.  For s=+1 and a0=0 the theta function vanishes identically:
-the exact zero series is returned, and dividing by it raises.
+moves any exponent into 0 <= a0 < m.  The reflection j(x;q) = j(q/x;q)
+reads j(s*q^a0; q^m) = j(s*q^(m-a0); q^m), with no unit or shift, and
+takes a0 to min(a0, m - a0).  So every atom lands in the strip
+0 <= a <= m/2, and _normal_form applies both laws once per atom.  For
+s=+1 and a=0 the theta function vanishes identically: the exact zero
+series is returned, and dividing by it raises.
 
 A canonical atom needs only the O(sqrt(prec/m)) terms of the sum whose
 exponent lies below prec; the product form
@@ -114,9 +117,11 @@ def _normal_form(numerator: Iterable[AtomLike], denominator: Iterable[AtomLike],
 
     Returns (unit, shift, factors): the quotient equals unit * q^shift *
     prod j(sign*q^a; q^m)^k over the sorted factors (sign, a, m, k), each
-    atom in the strip 0 <= a < m and each k != 0.  Every atom is folded
-    once and the exponents of both sides merged, so atom order, repeated
-    atoms, an atom on both sides and a folded atom give one key.  None
+    atom in the strip 0 <= a <= m/2 and each k != 0.  Every atom is folded
+    once, by the shift law j(qx;q) = -x^-1 j(x;q) into 0 <= a < m and by
+    the reflection j(x;q) = j(q/x;q) into a <= m/2, and the exponents of
+    both sides merged, so atom order, repeated atoms, an atom on both
+    sides and a shifted or reflected atom give one key.  None
     when a numerator atom vanishes identically; a vanishing denominator
     atom raises, also over a vanishing numerator (0/0 is no series).
     """
@@ -137,6 +142,7 @@ def _normal_form(numerator: Iterable[AtomLike], denominator: Iterable[AtomLike],
             if sign == 1 and k % 2 and e % 2:
                 unit = -unit
             shift -= side * e * (m * (k * (k - 1) // 2) + a * k)
+            a = min(a, (m - a) % m)  # j(x;q^m) = j(q^m/x;q^m), sign kept
             exponents[sign, a, m] = exponents.get((sign, a, m), 0) + side * e
     if vanishes:
         return None

@@ -7,6 +7,7 @@ defining recurrence.  The oracles stay dumb so a test failure always
 points at the library, not at the test.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -69,6 +70,37 @@ def triple_product(sign: int, a0: int, m: int, prec: int) -> dict:
         first = pochhammer_product(sign, a0, m, prec)
     out = poly_mul(first, pochhammer_product(sign, m - a0, m, prec), prec)
     return poly_mul(out, pochhammer_product(1, m, m, prec), prec)
+
+
+def g_appell_lerch(sign: int, a: int, m: int, prec: int) -> dict:
+    """g(sign*q^a; q^m) for 0 < a < m, below prec, from the Appell-Lerch
+    form of the rank generating function R(x;q) = (1-x)(1 + x g(x;q)):
+
+        1 + x g(x;q^m) = (1/J_m) sum_n (-1)^n q^(mn(3n+1)/2) / (1 - x q^(mn)).
+
+    Each term is a geometric series: in x q^(mn) for n >= 0, and in its
+    inverse for n < 0, where 1/(1-y) = -sum_(k>=1) y^-k."""
+    top = prec + a  # g = x^-1 (...) carries q^-a
+    total = {}
+    bound = math.isqrt(top) + 1
+    for n in range(-bound, bound + 1):
+        head = m * n * (3 * n + 1) // 2
+        step = a + m * n
+        c = -1 if n % 2 else 1
+        if step > 0:
+            powers = enumerate(range(head, top, step))
+        else:
+            powers, c = enumerate(range(head - step, top, -step), 1), -c
+        for k, e in powers:
+            total[e] = total.get(e, 0) + c * sign ** k
+    # divide by J_m = (q^m; q^m)_inf one coefficient at a time
+    eta = pochhammer_product(1, m, m, top)
+    quotient = {}
+    for e in range(top):
+        quotient[e] = total.get(e, 0) - sum(
+            d * quotient[e - j] for j, d in eta.items() if 0 < j <= e)
+    quotient[0] -= 1
+    return {e - a: sign * c for e, c in quotient.items() if c}
 
 
 def poly_invert(a: dict, prec: int) -> dict:

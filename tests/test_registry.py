@@ -76,9 +76,9 @@ def test_every_part_is_a_hashable_record(registry, parts):
                 assert isinstance(scale, (int, Fraction)), entry.id
                 hash(part)
     census = Counter(type(part).__name__ for part in parts)
-    assert census == {"Quot": 509, "Counts": 89, "G": 81, "ThetaSum": 10, "Eulerian": 2}
-    # 495 distinct quotients have atoms; the other 14 are monomials q^e
-    assert sum(1 for part in parts if type(part) is Quot and (part.num or part.den)) == 495
+    assert census == {"Quot": 498, "Counts": 89, "G": 81, "ThetaSum": 15, "Eulerian": 2}
+    # 484 distinct quotients have atoms; the other 14 are monomials q^e
+    assert sum(1 for part in parts if type(part) is Quot and (part.num or part.den)) == 484
     # lists are normalised to tuples, so equal data is one part
     assert Quot([J(1, 2)], [], 3) == Quot((J(1, 2),), (), 3)
     assert Counts([[1, "rank", 0, 4]]) == Counts(((1, "rank", 0, 4),))
@@ -116,10 +116,11 @@ def test_generated_entries_match_their_hand_written_sides(by_id):
         "theta-pair-2": [terms(_quot(1, 0, [T(-1, 1, 3), T(-1, 2, 3)])),
                          terms(_quot(1, 0, [T(-1, 3, 6), T(-1, 4, 6)]),
                                _quot(1, 1, [T(-1, 6, 6), T(-1, 1, 6)]))],
+        # (a, b, c, d) = (q^2, -q^4, q, -q) on base q^4
         "weierstrass-1": [
-            terms(_quot(1, 0, [T(1, 4, 5), T(1, 2, 5), T(-1, 3, 5), T(-1, 1, 5)])),
-            terms(_quot(1, 0, [T(-1, 4, 5), T(-1, 2, 5), T(1, 3, 5), T(1, 1, 5)]),
-                  _quot(1, 1, [T(1, 5, 5), T(1, 1, 5), T(-1, 2, 5), T(-1, 0, 5)]))],
+            terms(_quot(1, 0, [T(1, 3, 4), T(1, 1, 4), T(1, 5, 4), T(1, 3, 4)])),
+            terms(_quot(1, 0, [T(-1, 3, 4), T(-1, 1, 4), T(-1, 5, 4), T(-1, 3, 4)]),
+                  _quot(-1, 3, [T(-1, 6, 4), T(-1, -2, 4), T(-1, 2, 4), T(-1, 0, 4)]))],
         "gsplit-14": [terms(_g(1, 0, -1, 1, 4)),
                       terms(_quot(1, -1), _g(-1, 1, -1, 2, 16), _g(-1, 4, -1, 6, 16),
                             _quot(-1, -1, [eta_atom(8), (J(8, 16), 2)],
@@ -229,8 +230,12 @@ def test_no_statement_has_two_ids(registry, by_id):
     # the 2-term split is one law under two labels
     assert LAWS["jsplit"][2] == LAWS["split-2-term"][2]
     # restatements up to the fold, a monomial and a scale are one statement:
-    # jsplit at x = -q^2 and -q on base q, and q^2 times g's even part
-    assert _statement(_law_entry("a", "jsplit", (1, (-1, 2)))) == _statement(by_id["jsplit-1"])
+    # jsplit at x = -q^2 and -q on base q, at x and q/x, and q^2 times g's
+    # even part
+    assert _statement(_law_entry("a", "jsplit", (1, (-1, 2)))) == _statement(
+        _law_entry("b", "jsplit", (1, (-1, 1))))
+    assert _statement(_law_entry("c", "jsplit", (5, (1, 1)))) == _statement(
+        _law_entry("d", "jsplit", (5, (1, 4))))
     assert _statement(_law_entry("b", "g-even-part", (16, (1, 2)))) == _statement(
         by_id["g2-plus"])
 
@@ -242,6 +247,24 @@ def test_no_equality_compares_one_series_with_itself(registry):
     folded = _eq("fold", "fold", [terms(_quot(1, 0, [J(4, 3)])), terms(_quot(-1, -1, [J(1, 3)]))],
                  50)
     assert _statement(folded) == {frozenset()}
+    # and so is j(q^2;q^3) = j(q;q^3), the reflection at one spec
+    reflected = _eq("reflect", "reflect", [terms(_quot(1, 0, [J(2, 3)])),
+                                           terms(_quot(1, 0, [J(1, 3)]))], 50)
+    assert _statement(reflected) == {frozenset()}
+
+
+def test_no_quotient_has_a_vanishing_factor(registry):
+    # a factor j(q^(km);q^m) = 0 would drop its term from the check
+    assert [entry.id for entry in registry for side in entry.sides for _, part in side
+            if type(part) is Quot and _normal_form(part.num, part.den, part.shift) is None] == []
+
+
+def test_no_sum_recomputes_the_memo(registry):
+    # a lone atom in the folded strip 0 <= a <= m/2 is memoized as its own
+    # triple-product sum, so at base +q^m a ThetaSum must lie outside it
+    sums = [part for entry in registry for side in entry.sides for _, part in side
+            if type(part) is ThetaSum and part.base_sign == 1]
+    assert sums and all(not 0 <= 2 * part.atom.a <= part.atom.m for part in sums)
 
 
 def test_progression_is_read_off_the_count_parts(by_id):

@@ -6,7 +6,7 @@ import pytest
 from qdissect.rings import INTEGER, RingError
 from qdissect.series import Series, SeriesError
 from qdissect import partitions, theta
-from qdissect.identities import build_side, verify_all, verify_identity
+from qdissect.identities import G, build_side, verify_all, verify_identity
 from qdissect.registry import _eq, build_registry, deviation, family, terms
 from qdissect.theta import (
     GSpec,
@@ -59,7 +59,7 @@ def _canonical(atom):
     """(unit, shift, canonical atom) of the atom's normal form, so that
     j(atom) = unit * q^shift * j(canonical atom)."""
     unit, shift, ((sign, a, m, k),) = theta._normal_form([atom], (), 0)
-    assert k == 1 and 0 <= a < m
+    assert k == 1 and 0 <= 2 * a <= m
     return unit, shift, ThetaAtom(sign, a, m)
 
 
@@ -156,6 +156,21 @@ def test_mock_g_term_bound_is_sound():
         lo = mock_g(spec, 60)
         hi = mock_g(spec, 120)
         assert hi.truncate(60) == lo
+
+
+def test_mock_g_agrees_with_the_appell_lerch_form():
+    specs = {part.spec for entry in build_registry() for side in entry.sides
+             for _, part in side if type(part) is G}
+    assert len(specs) == 58
+    for spec in specs:
+        got = oracles.series_to_poly(mock_g(spec, 300))
+        assert got == oracles.g_appell_lerch(spec.sign, spec.a, spec.m, 300), spec
+
+
+def test_the_appell_lerch_form_refuses_a_flipped_sign():
+    for spec in (GSpec(1, 2, 10), GSpec(-1, 6, 16), GSpec(1, 1, 4)):
+        got = oracles.series_to_poly(mock_g(spec, 100))
+        assert got != oracles.g_appell_lerch(-spec.sign, spec.a, spec.m, 100), spec
 
 
 def test_mock_g_precondition():
@@ -465,9 +480,10 @@ def test_quotient_memo_keys_tell_quotients_apart(monkeypatch):
 
 
 def _is_factor_tuple(key):
-    """Sorted canonical factors (sign, a, m, k): no unit, no shift."""
+    """Sorted canonical factors (sign, a, m, k), each atom in the folded
+    strip 0 <= a <= m/2: no unit, no shift."""
     return list(key) == sorted(set(key)) and all(
-        len(f) == 4 and f[0] in (1, -1) and 0 <= f[1] < f[2] and f[3] != 0
+        len(f) == 4 and f[0] in (1, -1) and 0 <= 2 * f[1] <= f[2] and f[3] != 0
         and (f[0], f[1]) != (1, 0)
         for f in key
     )
@@ -475,13 +491,14 @@ def _is_factor_tuple(key):
 
 def test_memo_stores_only_products_of_canonical_atoms(monkeypatch):
     monkeypatch.setattr(theta, "_memo", {})
-    # j(q^-7; q^3) = -q^-12 j(q^2; q^3): one entry, read under two monomials
+    # j(q^-7; q^3) = -q^-12 j(q^2; q^3) = -q^-12 j(q; q^3): one entry, read
+    # under two monomials
     folded = theta_j(J(-7, 3), 40)
-    canonical = theta_j(J(2, 3), 40)
-    assert list(theta._memo) == [((1, 2, 3, 1),)]
-    assert theta._memo[((1, 2, 3, 1),)].prec == 52
-    assert _same_window(folded, theta_j(J(2, 3), 52).shift(-12).scale(-1))
-    assert _same_window(canonical, theta_j_sum(J(2, 3), 40))
+    reflected = theta_j(J(2, 3), 40)
+    assert list(theta._memo) == [((1, 1, 3, 1),)]
+    assert theta._memo[((1, 1, 3, 1),)].prec == 52
+    assert _same_window(folded, theta_j(J(1, 3), 52).shift(-12).scale(-1))
+    assert _same_window(reflected, theta_j_sum(J(2, 3), 40))
 
     # a lone inverse takes the division path
     inverses = _count_calls(monkeypatch, "invert")
@@ -490,7 +507,7 @@ def test_memo_stores_only_products_of_canonical_atoms(monkeypatch):
         assert _same_window(got, Series.one(40).divide(theta_j(atom, 40)))
     assert inverses == []
 
-    # a cold registry pass stores factor tuples and g specializations only
+    # a cold registry pass stores folded factor tuples and g specializations only
     monkeypatch.setattr(theta, "_memo", {})
     assert all(r.status == "pass" for r in verify_all(build_registry()))
     g_keys = [key for key in theta._memo if key[:1] == ("g",)]
@@ -526,6 +543,9 @@ SPELLINGS = [
     (([A], (), 0), ([A, B], [B], 0)),
     # a folded atom against its canonical one: J(6,5)^2 = q^-2 J(1,5)^2
     (([(A, 2)], [B], 0), ([(J(6, 5), 2)], [B], 2)),
+    # a reflected atom against its canonical one: j(q^4;q^5) = j(q;q^5),
+    # and j(-q^5;q^7) = j(-q^2;q^7)
+    (([A], [B], 0), ([J(4, 5)], [Jbar(5, 7)], 0)),
 ]
 
 
