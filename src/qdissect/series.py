@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Optional, Sequence, Tuple
 
 from .rings import INTEGER, Ring, RingError
@@ -225,8 +225,12 @@ class Series:
         """Cauchy product; the window is [min_a + min_b, min(prec_a + min_b,
         prec_b + min_a)).
 
-        The sparser factor's nonzero coefficients are the rows: each one
-        adds a scaled slice of the other factor into the output, so the
+        The sparser factor's nonzero coefficients are the rows.  When the
+        denser factor is sparse too (4 x its nonzeros < window length), each
+        pair of nonzeros that lands in the window adds c*d to one output
+        coefficient, so the cost is the number of such pairs: a product of
+        theta atoms pays for nonzeros, not for the window.  Otherwise each
+        row adds a scaled slice of the denser factor into the output, so the
         cost is (nonzeros of the sparser factor) x (window length).
         """
         if not isinstance(other, Series):
@@ -241,8 +245,16 @@ class Series:
         rows_at = list(compress(range(length), rows))
         dense_at = list(compress(range(length), dense))
         if len(dense_at) < len(rows_at):
-            rows, dense, rows_at = dense, rows, dense_at
+            rows, dense, rows_at, dense_at = dense, rows, dense_at, rows_at
         out = [0] * length
+        if 4 * len(dense_at) < length:
+            for i in rows_at:
+                c, room = rows[i], length - i
+                for j in dense_at:
+                    if j >= room:
+                        break
+                    out[i + j] += c * dense[j]
+            return Series(INTEGER, min_exp, out, prec)
         for i in rows_at:
             # map stops with out[i:], so the row reads dense[: length - i]
             c = rows[i]
@@ -308,8 +320,11 @@ class Series:
         v, other.prec - 2v + min_exp)): the dividend's window moved by -v,
         cut where the divisor's relative precision ends.  Each coefficient is
         b[k] = lead * (a[k] - sum d[j] b[k-j]) over the divisor's
-        nonzero d[j], j >= 1, so the cost is (nonzeros of the divisor) x
-        (window length), like a sparse product.
+        nonzero d[j], 1 <= j <= k.  The rows d[j] change only at the
+        divisor's nonzero offsets, so the recurrence runs in phases between
+        them with the rows fixed inside each; the cost is (nonzeros of the
+        divisor) x (window length), like a sparse product, with no per-
+        coefficient bookkeeping.
         """
         _require_ring(INTEGER, self, other)
         nonzero = list(compress(range(len(other.coeffs)), other.coeffs))
@@ -327,32 +342,39 @@ class Series:
             )
         min_exp = self.min_exp - v
         prec = min(self.prec - v, other.prec - 2 * v + self.min_exp)
-        # while b holds b[0..k-1], b[-j] is b[k-j]; the rows are -j for the
-        # nonzero d[j] with 1 <= j <= k, split like the product's rows so
-        # that a +-1 coefficient adds or subtracts without a multiplication
-        plus, minus, scaled, scales = [], [], [], []
-        pending = (i - start for i in nonzero[1:])
-        j = next(pending, None)
-        b = []
-        for k, acc in enumerate(self.coeffs[: prec - min_exp]):
-            if j == k:
-                c = other.coeffs[start + j]
-                if c == 1:
-                    plus.append(-j)
-                elif c == -1:
-                    minus.append(-j)
-                else:
-                    scaled.append(-j)
-                    scales.append(c)
-                j = next(pending, None)
-            if plus:
-                acc = acc - sum(map(b.__getitem__, plus))
-            if minus:
-                acc = acc + sum(map(b.__getitem__, minus))
-            if scaled:
-                acc = acc - sum(map(mul, scales, map(b.__getitem__, scaled)))
-            b.append(acc if lead == 1 else -acc)
-        return Series(INTEGER, min_exp, b, prec)
+        length = prec - min_exp
+        # with the lead folded into a and d, b[k] = a[k] - sum d[j] b[k-j]
+        dividend = self.coeffs[:length]
+        if lead == -1:
+            dividend = [-c for c in dividend]
+        offsets = [i - start for i in nonzero[1:] if i - start < length]
+        ends = [*offsets, length]
+        # b[0] is a zero sentinel: while b holds it and b[0..k-1], b[-j] is
+        # b[k-j].  Each getter reads it twice before its rows, so it returns
+        # a tuple whatever the number of rows.  Rows of a +-1 coefficient
+        # add or subtract without a multiplication.
+        b = [0, *dividend[: ends[0]]]
+        plus, minus, scaled, scales = [], [], [], [0, 0]
+        for j, end in zip(offsets, ends[1:]):
+            c = lead * other.coeffs[start + j]
+            if c == 1:
+                plus.append(-j)
+            elif c == -1:
+                minus.append(-j)
+            else:
+                scaled.append(-j)
+                scales.append(c)
+            # from k = j up to the next offset the rows are fixed
+            added, taken = itemgetter(0, 0, *plus), itemgetter(0, 0, *minus)
+            if not scaled:
+                for acc in dividend[j:end]:
+                    b.append(acc - sum(added(b)) + sum(taken(b)))
+            else:
+                rest = itemgetter(0, 0, *scaled)
+                for acc in dividend[j:end]:
+                    b.append(acc - sum(added(b)) + sum(taken(b))
+                           - sum(map(mul, scales, rest(b))))
+        return Series(INTEGER, min_exp, b[1:], prec)
 
     def invert(self) -> "Series":
         """Multiplicative inverse: Series.one divided by self.

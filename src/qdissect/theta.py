@@ -37,9 +37,11 @@ written, and under whatever unit and shift, is computed and stored once;
 eta_quotient applies q^shift and the unit to it on the way out.  A lone
 canonical atom ((sign, a, m, 1),) is the triple-product sum, and any
 other factor tuple the product of its numerator atoms divided by each
-denominator atom in turn (exact power-series division, which costs what
-a product by the atom costs), the lone inverse ((sign, a, m, -1),)
-included.  Mock-g specializations share the memo under ("g", sign, a, m).
+denominator atom in turn, the lone inverse ((sign, a, m, -1),)
+included.  A product of two atoms costs one step per pair of their
+nonzeros; a product or an exact power-series division of a dense
+running product by one atom costs the atom's nonzeros times the window.
+Mock-g specializations share the memo under ("g", sign, a, m).
 It keeps the widest window computed so far and serves narrower requests
 by truncation, so a repeated quotient costs no products or divisions; a
 wider request is computed outside the lock and replaces the entry.
@@ -216,9 +218,11 @@ def eta_quotient(
     truncation plus one shifted (for unit -1, negated) window.  A new or
     wider product multiplies the canonical numerator atoms, then divides
     by each denominator atom with multiplicity: k - 1 products and l
-    divisions for k and l factors, each walking the O(sqrt(prec/m))
-    nonzeros of one atom; no factor is a dense inverse.  With no factor
-    left the quotient is the monomial unit * q^shift, one window.
+    divisions for k and l factors.  Atom by atom, a product walks the
+    pairs of the two atoms' O(sqrt(prec/m)) nonzeros; once the running
+    product is dense, each product and division walks the nonzeros of
+    one atom across the window.  No factor is a dense inverse.  With no
+    factor left the quotient is the monomial unit * q^shift, one window.
     """
     form = _normal_form(numerator, denominator, shift)
     if form is None:

@@ -72,6 +72,52 @@ def triple_product(sign: int, a0: int, m: int, prec: int) -> dict:
     return poly_mul(out, pochhammer_product(1, m, m, prec), prec)
 
 
+def theta_sum(sign: int, a: int, m: int, prec: int) -> dict:
+    """j(sign*q^a; q^m) below prec, for any integer a, from the bilateral
+    sum of the triple product with no folding:
+
+        sum_n (-1)^n sign^n q^(m*n(n-1)/2 + a*n).
+
+    With B = 2|a| + isqrt(2*prec) + 3, a term with |n| >= B has exponent
+    at least |n| * ((|n| - 1)/2 - |a|) > sqrt(2*prec) * sqrt(2*prec)/2, so
+    no term past B lands below prec."""
+    bound = 2 * abs(a) + math.isqrt(2 * max(prec, 0)) + 3
+    out = {}
+    for n in range(-bound, bound + 1):
+        e = m * n * (n - 1) // 2 + a * n
+        if e < prec:
+            out[e] = out.get(e, 0) + (-sign) ** (n % 2)
+    return {e: c for e, c in out.items() if c}
+
+
+def theta_quotient(num, den, shift: int, prec: int) -> dict:
+    """q^shift * prod(num) / prod(den) below prec, for lists of (sign, a,
+    m) atoms j(sign*q^a; q^m), each taken from theta_sum and divided by
+    its lowest power of q: both sides multiplied out, and the denominator
+    inverted with poly_invert.  Every atom is expanded to the same
+    precision relative to its lowest exponent, which is what the quotient
+    is exact to."""
+
+    def lowest(sign, a, m):
+        # the exponent is least at the n nearest 1/2 - a/m, inside |n| <= |a| + 1
+        return min(m * n * (n - 1) // 2 + a * n for n in range(-abs(a) - 1, abs(a) + 2))
+
+    low = shift + sum(lowest(*atom) for atom in num) - sum(lowest(*atom) for atom in den)
+    rel = prec - low
+    if rel <= 0:
+        return {}
+
+    def product(atoms):
+        out = {0: 1}
+        for atom in atoms:
+            v = lowest(*atom)
+            out = poly_mul(out, {e - v: c for e, c in theta_sum(*atom, v + rel).items()}, rel)
+        return out
+
+    out = poly_mul(product(num), poly_invert(product(den), rel), rel)
+    return {e + low: c for e, c in out.items()}
+
+
 def g_appell_lerch(sign: int, a: int, m: int, prec: int) -> dict:
     """g(sign*q^a; q^m) for 0 < a < m, below prec, from the Appell-Lerch
     form of the rank generating function R(x;q) = (1-x)(1 + x g(x;q)):

@@ -18,6 +18,8 @@ from qdissect.rings import INTEGER
 from qdissect.series import Series
 from qdissect.theta import J, Jbar, ThetaAtom, _normal_form, eta_atom
 
+import oracles
+
 RECORDS = (Quot, G, Counts, ThetaSum, Eulerian)
 
 
@@ -83,6 +85,25 @@ def test_every_part_is_a_hashable_record(registry, parts):
     assert Quot([J(1, 2)], [], 3) == Quot((J(1, 2),), (), 3)
     assert Counts([[1, "rank", 0, 4]]) == Counts(((1, "rank", 0, 4),))
     assert len({Quot([J(1, 2)]), Quot((J(1, 2),))}) == 1
+
+
+def test_every_quotient_replays_from_the_oracles(parts):
+    # each distinct Quot, rebuilt from the atoms' bilateral sums as written
+    # (no fold) with dict products and one dict inverse, no Series arithmetic
+    prec = 200
+
+    def atoms(side):
+        for item in side:
+            atom, e = (item, 1) if isinstance(item, ThetaAtom) else item
+            yield from [(atom.sign, atom.a, atom.m)] * e
+
+    quots = [part for part in parts if type(part) is Quot]
+    assert len(quots) == 498
+    for part in quots:
+        want = oracles.theta_quotient(list(atoms(part.num)), list(atoms(part.den)),
+                                      part.shift, prec)
+        got = part.build(prec)
+        assert got.prec == prec and oracles.series_to_poly(got) == want, part
 
 
 def test_the_registry_pickles_and_verifies_like_the_original(registry):

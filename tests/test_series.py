@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -409,6 +410,72 @@ def test_mul_by_zero_and_single_monomials(ring):
             _check_product(monomial, a)
 
 
+# -- the two product paths: pairs of nonzeros, and slice rows -------------------
+
+
+def _with_nonzeros(rng, min_exp, length, at):
+    """A window of `length` whose nonzero coefficients sit at offsets `at`:
+    +-1 or scaled values of up to 70 bits."""
+    coeffs = [0] * length
+    for i in at:
+        coeffs[i] = _random_coeff(rng, INTEGER)
+    return Series(INTEGER, min_exp, coeffs, min_exp + length)
+
+
+def _factors(rng, length, dense_n, rows_n):
+    """Two factors whose product window has `length`: the denser one with
+    dense_n nonzeros, the sparser with rows_n, each with a nonzero at the
+    window's last offset, so rows meet pairs that run past the window end.
+    The sparser factor's window is longer, with nonzeros past `length`
+    that the product never reads."""
+    def offsets(n):
+        return sorted({length - 1, *rng.sample(range(length - 1), n - 1)})
+
+    dense = _with_nonzeros(rng, rng.randint(-5, 2), length, offsets(dense_n))
+    rows = _with_nonzeros(rng, rng.randint(-5, 2), length + 7,
+                          offsets(rows_n) + [length + 2, length + 6])
+    return dense, rows
+
+
+@pytest.mark.parametrize("length", [12, 13, 60, 61, 203])
+def test_mul_paths_match_oracle_in_both_orders(length):
+    # the denser factor sits just below the sparse rule (4 * nonzeros <
+    # length: pairs of nonzeros) and at or just above it (slice rows); the
+    # sparser factor has one nonzero or as many as the denser one, and
+    # each product runs in both operand orders, so the factors swap
+    rng = random.Random(f"mul paths {length}")
+    for dense_n in ((length - 1) // 4, (length + 3) // 4):
+        for rows_n in (1, 2, dense_n):
+            for _ in range(3):
+                a, b = _factors(rng, length, dense_n, rows_n)
+                _check_product(a, b)
+                _check_product(b, a)
+
+
+@pytest.mark.parametrize("length, slices", [(41, False), (40, True),
+                                            (401, False), (400, True)])
+def test_mul_path_follows_the_sparse_rule(monkeypatch, length, slices):
+    # with length // 4 nonzeros in the denser factor, 4 * nonzeros < length
+    # walks the pairs of nonzeros, and 4 * nonzeros == length adds slice
+    # rows, which alone call the operator functions of the series module
+    calls = []
+
+    def counted(op):
+        def wrapped(x, y):
+            calls.append(op)
+            return op(x, y)
+        return wrapped
+
+    for name in ("add", "sub", "mul"):
+        monkeypatch.setattr(f"qdissect.series.{name}", counted(getattr(operator, name)))
+    rng = random.Random(f"sparse rule {length}")
+    a, b = _factors(rng, length, length // 4, 3)
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        _check_product(x, y)
+        assert bool(calls) == slices
+
+
 # -- addition and comparison against the dict oracle ---------------------------
 
 
@@ -693,6 +760,41 @@ def test_divide_error_paths():
         one.divide(jbar.shift(3))
     with pytest.raises(RingError, match="ring mismatch"):
         Series.monomial(RATIONAL, 0, 20).divide(jbar)
+
+
+@pytest.mark.parametrize("lead", [1, -1])
+def test_divide_phases_match_oracle(lead):
+    # the recurrence runs in phases between the divisor's nonzero offsets:
+    # long windows with many phases, a first phase of length 1, scaled
+    # rows, offsets at and past the window's end, and divisors with no
+    # offset inside the window at all
+    rng = random.Random(f"divide phases {lead}")
+
+    def divisor(min_exp, v, length, offsets):
+        coeffs = [0] * v + [lead] + [0] * (length - 1)
+        for j in offsets:
+            coeffs[v + j] = _random_coeff(rng, INTEGER)
+        return Series(INTEGER, min_exp, coeffs, min_exp + v + length)
+
+    def dividend(min_exp, length):
+        return _random_series(rng, INTEGER, min_exp, length, 0.6)
+
+    window = 230
+    many = sorted(rng.sample(range(2, window), 40))
+    cases = [
+        (dividend(-3, window), divisor(-2, 3, window + 5, [1] + many)),
+        (dividend(0, 200), divisor(0, 0, 200, rng.sample(range(1, 200), 30))),
+        # the dividend's window is the shorter: offsets 49 (a last phase of
+        # one coefficient), 50 (the window's end) and 51, 70 past it
+        (dividend(-1, 50), divisor(1, 1, 80, [3, 49, 50, 51, 70])),
+        # the divisor's window is the shorter: its offsets run to its end
+        (dividend(2, 90), divisor(0, 2, 40, [5, 17, 39])),
+        # no offset inside the window: a lone lead, then offsets past it
+        (dividend(-2, 30), divisor(0, 0, 40, [])),
+        (dividend(-2, 30), divisor(-1, 2, 40, [30, 33, 39])),
+    ]
+    for a, d in cases:
+        _check_division(a, d)
 
 
 # every method that computes a coefficient, with the series s in each
