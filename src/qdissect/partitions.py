@@ -13,8 +13,13 @@ pentagonal theorem that is the recurrence
     N_a[n] = num_a[n] + N_a[n-1] + N_a[n-2] - N_a[n-5] - N_a[n-7] + ...
 
 over the generalized pentagonal numbers, so coefficient n needs only
-num_a[n] and about 2 sqrt(2n/3) earlier counts.  Those M rows of ints
-are the whole state of a count table.  p(n) is the crank table mod 1:
+num_a[n] and about 2 sqrt(2n/3) earlier counts.  num_a[n] sums the
+numerator terms e(k) + jk = n, one for each k that divides n - e(k).  A
+table keeps each k scheduled at its next term, so growing by one n walks
+only the k's that land there (3 or 4 near n = 300, of the 14 rank or 25
+crank k's with e(k) <= n), and the pentagonal numbers are one shared
+list, extended only when a table grows past its end.  Those M rows of
+ints are the whole state of the counts.  p(n) is the crank table mod 1:
 with one class, C(0,1;n) counts every partition of n (at n=1 the sum's
 z + z^-1 - 1 is 1), so p(n) shares the tables' one cache and one lock.
 
@@ -49,20 +54,25 @@ from typing import List, Tuple
 from .rings import CyclicLaurent, cyclic_ring, INTEGER, RATIONAL
 from .series import Series
 
+_PENTAGONAL: Tuple[List[int], List[int]] = ([], [])
+
+
 def _pentagonal(limit: int) -> Tuple[List[int], List[int]]:
-    """The generalized pentagonal numbers 0 < k(3k+-1)/2 < limit, ascending,
-    split by the sign (-1)^(k-1) of their term."""
-    signed: Tuple[List[int], List[int]] = ([], [])
-    k = 1
+    """The shared generalized pentagonal numbers k(3k+-1)/2, ascending and
+    split by the sign (-1)^(k-1) of their term, extended by whole k until
+    every one below limit is in; call with _count_lock held."""
+    k = (len(_PENTAGONAL[0]) + len(_PENTAGONAL[1])) // 2 + 1
     while (g := k * (3 * k - 1) // 2) < limit:
-        signed[1 - k % 2].extend(x for x in (g, g + k) if x < limit)
+        _PENTAGONAL[1 - k % 2].extend((g, g + k))
         k += 1
-    return signed
+    return _PENTAGONAL
 
 
 def _euler_step(rows: List[List[int]], n: int, pentagonal) -> List[int]:
     """The q^n coefficient of row * (1 - (q;q)_inf) for each row, read
-    from row[0..n-1]; pentagonal = _pentagonal(limit) with limit > n."""
+    from row[0..n-1]; pentagonal is the shared pair from _pentagonal,
+    holding every generalized pentagonal number <= n (larger ones are
+    skipped)."""
     plus, minus = ([n - g for g in side[:bisect_right(side, n)]] for side in pentagonal)
     return [sum(map(row.__getitem__, plus)) - sum(map(row.__getitem__, minus))
             for row in rows]
@@ -87,6 +97,13 @@ class _CountTable:
     so it is not kept, and the table grows by exactly the coefficients
     asked for.
 
+    The numerator's terms are walked by schedule instead: ``due`` maps n
+    to the k whose next term e(k) + jk >= width lands at n, for every k
+    with e(k) < width (each k sits at one n), and ``next_k`` is the
+    first k with e(k) >= width, not yet scheduled.  So a grow reads only
+    the k's with a term in the new coefficients, and growing by one n
+    costs the few terms that land at n, not a scan of every k.
+
     Ranks and cranks are symmetric, N(a,M;n) = N(M-a,M;n), since the
     numerators credit m and -m alike.  So ``rows[M - a]`` is the very
     list ``rows[a]``: the table keeps floor(M/2)+1 distinct rows, and
@@ -98,7 +115,7 @@ class _CountTable:
     classes of one n (``residue_count``) builds one window, not M.
     """
 
-    __slots__ = ("stat", "modulus", "rows", "width", "cyclic", "window")
+    __slots__ = ("stat", "modulus", "rows", "width", "due", "next_k", "cyclic", "window")
 
     def __init__(self, stat: str, M: int):
         self.stat = stat
@@ -106,38 +123,55 @@ class _CountTable:
         self.rows = [[] for _ in range(M // 2 + 1)]
         self.rows += self.rows[1 : (M + 1) // 2][::-1]  # rows[M - a] is rows[a]
         self.width = 0
+        self.due: dict = {}
+        self.next_k = 1
         self.cyclic = self.window = Series.zero(cyclic_ring(M), 0)
 
     def grow(self, prec: int) -> None:
-        """Compute the counts at n in [width, prec) and widen."""
-        stat, M = self.stat, self.modulus
-        old = self.width
+        """Compute the counts at n in [width, prec) and widen.
+
+        Each k with a term in [width, prec) is walked once, from its due n
+        (or from e(k), for a k that enters) up to prec, and rescheduled at
+        its first term >= prec.  The schedule, ``next_k`` and ``width``
+        change only once every new count is in, so a grow that raises
+        leaves them as they were, and the next grow recomputes the same
+        coefficients.
+        """
+        stat, M, old, due = self.stat, self.modulus, self.width, self.due
         rows = self.rows[: M // 2 + 1]
         for row in rows:
             del row[old:]  # what an interrupted grow left
+        # (first term >= old, k) for each k with a term below prec: the
+        # scheduled ones due before prec, then those entering at e(k)
+        walks = [(n, k) for n in range(old, prec) if n in due for k in due[n]]
+        k = self.next_k
+        while (e := _sum_offset(stat, k)) < prec:
+            walks.append((e, k))
+            k += 1
+        next_k = k
         # q^n terms of sum_k (-1)^(k-1) q^(e(k)+mk) (1-q^k) for m >= 0,
         # credited to the classes of m and -m (the same class when
         # 2m = 0 mod M, which then counts twice): at n = e(k) + jk the
         # class of j gets the sign, the class of j - 1 its opposite
         nums = [[0] * M for _ in range(old, prec)]
-        k = 1
-        while (e := _sum_offset(stat, k)) < prec:
+        for first, k in walks:
+            e = _sum_offset(stat, k)
             sign = 1 if k % 2 else -1
-            first = e + k * max(0, -((e - old) // k))  # e + jk >= old
-            for n in range(first, prec, k):
-                j = (n - e) // k
+            for j, n in enumerate(range(first, prec, k), (first - e) // k):
                 num = nums[n - old]
                 for m, c in ((j, sign), (j - 1, -sign)):
                     if m >= 0:
                         num[m % M] += c
                         if m:
                             num[-m % M] += c
-            k += 1
         pentagonal = _pentagonal(prec)
         for n, num in zip(range(old, prec), nums):
             for row, c, step in zip(rows, num, _euler_step(rows, n, pentagonal)):
                 row.append(c + step)
-        self.width = prec
+        for first, k in walks:  # popped keys are < prec, new ones >= prec
+            due.pop(first, None)
+            due.setdefault(prec + (first - prec) % k, []).append(k)
+        self.next_k, self.width = next_k, prec
 
 
 def _column(table: _CountTable, a: int, lo: int, hi: int, step: int = 1) -> List[int]:

@@ -1,5 +1,8 @@
+import hashlib
 import io
 from fractions import Fraction
+from functools import partial
+from itertools import cycle
 
 import pytest
 
@@ -309,6 +312,139 @@ def test_count_cache_grows_to_exactly_the_width_asked(monkeypatch):
     for n in range(301):
         residue_count("rank", 2, 5, n)
         assert partitions._count_cache["rank", 5].width == n + 1
+
+
+def _grow_unevenly(table, prec, one_by_one=400, chunks=(1, 2, 3, 7, 13, 1, 29, 5)):
+    """Grow one n at a time through one_by_one, then by the cycled chunks."""
+    for width in range(table.width + 1, min(one_by_one, prec) + 1):
+        table.grow(width)
+    for step in cycle(chunks):
+        if table.width >= prec:
+            return
+        table.grow(min(prec, table.width + step))
+
+
+def _assert_scheduled(table):
+    """Each k with e(k) < width sits once in the schedule, at its first
+    term e(k) + jk >= width, and next_k is the first k with e(k) >= width."""
+    e = partial(partitions._sum_offset, table.stat)
+    placed = [(k, n) for n, ks in table.due.items() for k in ks]
+    assert sorted(k for k, _ in placed) == list(range(1, table.next_k))
+    assert e(table.next_k) >= table.width
+    assert table.next_k == 1 or e(table.next_k - 1) < table.width
+    for k, n in placed:
+        assert table.width <= n < table.width + k and n >= e(k) and (n - e(k)) % k == 0
+
+
+# sha256 of repr([rows of the table mod M for M = 1..12]) through n = 3000,
+# pinned from the recurrence that scanned every k of the numerator at each
+# grow, before the numerator schedule
+_ROWS_3000 = {
+    "rank": "0dd6d99d49e4ebfdf726bb45f0ae6e3c90f2cfe6c6c450f0135d42064f3eeb20",
+    "crank": "d5d446c3b1f09980d0bde7433d6212e99b54051bce341ecc1bee11f888695781",
+}
+
+
+@pytest.mark.parametrize("stat, oracle", [
+    ("rank", oracles.rank_counts_eulerian),
+    ("crank", oracles.crank_counts_product),
+])
+def test_every_way_of_growing_gives_the_same_rows(monkeypatch, stat, oracle):
+    # a table grown one n at a time, then in uneven chunks, against one
+    # grown in a single call, the pinned rows, enumeration (n <= 22) and
+    # the two-variable generating functions (through q^200); the first
+    # table also grows the shared pentagonal numbers from none
+    monkeypatch.setattr(partitions, "_PENTAGONAL", ([], []))
+    bulk_rows = []
+    for M in range(1, 13):
+        stepped, bulk = partitions._CountTable(stat, M), partitions._CountTable(stat, M)
+        _grow_unevenly(stepped, 3000)
+        bulk.grow(3000)
+        assert stepped.rows == bulk.rows, (stat, M)
+        _assert_scheduled(stepped)
+        _assert_scheduled(bulk)
+        bulk_rows.append(bulk.rows)
+        columns = [partitions._column(stepped, a, 0, 200) for a in range(M)]
+        for n in range(23):
+            assert [column[n] for column in columns] == _gf_counts(stat, M, n), (stat, M, n)
+        assert [list(counts) for counts in zip(*columns)] == oracle(M, 200), (stat, M)
+    assert hashlib.sha256(repr(bulk_rows).encode()).hexdigest() == _ROWS_3000[stat]
+    # the pentagonal numbers are one shared list, extended by whole k
+    plus, minus = partitions._pentagonal(3000)
+    assert partitions._pentagonal(0)[0] is plus
+    assert plus[:4] == [1, 2, 12, 15] and minus[:4] == [5, 7, 22, 26]
+    pentagonal = {k * (3 * k + s) // 2 for k in range(1, 46) for s in (-1, 1)}
+    assert sorted(g for g in plus + minus if g < 3000) == sorted(g for g in pentagonal if g < 3000)
+
+
+def _fail_after(monkeypatch, name, calls):
+    """Make partitions.<name> raise on every call after the first ``calls``."""
+    real, left = getattr(partitions, name), [calls]
+
+    def failing(*args):
+        left[0] -= 1
+        if left[0] < 0:
+            raise RuntimeError(f"{name} interrupted")
+        return real(*args)
+
+    monkeypatch.setattr(partitions, name, failing)
+
+
+@pytest.mark.parametrize("stat, M", [("rank", 7), ("crank", 8)])
+def test_an_interrupted_grow_leaves_a_table_that_grows_right(stat, M):
+    # A grow that raises, in the numerator walk (_sum_offset) or in the
+    # recurrence (_euler_step), leaves width, schedule and next k as they
+    # were, so growing on neither drops nor double-credits a term
+    fresh = partitions._CountTable(stat, M)
+    fresh.grow(600)
+
+    def state(table):
+        return table.width, table.next_k, {n: list(ks) for n, ks in table.due.items()}
+
+    def assert_grows_right(table):
+        _grow_unevenly(table, 600, one_by_one=table.width + 40)
+        assert table.rows == fresh.rows
+        _assert_scheduled(table)
+
+    def interrupted_bulk(name, calls):
+        """A table at width 60 whose grow to 300 raised after ``calls``
+        calls of name, or None if the grow got through."""
+        table = partitions._CountTable(stat, M)
+        table.grow(60)
+        before = state(table)
+        with pytest.MonkeyPatch.context() as m:
+            _fail_after(m, name, calls)
+            try:
+                table.grow(300)
+            except RuntimeError:
+                assert state(table) == before
+                return table
+        return None
+
+    # every failure point of the numerator walk in a bulk grow, then three
+    # points of its recurrence
+    calls = 0
+    while (table := interrupted_bulk("_sum_offset", calls)) is not None:
+        assert_grows_right(table)
+        calls += 1
+    assert calls > 20
+    for calls in (0, 1, 150):
+        table = interrupted_bulk("_euler_step", calls)
+        assert table is not None
+        assert_grows_right(table)
+    # a run of one-step grows, interrupted in either part
+    for name, calls in (("_euler_step", 25), ("_sum_offset", 25)):
+        table = partitions._CountTable(stat, M)
+        table.grow(60)
+        with pytest.MonkeyPatch.context() as m:
+            _fail_after(m, name, calls)
+            with pytest.raises(RuntimeError):
+                while True:
+                    before = state(table)
+                    table.grow(table.width + 1)
+        assert 60 < table.width < 300
+        assert state(table) == before
+        assert_grows_right(table)
 
 
 def test_reading_every_class_of_one_n_builds_one_window(monkeypatch):
