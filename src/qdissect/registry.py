@@ -26,7 +26,10 @@ Groups, in registry order:
 
 Groups C, D and G read every deviation line from one table, _LINES: the
 k-dissection entries, the pairwise sums mod 8 and the halved mod-4 crank
-lines in the 2-dissected D_C(0,8) and D_C(2,8).
+lines in the 2-dissected D_C(0,8) and D_C(2,8).  Every g term of a
+deviation form on base q^16 is read from it too: each first-stage form
+of a rank deviation mod 4 or 8 (the -pre, -alt, -gf and -prefinal
+entries) takes the G4/G8 terms of the same combination of lines.
 
 Entry ids are stable across releases.  Chained equalities (for example
 the four-way relations) live under one id with every leg compared
@@ -35,6 +38,7 @@ against the first.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .identities import Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum
@@ -42,6 +46,7 @@ from .theta import GSpec, J, Jbar, ThetaAtom, eta_atom
 
 THETA_PREC = 200  # theta-only entries (cheap, sparse expansions)
 MOCK_PREC = 100  # entries whose parts evaluate mock g
+HALF, QUARTER, EIGHTH = Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)
 
 # atoms and numerators shared by many statements
 J4 = eta_atom(4)
@@ -132,7 +137,9 @@ _G_FAMILIES = {
 
 # The k-dissection of each deviation D(a,M) (D_C for cranks), one line per
 # residue a <= M/2: _LINES[(stat, M)] = (k, family names, {a: one
-# (coefficients, scale) per family}).
+# (coefficients, scale) per family}).  Every g term of a deviation form is
+# read from here: the first-stage forms mod 4 and 8 take the G4/G8 part
+# of their combination of lines (_first_stage).
 _LINES = {
     ("rank", 4): (2, ("theta4", "G4"), {
         0: (((-5, 3, 1, 1), 1), ((-1, 0), 2)),
@@ -177,24 +184,21 @@ _LINES = {
 
 def family(name, coefficients, scale=1):
     """The parts of scale * (a dissection family with these coefficients):
-    one per nonzero coefficient, two where a G slot carries a constant."""
+    one per nonzero coefficient, then a G family's constants as one part."""
     if name in _THETA_FAMILIES:
         d, den, slots = _THETA_FAMILIES[name]
-
-        def slot_parts(c, shift, num):
-            return [_quot(Fraction(c, d), shift, num, den)]
     elif name in _G_FAMILIES:
         slots = _G_FAMILIES[name]
-
-        def slot_parts(c, const, shift, sign, a, m):
-            return [_g(c, shift, sign, a, m)] + ([_quot(const * c, 0)] if const else [])
     else:
         raise ValueError(f"unknown dissection family {name!r}")
     if len(coefficients) != len(slots):
         raise ValueError(
             f"{name} takes {len(slots)} coefficients, got {len(coefficients)}")
-    return [part for c, slot in zip(coefficients, slots) if c
-            for part in slot_parts(c * scale, *slot)]
+    weighted = [(c * scale, slot) for c, slot in zip(coefficients, slots) if c]
+    if name in _THETA_FAMILIES:
+        return [_quot(Fraction(c, d), shift, num, den) for c, (shift, num) in weighted]
+    const = sum(c * slot[0] for c, slot in weighted)
+    return [_g(c, *slot[1:]) for c, slot in weighted] + ([_quot(const, 0)] if const else [])
 
 
 def combo(*families):
@@ -206,15 +210,27 @@ def _eq(entry_id, label, sides, prec, **fields):
     return IdentityEntry(entry_id, label, "equality", prec, sides, **fields)
 
 
-def _line(stat, M, residues, scale=1):
-    """scale times the sum of the _LINES lines of D(a,M) (D_C for cranks)
-    over the residues, as a side."""
+def _line(stat, M, weights, only=None):
+    """The combination sum weight * (the _LINES line of D(a,M), D_C for
+    cranks) over weights {a: weight}, as a side; only the family named
+    `only` when it is given."""
     _, names, lines = _LINES[stat, M]
     families = []
     for i, name in enumerate(names):
-        rows = [[c * s * scale for c in coeffs] for coeffs, s in (lines[a][i] for a in residues)]
-        families.append((name, [sum(col) for col in zip(*rows)], 1))
+        if only in (None, name):
+            rows = [[c * s * w for c in coeffs]
+                    for (coeffs, s), w in ((lines[a][i], w) for a, w in weights.items())]
+            families.append((name, [sum(col) for col in zip(*rows)], 1))
     return combo(*families)
+
+
+def _first_stage(M, weights, *quots, theta4=(0, 0, 0, 0)):
+    """A first-stage form of the rank deviations mod M (4 or 8) combined by
+    weights {a: weight}: the G4/G8 terms of the same combination of _LINES
+    lines, the theta4 slots with these coefficients and the unsplit
+    quotients."""
+    g_family = _LINES["rank", M][1][1]
+    return _line("rank", M, weights, g_family) + combo(("theta4", theta4, 1)) + terms(*quots)
 
 
 def _letter(stat):
@@ -223,12 +239,11 @@ def _letter(stat):
 
 def _dev_lines(stat, M):
     """The k-dissection entries of D(a,M) (D_C for cranks), one per line of
-    _LINES; for 0 < a < M - a the entry also states D(a,M) = D(M-a,M)."""
+    _LINES.  D(M-a,M) = D(a,M) is no leg of them: the count tables keep one
+    row for both classes, so such a leg would compare a row with itself."""
     k, _, lines = _LINES[stat, M]
     return [_eq(f"dev-{stat}-{a}-{M}", f"{_letter(stat)}({a},{M}) {k}-dissection",
-                [deviation(stat, a, M)]
-                + ([deviation(stat, M - a, M)] if 0 < a < M - a else [])
-                + [_line(stat, M, (a,))], MOCK_PREC)
+                [deviation(stat, a, M), _line(stat, M, {a: 1})], MOCK_PREC)
             for a in lines]
 
 
@@ -507,19 +522,10 @@ def _mock_theta_entries():
 
 
 def _deviation_entries():
-    entries = []
-
-    # rank deviations mod 4: 2-dissection
-    entries.append(_eq(
-        "dev-rank-0-4", "D(0,4) 2-dissection",
-        [deviation("rank", 0, 4), _line("rank", 4, (0,))], MOCK_PREC))
-    entries.append(_eq(
-        "dev-rank-1-4", "D(1,4) = D(3,4) 2-dissection",
-        [deviation("rank", 1, 4), deviation("rank", 3, 4), _line("rank", 4, (1,))],
-        MOCK_PREC))
-    entries.append(_eq(
-        "dev-rank-2-4", "D(2,4) 2-dissection",
-        [deviation("rank", 2, 4), _line("rank", 4, (2,))], MOCK_PREC))
+    # rank deviations mod 4: 2-dissection, the paper's label stating the
+    # symmetry that the count tables give
+    entries = _dev_lines("rank", 4)
+    entries[1] = replace(entries[1], paper_label="D(1,4) = D(3,4) 2-dissection")
     entries.append(_dev_sum("rank", 4))
 
     # crank deviations mod 4
@@ -530,61 +536,54 @@ def _deviation_entries():
     entries.append(_eq(
         "dev-rank-0-4-pre", "D(0,4) via g(-q^2;q^16)",
         [deviation("rank", 0, 4),
-         terms(_quot(2, 0), _g(-2, 2, -1, 2, 16),
-               _quot(-2, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-               _quot(Fraction(1, 2), 0, Q14BAR, [J4]),
-               _quot(Fraction(1, 4), 0, Q14, [J4]))],
+         _first_stage(4, {0: 1}, _quot(HALF, 0, Q14BAR, [J4]), _quot(QUARTER, 0, Q14, [J4]),
+                      theta4=(-8, 0, 0, 0))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-1-4-pre", "D(1,4) via g(-q^2;q^16), g(-q^6;q^16)",
         [deviation("rank", 1, 4),
-         terms(_quot(-1, 0), _g(1, 2, -1, 2, 16), _g(1, 5, -1, 6, 16),
-               _quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4]),
-               _quot(Fraction(-1, 4), 0, Q14, [J4]))],
+         _first_stage(4, {1: 1}, _quot(1, 0, [Jbar(4, 8), J(1, 4)], [J4]),
+                      _quot(-QUARTER, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4-pre", "D(2,4) via g(-q^6;q^16)",
         [deviation("rank", 2, 4),
-         terms(_g(-2, 5, -1, 6, 16),
-               _quot(2, 1, [Jbar(4, 8), Jbar(2, 16)], [J4]),
-               _quot(Fraction(-1, 2), 0, Q14BAR, [J4]),
-               _quot(Fraction(1, 4), 0, Q14, [J4]))],
+         _first_stage(4, {2: 1}, _quot(-HALF, 0, Q14BAR, [J4]), _quot(QUARTER, 0, Q14, [J4]),
+                      theta4=(0, 0, 8, 0))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-0-4-base", "D(0,4) via g(+-q;q^4)",
         [deviation("rank", 0, 4),
          terms(_g(1, 1, -1, 1, 4), _g(-1, 1, 1, 1, 4),
-               _quot(Fraction(1, 2), 0, Q14BAR, [J4]),
-               _quot(Fraction(1, 4), 0, Q14, [J4]))],
+               _quot(HALF, 0, Q14BAR, [J4]),
+               _quot(QUARTER, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-1-4-base", "D(1,4) via g(-q;q^4)",
         [deviation("rank", 1, 4),
          terms(_g(-1, 1, -1, 1, 4),
-               _quot(Fraction(-1, 4), 0, Q14, [J4]))],
+               _quot(-QUARTER, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4-base", "D(2,4) via g(+-q;q^4)",
         [deviation("rank", 2, 4),
          terms(_g(1, 1, -1, 1, 4), _g(1, 1, 1, 1, 4),
-               _quot(Fraction(-1, 2), 0, Q14BAR, [J4]),
-               _quot(Fraction(1, 4), 0, Q14, [J4]))],
+               _quot(-HALF, 0, Q14BAR, [J4]),
+               _quot(QUARTER, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-rank-2-4-alt", "D(2,4), the Jbar_{1,2}J_{2,4}/J1 form",
         [deviation("rank", 2, 4),
-         terms(_g(-2, 5, -1, 6, 16),
-               _quot(2, 1, [Jbar(4, 8), Jbar(2, 16)], [J4]),
-               _quot(Fraction(-1, 2), 0, [Jbar(1, 2), J(2, 4)], [eta_atom(1)]),
-               _quot(Fraction(1, 4), 0, Q14, [J4]))],
+         _first_stage(4, {2: 1}, _quot(-HALF, 0, [Jbar(1, 2), J(2, 4)], [eta_atom(1)]),
+                      _quot(QUARTER, 0, Q14, [J4]), theta4=(0, 0, 8, 0))],
         MOCK_PREC))
 
     # crank mod 4 first stage
     entries.append(_eq(
         "dev-crank-0-4-pre", "D_C(0,4) = (1/2) J_{1,2}Jbar_{1,4}/J4 + (1/4) J_{1,2}J_{1,4}/J4",
         [deviation("crank", 0, 4),
-         terms(_quot(Fraction(1, 2), 0, [J(1, 2), Jbar(1, 4)], [J4]),
-               _quot(Fraction(1, 4), 0, Q14, [J4]))],
+         terms(_quot(HALF, 0, [J(1, 2), Jbar(1, 4)], [J4]),
+               _quot(QUARTER, 0, Q14, [J4]))],
         MOCK_PREC))
 
     # split rewrites connecting the two shapes (theta only): each quotient
@@ -607,42 +606,27 @@ def _mod8_entries():
     entries.append(_dev_sum("rank", 8))
 
     # first-stage forms of the rank deviations mod 8
-    half = Fraction(1, 2)
-    eighth = Fraction(1, 8)
-    quarter = Fraction(1, 4)
     extra8 = [eta_atom(8), Jbar(1, 2), J(1, 8), Jbar(3, 8)]
     extra8_den = [(J4, 2), eta_atom(16)]
     pre_forms = {
-        0: terms(_quot(2, 0), _g(1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
-                 _quot(-1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-                 _quot(-1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(quarter, 0, Q14BAR, [J4]),
-                 _quot(eighth, 0, Q14, [J4]),
-                 _quot(half, 0, extra8, extra8_den)),
-        1: terms(_quot(-1, 0), _g(-half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
-                 _g(half, 5, 1, 6, 16), _g(half, 5, -1, 6, 16),
-                 _quot(half, 0, [Jbar(4, 8), J(1, 4)], [J4]),
-                 _quot(-half, 1, [Jbar(4, 8), J(2, 16)], [J4]),
-                 _quot(half, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(-eighth, 0, Q14, [J4]),
-                 _quot(half, 1, [Jbar(1, 2), J(14, 16)], [J4])),
-        2: terms(_g(-1, 5, -1, 6, 16),
-                 _quot(1, 1, [Jbar(4, 8), Jbar(14, 16)], [J4]),
-                 _quot(-quarter, 0, Q14BAR, [J4]),
-                 _quot(eighth, 0, Q14, [J4])),
-        3: terms(_g(half, 2, 1, 2, 16), _g(half, 2, -1, 2, 16),
-                 _g(-half, 5, 1, 6, 16), _g(half, 5, -1, 6, 16),
-                 _quot(half, 0, [Jbar(4, 8), J(1, 4)], [J4]),
-                 _quot(half, 1, [Jbar(4, 8), J(2, 16)], [J4]),
-                 _quot(-half, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(-eighth, 0, Q14, [J4]),
-                 _quot(-half, 1, [Jbar(1, 2), J(2, 16)], [J4])),
-        4: terms(_g(-1, 2, 1, 2, 16), _g(-1, 2, -1, 2, 16),
-                 _quot(-1, 0, [Jbar(4, 8), Jbar(6, 16)], [J4]),
-                 _quot(1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
-                 _quot(quarter, 0, Q14BAR, [J4]),
-                 _quot(eighth, 0, Q14, [J4]),
-                 _quot(-half, 0, extra8, extra8_den)),
+        0: _first_stage(8, {0: 1}, _quot(-1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
+                        _quot(QUARTER, 0, Q14BAR, [J4]), _quot(EIGHTH, 0, Q14, [J4]),
+                        _quot(HALF, 0, extra8, extra8_den), theta4=(-4, 0, 0, 0)),
+        1: _first_stage(8, {1: 1}, _quot(HALF, 0, [Jbar(4, 8), J(1, 4)], [J4]),
+                        _quot(-HALF, 1, [Jbar(4, 8), J(2, 16)], [J4]),
+                        _quot(HALF, 0, [Jbar(4, 8), J(6, 16)], [J4]),
+                        _quot(-EIGHTH, 0, Q14, [J4]),
+                        _quot(HALF, 1, [Jbar(1, 2), J(14, 16)], [J4])),
+        2: _first_stage(8, {2: 1}, _quot(-QUARTER, 0, Q14BAR, [J4]),
+                        _quot(EIGHTH, 0, Q14, [J4]), theta4=(0, 0, 4, 0)),
+        3: _first_stage(8, {3: 1}, _quot(HALF, 0, [Jbar(4, 8), J(1, 4)], [J4]),
+                        _quot(HALF, 1, [Jbar(4, 8), J(2, 16)], [J4]),
+                        _quot(-HALF, 0, [Jbar(4, 8), J(6, 16)], [J4]),
+                        _quot(-EIGHTH, 0, Q14, [J4]),
+                        _quot(-HALF, 1, [Jbar(1, 2), J(2, 16)], [J4])),
+        4: _first_stage(8, {4: 1}, _quot(1, 0, [Jbar(4, 8), J(6, 16)], [J4]),
+                        _quot(QUARTER, 0, Q14BAR, [J4]), _quot(EIGHTH, 0, Q14, [J4]),
+                        _quot(-HALF, 0, extra8, extra8_den), theta4=(-4, 0, 0, 0)),
     }
     for a, rhs in pre_forms.items():
         entries.append(_eq(
@@ -673,35 +657,35 @@ def _mod8_entries():
     entries.append(_eq(
         "dev-crank-0-8-pre", "D_C(0,8) before base splitting",
         [deviation("crank", 0, 8),
-         terms(_quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
-               _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]),
-               _quot(quarter, 0, [J(1, 2), Jbar(1, 4)], [J4]),
-               _quot(eighth, 0, Q14, [J4]))],
+         terms(_quot(HALF, 0, [J(4, 8), J(6, 16)], [J4]),
+               _quot(-HALF, 1, [J(4, 8), J(2, 16)], [J4]),
+               _quot(QUARTER, 0, [J(1, 2), Jbar(1, 4)], [J4]),
+               _quot(EIGHTH, 0, Q14, [J4]))],
         MOCK_PREC))
     # D_C(a,4) = D_C(a,8) + D_C(a+4,8) and D_C(6,8) = D_C(2,8): D_C(2,8) is half
     # the D_C(2,4) line, D_C(0,8) half the D_C(0,4) line plus (D_C(0,8) - D_C(4,8))/2
     entries.append(_eq(
         "dev-crank-0-8-mid", "D_C(0,8) 2-dissected",
         [deviation("crank", 0, 8),
-         _line("crank", 4, (0,), half)
-         + terms(_quot(half, 0, [J(4, 8), J(6, 16)], [J4]),
-                 _quot(-half, 1, [J(4, 8), J(2, 16)], [J4]))],
+         _line("crank", 4, {0: HALF})
+         + terms(_quot(HALF, 0, [J(4, 8), J(6, 16)], [J4]),
+                 _quot(-HALF, 1, [J(4, 8), J(2, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-2-8-pre", "D_C(2,8) before 2-dissection",
         [deviation("crank", 2, 8),
-         terms(_quot(-quarter, 0, [J(1, 2), Jbar(1, 4)], [J4]),
-               _quot(eighth, 0, Q14, [J4]))],
+         terms(_quot(-QUARTER, 0, [J(1, 2), Jbar(1, 4)], [J4]),
+               _quot(EIGHTH, 0, Q14, [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "dev-crank-2-8-mid", "D_C(2,8) 2-dissected",
-        [deviation("crank", 2, 8), _line("crank", 4, (2,), half)], MOCK_PREC))
+        [deviation("crank", 2, 8), _line("crank", 4, {2: HALF})], MOCK_PREC))
 
     # pairwise sums used by the four-way relations
     for stat, a, b in [("crank", 0, 1), ("crank", 3, 4), ("rank", 1, 2), ("rank", 3, 4)]:
         entries.append(_eq(
             f"dev-{stat}-8-sum-{a}{b}", f"{_letter(stat)}({a},8) + {_letter(stat)}({b},8)",
-            [deviation_sum(stat, 8, (a, b)), _line(stat, 8, (a, b))], MOCK_PREC))
+            [deviation_sum(stat, 8, (a, b)), _line(stat, 8, {a: 1, b: 1})], MOCK_PREC))
 
     return entries
 
@@ -760,26 +744,23 @@ def _rank_crank_entries():
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) + 2q^5 g(-q^6;q^16) "
         "- J_{2,4}Jbar_{6,16}/J4 + q J_{2,4}Jbar_{2,16}/J4",
         [count_rows([(1, N, 0, 4), (-1, N, 2, 4)]),
-         terms(_quot(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
-               _quot(-1, 0, [J(2, 4), Jbar(6, 16)], [J4]),
-               _quot(1, 1, [J(2, 4), Jbar(2, 16)], [J4]))],
+         _first_stage(4, {0: 1, 2: -1}, _quot(-1, 0, [J(2, 4), Jbar(6, 16)], [J4]),
+                      _quot(1, 1, [J(2, 4), Jbar(2, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "rank-diff-08-gf",
         "sum (N(0,8;n)-N(4,8;n)) q^n = 2 + 2q^2 g(q^2;q^16) "
         "- Jbar_{2,4}J_{6,16}/J4 + q Jbar_{2,4}J_{2,16}/J4",
         [count_rows([(1, N, 0, 8), (-1, N, 4, 8)]),
-         terms(_quot(2, 0), _g(2, 2, 1, 2, 16),
-               _quot(-1, 0, [Jbar(2, 4), J(6, 16)], [J4]),
-               _quot(1, 1, [Jbar(2, 4), J(2, 16)], [J4]))],
+         _first_stage(8, {0: 1, 4: -1}, _quot(-1, 0, [Jbar(2, 4), J(6, 16)], [J4]),
+                      _quot(1, 1, [Jbar(2, 4), J(2, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "rank-diff-18-gf",
         "sum (N(1,8;n)-N(3,8;n)) q^n = -1 - q^2 g(q^2;q^16) + q^5 g(q^6;q^16) "
         "+ Jbar_{2,4}J_{6,16}/J4",
         [count_rows([(1, N, 1, 8), (-1, N, 3, 8)]),
-         terms(_quot(-1, 0), _g(-1, 2, 1, 2, 16), _g(1, 5, 1, 6, 16),
-               _quot(1, 0, [Jbar(2, 4), J(6, 16)], [J4]))],
+         _first_stage(8, {1: 1, 3: -1}, _quot(1, 0, [Jbar(2, 4), J(6, 16)], [J4]))],
         MOCK_PREC))
     entries.append(_eq(
         "rank-diff-04-product",
@@ -795,8 +776,7 @@ def _rank_crank_entries():
         "sum (N(0,4;n)-N(2,4;n)) q^n = 2 - 2q^2 g(-q^2;q^16) "
         "+ 2q^5 g(-q^6;q^16) - J_{1,2}Jbar_{1,4}/J4",
         [count_rows([(1, N, 0, 4), (-1, N, 2, 4)]),
-         terms(_quot(2, 0), _g(-2, 2, -1, 2, 16), _g(2, 5, -1, 6, 16),
-               _quot(-1, 0, [J(1, 2), Jbar(1, 4)], [J4]))],
+         _first_stage(4, {0: 1, 2: -1}, _quot(-1, 0, [J(1, 2), Jbar(1, 4)], [J4]))],
         MOCK_PREC))
     # the two Hecke-sum consequences that collapse the mod-8 differences
     entries.append(_eq(
@@ -884,11 +864,16 @@ def _lewis_entries():
     DEN16 = [(J(2, 16), 2), J(4, 16), (J(6, 16), 2), J(8, 16)]
 
     dev_diff = terms(_dev(1, N, 0, 8), _dev(-1, C, 0, 8))
+    # the g term of both forms of dev_diff, and q Jbar_{0,8} Jbar_{13,16}/J1,
+    # the series that (003) reduces, that counts N - C on 4n+3 and that is
+    # positive
+    g12 = _g(2, 12, -1, 12, 64)
+    closing = _quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)])
 
     entries.append(_eq(
         "lewis-dissection", "4-dissection of D(0,8) - D_C(0,8)",
         [dev_diff,
-         terms(_g(2, 12, -1, 12, 64),
+         terms(g12,
                _quot(-2, 8, [(Jbar(4, 64), 2), (Jbar(20, 64), 2), Jbar(28, 64),
                              (eta_atom(64), 2)], DEN64),
                _quot(2, 1, [(Jbar(12, 64), 2), Jbar(20, 64), (Jbar(28, 64), 2),
@@ -902,7 +887,7 @@ def _lewis_entries():
     entries.append(_eq(
         "lewis-dissection-raw", "D(0,8) - D_C(0,8) before reduction",
         [dev_diff,
-         terms(_g(2, 12, -1, 12, 64),
+         terms(g12,
                _quot(2, 0, [eta_atom(32), (Jbar(16, 64), 2)], [Jbar(52, 64), J(4, 32)]),
                _quot(-2, 0, [Jbar(16, 32), Jbar(28, 64)], [J4]),
                _quot(-1, 4, [Jbar(0, 32), Jbar(28, 64)], [J4]),
@@ -938,7 +923,7 @@ def _lewis_entries():
         MOCK_PREC))
     entries.append(_eq(
         "lewis-003", "Lewis reduction identity (003), q^4-deflated",
-        [terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)])),
+        [terms(closing),
          terms(_quot(2, 1, [Jbar(1, 16), (Jbar(3, 16), 2), Jbar(5, 16),
                             Jbar(7, 16), (eta_atom(16), 2)], DEN16))],
         MOCK_PREC))
@@ -951,12 +936,10 @@ def _lewis_entries():
                      [Jbar(1, 16), Jbar(3, 16), Jbar(5, 16), Jbar(7, 16),
                       (eta_atom(16), 2)]))],
         THETA_PREC))
-    entries.append(_eq(
-        "lewis-weierstrass-stop", "closing three-term relation, q^4-deflated",
-        [terms(_quot(1, 0, [(J(6, 16), 2), J(1, 16), J(9, 16)]),
-               _quot(1, 1, [(Jbar(3, 16), 2), Jbar(2, 16), Jbar(10, 16)])),
-         terms(_quot(1, 0, [Jbar(3, 16), Jbar(7, 16), Jbar(4, 16), Jbar(12, 16)]))],
-        THETA_PREC))
+    # (a, b, c, d) = (1, q^6, -q^3, -q^4) on base q^16
+    entries.append(_law_entry(
+        "lewis-weierstrass-stop", "weierstrass", (16, (1, 0), (1, 6), (-1, 3), (-1, 4)),
+        "closing three-term relation, q^4-deflated"))
     entries.append(_eq(
         "lewis-001-reduced", "reduced form of (001), q^4-deflated",
         [terms(_quot(1, 0, [Jbar(1, 16), Jbar(2, 8), Jbar(7, 16)]),
@@ -987,12 +970,12 @@ def _lewis_entries():
         "lewis-positivity-id",
         "sum (N(0,8;4n+3) - C(0,8;4n+3)) q^n = q Jbar_{0,8} Jbar_{13,16}/J1",
         [count_rows([(1, N, 0, 8), (-1, C, 0, 8)], t=4, r=3),
-         terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))], 101))
+         terms(closing)], 101))
 
     entries.append(IdentityEntry(
         "lewis-positivity", "q Jbar_{0,8} Jbar_{13,16}/J1 has positive coefficients",
         "positivity", 151,
-        [terms(_quot(1, 1, [Jbar(0, 8), Jbar(13, 16)], [eta_atom(1)]))]))
+        [terms(closing)]))
 
     ineqs = [
         ("lewis-ineq-0", "N(0,8;4n+1) >= C(0,8;4n+1) for n >= 2", 1, 2, N, C),

@@ -72,11 +72,11 @@ def triple_product(sign: int, a0: int, m: int, prec: int) -> dict:
     return poly_mul(out, pochhammer_product(1, m, m, prec), prec)
 
 
-def theta_sum(sign: int, a: int, m: int, prec: int) -> dict:
-    """j(sign*q^a; q^m) below prec, for any integer a, from the bilateral
-    sum of the triple product with no folding:
+def theta_sum(sign: int, a: int, m: int, prec: int, base_sign: int = 1) -> dict:
+    """j(sign*q^a; base_sign*q^m) below prec, for any integer a, from the
+    bilateral sum of the triple product with no folding:
 
-        sum_n (-1)^n sign^n q^(m*n(n-1)/2 + a*n).
+        sum_n (-1)^n sign^n base_sign^(n(n-1)/2) q^(m*n(n-1)/2 + a*n).
 
     With B = 2|a| + isqrt(2*prec) + 3, a term with |n| >= B has exponent
     at least |n| * ((|n| - 1)/2 - |a|) > sqrt(2*prec) * sqrt(2*prec)/2, so
@@ -86,7 +86,7 @@ def theta_sum(sign: int, a: int, m: int, prec: int) -> dict:
     for n in range(-bound, bound + 1):
         e = m * n * (n - 1) // 2 + a * n
         if e < prec:
-            out[e] = out.get(e, 0) + (-sign) ** (n % 2)
+            out[e] = out.get(e, 0) + (-sign) ** (n % 2) * base_sign ** (n * (n - 1) // 2 % 2)
     return {e: c for e, c in out.items() if c}
 
 
@@ -162,6 +162,20 @@ def poly_invert(a: dict, prec: int) -> dict:
         if acc:
             out[k] = -out[0] * acc
     return {e: c for e, c in out.items() if c}
+
+
+def fifth_order_sum(kind: str, prec: int) -> dict:
+    """f0(q) = sum_n q^(n^2)/(-q;q)_n or f1(q) = sum_n q^(n^2+n)/(-q;q)_n
+    below prec: each term's denominator multiplied out factor by factor
+    and inverted with poly_invert."""
+    extra = {"f0": 0, "f1": 1}[kind]
+    out, n = {}, 0
+    while n * (n + extra) < prec:
+        low = n * (n + extra)
+        den = product_expansion([binomial(1, k) for k in range(1, n + 1)], prec - low)
+        out = poly_add(out, {e + low: c for e, c in poly_invert(den, prec - low).items()})
+        n += 1
+    return out
 
 
 def series_to_poly(series, lo=None, hi=None) -> dict:

@@ -12,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from qdissect.identities import (Counts, Eulerian, G, IdentityEntry, Quot, ThetaSum,
                                  build_side, verify_all, verify_identity)
-from qdissect.registry import (LAWS, J4, _dev, _eq, _g, _law_entry, _monomial, _quot,
-                               build_registry, combo, count_rows, deviation_sum, terms)
+from qdissect.registry import (LAWS, J4, _dev, _eq, _g, _law_entry, _line, _monomial, _quot,
+                               build_registry, combo, count_rows, deviation, deviation_sum,
+                               terms)
 from qdissect.rings import INTEGER
 from qdissect.series import Series
 from qdissect.theta import J, Jbar, ThetaAtom, _normal_form, eta_atom
@@ -78,9 +79,9 @@ def test_every_part_is_a_hashable_record(registry, parts):
                 assert isinstance(scale, (int, Fraction)), entry.id
                 hash(part)
     census = Counter(type(part).__name__ for part in parts)
-    assert census == {"Quot": 498, "Counts": 89, "G": 81, "ThetaSum": 15, "Eulerian": 2}
-    # 484 distinct quotients have atoms; the other 14 are monomials q^e
-    assert sum(1 for part in parts if type(part) is Quot and (part.num or part.den)) == 484
+    assert census == {"Quot": 497, "Counts": 89, "G": 81, "ThetaSum": 15, "Eulerian": 2}
+    # 483 distinct quotients have atoms; the other 14 are monomials q^e
+    assert sum(1 for part in parts if type(part) is Quot and (part.num or part.den)) == 483
     # lists are normalised to tuples, so equal data is one part
     assert Quot([J(1, 2)], [], 3) == Quot((J(1, 2),), (), 3)
     assert Counts([[1, "rank", 0, 4]]) == Counts(((1, "rank", 0, 4),))
@@ -98,12 +99,63 @@ def test_every_quotient_replays_from_the_oracles(parts):
             yield from [(atom.sign, atom.a, atom.m)] * e
 
     quots = [part for part in parts if type(part) is Quot]
-    assert len(quots) == 498
+    assert len(quots) == 497
     for part in quots:
         want = oracles.theta_quotient(list(atoms(part.num)), list(atoms(part.den)),
                                       part.shift, prec)
         got = part.build(prec)
         assert got.prec == prec and oracles.series_to_poly(got) == want, part
+
+
+def test_every_count_combination_replays_from_the_oracles(parts):
+    # each distinct Counts part read off the two-variable generating
+    # functions (the rank Eulerian sum, the crank product), every row at
+    # its own class, on its progression and with its twist, through
+    # argument 200
+    bound, tables = 200, {}
+
+    def row(stat, a, M, n):
+        if (stat, M) not in tables:
+            oracle = {"rank": oracles.rank_counts_eulerian,
+                      "crank": oracles.crank_counts_product}[stat]
+            tables[stat, M] = oracle(M, bound)
+        return tables[stat, M][n][a]
+
+    counts = [part for part in parts if type(part) is Counts]
+    assert len(counts) == 89
+    assert {part.twist for part in counts} == {False, True}
+    for part in counts:
+        prec = -(-(bound - part.r) // part.t)  # every n with t*n + r < bound
+        want = {}
+        for n in range(prec):
+            value = sum(c * row(stat, a, M, part.t * n + part.r) for c, stat, a, M in part.rows)
+            if value:
+                want[n] = -value if part.twist and n % 2 else value
+        got = part.build(prec)
+        assert got.prec == prec and oracles.series_to_poly(got) == want, part
+
+
+def test_every_triple_product_sum_replays_from_the_oracles(parts):
+    # each distinct ThetaSum against the bilateral sum at its base's sign
+    prec = 200
+    sums = [part for part in parts if type(part) is ThetaSum]
+    assert len(sums) == 15 and {part.base_sign for part in sums} == {1, -1}
+    for part in sums:
+        atom = part.atom
+        want = oracles.theta_sum(atom.sign, atom.a, atom.m, prec, base_sign=part.base_sign)
+        got = part.build(prec)
+        assert got.prec == prec and oracles.series_to_poly(got) == want, part
+
+
+def test_both_eulerian_sums_replay_from_the_oracles(parts):
+    # f0 and f1 with each term's (-q;q)_n multiplied out and inverted
+    prec = 200
+    kinds = sorted(part.kind for part in parts if type(part) is Eulerian)
+    assert kinds == ["f0", "f1"]
+    for kind in kinds:
+        got = Eulerian(kind).build(prec)
+        assert got.prec == prec
+        assert oracles.series_to_poly(got) == oracles.fifth_order_sum(kind, prec), kind
 
 
 def test_the_registry_pickles_and_verifies_like_the_original(registry):
@@ -168,6 +220,13 @@ def test_generated_entries_match_their_hand_written_sides(by_id):
     }
     for entry_id, sides in hand.items():
         assert by_id[entry_id].sides == tuple(sides), entry_id
+    # the closing relation of Lewis's reductions is Weierstrass's law at
+    # (a, b, c, d) = (1, q^6, -q^3, -q^4) on base q^16, as the paper writes it
+    stop = _eq("stop", "stop", [
+        terms(_quot(1, 0, [(J(6, 16), 2), J(1, 16), J(9, 16)]),
+              _quot(1, 1, [(Jbar(3, 16), 2), Jbar(2, 16), Jbar(10, 16)])),
+        terms(_quot(1, 0, [Jbar(3, 16), Jbar(7, 16), Jbar(4, 16), Jbar(12, 16)]))], 50)
+    assert _statement(by_id["lewis-weierstrass-stop"]) == _statement(stop)
     # each support lemma reads its expansion's left side
     for entry_id in ("g2-plus", "g2-minus", "g6-plus", "g6-minus"):
         assert by_id[f"{entry_id}-support"].sides == by_id[entry_id].sides[:1]
@@ -198,9 +257,21 @@ def test_generated_entries_match_their_hand_written_sides(by_id):
         assert by_id[entry_id].sides[-1] == side, entry_id
 
 
+def _folded_rows(part):
+    """The Counts part with each row (c, stat, a, M) read at class
+    min(a, M - a), since N(a,M;n) = N(M-a,M;n), and like rows merged; None
+    when every row cancels."""
+    rows = Counter()
+    for c, stat, a, M in part.rows:
+        rows[stat, min(a, M - a), M] += c
+    rows = sorted((c, *row) for row, c in rows.items() if c)
+    return Counts(rows, part.t, part.r, part.twist) if rows else None
+
+
 def _folded(side):
     """The side as {(key, shift): scale}: each quotient in theta's normal
-    form, scales exact and like terms merged, vanishing terms dropped."""
+    form, each count part with its rows folded, scales exact and like terms
+    merged, vanishing terms dropped."""
     out = Counter()
     for scale, part in side:
         if type(part) is Quot:
@@ -211,6 +282,10 @@ def _folded(side):
             out[factors, shift] += scale * unit
         elif type(part) is G:
             out[part.spec, part.shift] += scale
+        elif type(part) is Counts:
+            rows = _folded_rows(part)
+            if rows is not None:
+                out[rows, 0] += scale
         else:
             out[part, 0] += scale
     return {term: c for term, c in out.items() if c}
@@ -261,9 +336,29 @@ def test_no_statement_has_two_ids(registry, by_id):
         by_id["g2-plus"])
 
 
+def test_the_fold_reads_each_count_row_at_its_lesser_class():
+    # rows (c, stat, a, M) fold to a = min(a, M - a), and like rows merge
+    side = terms((1, Counts([(1, "rank", 3, 4), (2, "rank", 1, 4), (-1, "crank", 0, 1)])),
+                 (2, Counts([(3, "rank", 1, 4), (-1, "crank", 0, 1)])),
+                 (1, Counts([(1, "crank", 5, 8), (-1, "crank", 3, 8)], t=4, r=1)),
+                 (1, Counts([(1, "crank", 6, 8)], t=2, r=1, twist=True)))
+    assert _folded(side) == {(Counts([(-1, "crank", 0, 1), (3, "rank", 1, 4)]), 0): 3,
+                             (Counts([(1, "crank", 2, 8)], t=2, r=1, twist=True), 0): 1}
+    # so D(M-a,M) and D(a,M) are one series, and class 0 and M/2 stay put
+    assert _folded(deviation("rank", 3, 4)) == _folded(deviation("rank", 1, 4))
+    assert _folded(deviation("crank", 4, 8)) != _folded(deviation("crank", 0, 8))
+    assert _folded(count_rows([(1, "rank", 6, 7)])) == _folded(count_rows([(1, "rank", 1, 7)]))
+
+
 def test_no_equality_compares_one_series_with_itself(registry):
+    # no two legs of an equality fold to one series
     assert [entry.id for entry in registry if entry.kind == "equality"
-            and _statement(entry) == {frozenset()}] == []
+            and frozenset() in _statement(entry)] == []
+    # a leg D(3,4) next to D(1,4) compares one count row with itself, even
+    # when the entry's other leg is another series
+    legs = _eq("legs", "legs", [deviation("rank", 1, 4), deviation("rank", 3, 4),
+                                _line("rank", 4, {1: 1})], 50)
+    assert frozenset() in _statement(legs) and len(_statement(legs)) == 2
     # j(q^4;q^3) = -q^-1 j(q;q^3) with both sides folded is one series
     folded = _eq("fold", "fold", [terms(_quot(1, 0, [J(4, 3)])), terms(_quot(-1, -1, [J(1, 3)]))],
                  50)
