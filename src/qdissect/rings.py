@@ -7,18 +7,24 @@ computed with: the rationals (``fractions.Fraction``) hold
 types the count vectors that ``partitions.count_series`` hands out.  A
 ``CyclicLaurent`` holds the M residue counts of one q^n coefficient and
 supports equality, hashing and the JSON/text output, but no arithmetic.
-Everything is exact; there is no floating point anywhere in this package.
+
+A ring checks a coefficient and never converts one: an integral
+Fraction is no integer, an int is no rational, and a bool or a float is
+in no ring.  Everything is exact; there is no floating point anywhere in
+this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence
 
 
 class RingError(ValueError):
-    """Raised on ring mismatches and non-unit inversions."""
+    """Raised on values outside a ring, ring mismatches and non-unit
+    inversions."""
 
 
 class CyclicLaurent:
@@ -27,20 +33,23 @@ class CyclicLaurent:
     ``counts[a]`` holds the count in residue class a, 0 <= a < M.  It is
     an element of Z[z]/(z^M - 1) by name only: the counts are integers
     handed out by ``partitions.count_series``, and no arithmetic is
-    defined on them.  Instances are immutable and safe to share between
+    defined on them.  The modulus and every count must be ``int`` (a
+    bool is refused).  Instances are immutable and safe to share between
     threads.
     """
 
     __slots__ = ("modulus", "counts")
 
     def __init__(self, modulus: int, counts: Sequence[int]):
-        if modulus < 1:
+        if type(modulus) is not int or modulus < 1:
             raise ValueError("modulus must be a positive integer")
         counts = tuple(counts)
         if len(counts) != modulus:
             raise ValueError(
                 f"counts must have length {modulus}, got {len(counts)}"
             )
+        if not set(map(type, counts)) <= {int}:
+            raise RingError(f"counts must be ints, got {counts!r}")
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "counts", counts)
 
@@ -71,10 +80,10 @@ class Ring:
     """Coefficient-ring tag used by Series for validation and serialization.
 
     kind is "integer", "rational" or "cyclic-laurent"; modulus is only
-    meaningful for the cyclic ring.  A tag knows its zero, how to coerce
-    a value into the ring and how to write one out: what building,
-    reading and printing a series need.  The arithmetic is Series' own,
-    over the integers alone.
+    meaningful for the cyclic ring.  A tag knows its zero, how to check
+    that values belong to the ring and how to write one out: what
+    building, reading and printing a series need.  The arithmetic is
+    Series' own, over the integers alone.
     """
 
     kind: str
@@ -88,57 +97,23 @@ class Ring:
             return Fraction(0)
         return CyclicLaurent.zero(self.modulus)
 
-    def coerce(self, value):
-        if self.kind == "integer":
-            if isinstance(value, Fraction):
-                if value.denominator != 1:
-                    raise RingError(f"{value} is not an integer")
-                return value.numerator
-            if isinstance(value, int):
-                return value
-            raise RingError(f"cannot coerce {value!r} into the integer ring")
-        if self.kind == "rational":
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            raise RingError(f"cannot coerce {value!r} into the rational ring")
-        if isinstance(value, CyclicLaurent):
-            if value.modulus != self.modulus:
-                raise RingError(
-                    f"modulus mismatch: {value.modulus} vs {self.modulus}"
-                )
-            return value
-        raise RingError(f"cannot coerce {value!r} into {self.tag()}")
-
-    def coerce_all(self, values) -> tuple:
-        """Coerce a whole coefficient window, as ``coerce`` would each value.
-
-        ``Series.__init__`` calls it on every window computed by a kernel
-        or passed in by a caller, and only there: the window methods
-        (truncate, shift, dissect, deflate) move coefficients already
-        checked and carry that check past this scan, and
-        ``Series.extend`` scans only the coefficients it appends.
-
-        One scan of the element types decides: when every value already
-        has the ring's own type (``int``, ``Fraction``, or a
-        ``CyclicLaurent`` of this modulus) the tuple is returned as it is.
-        Otherwise every value goes through ``coerce``, which raises
-        ``RingError`` on the first one that does not belong.  For ints
-        and Fractions the scan is the set of ``map(type, values)``, at C
-        speed; a count vector's type and modulus are checked in one
-        generator pass, which is faster than two such sets.
+    def check(self, values) -> tuple:
+        """The window ``values`` as a tuple, once every value is seen to
+        have the ring's own type: ``int``, ``Fraction``, or a
+        ``CyclicLaurent`` of this modulus.  Nothing is converted; any
+        other value, a bool or a float among them, raises ``RingError``
+        naming the first one.  The scan is one set of ``map(type,
+        values)``, and for count vectors one more of their moduli, both
+        at C speed.
         """
         values = tuple(values)
-        if self.kind == "integer":
-            if set(map(type, values)) <= {int}:
+        own = _OWN_TYPE[self.kind]
+        if set(map(type, values)) <= {own}:
+            if own is not CyclicLaurent or set(map(_modulus, values)) <= {self.modulus}:
                 return values
-        elif self.kind == "rational":
-            if set(map(type, values)) <= {Fraction}:
-                return values
-        elif all(
-            type(c) is CyclicLaurent and c.modulus == self.modulus for c in values
-        ):
-            return values
-        return tuple(self.coerce(c) for c in values)
+        for c in values:
+            if type(c) is not own or own is CyclicLaurent and c.modulus != self.modulus:
+                raise RingError(f"{c!r} is not in the {self.tag()} ring")
 
     def tag(self) -> str:
         if self.kind == "cyclic-laurent":
@@ -159,6 +134,9 @@ class Ring:
             return f"{value.numerator}/{value.denominator}"
         return "(" + ",".join(str(c) for c in value.counts) + ")"
 
+
+_OWN_TYPE = {"integer": int, "rational": Fraction, "cyclic-laurent": CyclicLaurent}
+_modulus = attrgetter("modulus")
 
 INTEGER = Ring("integer")
 RATIONAL = Ring("rational")

@@ -20,11 +20,14 @@ multiplied.
 Every weighted sum is one Series.combine, built in a single window:
 a + b and s.scale(c) are its two-term and one-term cases.
 
-Each coefficient is checked once, where it is computed or passed in:
-the constructor runs Ring.coerce_all over every window a kernel
-computed and every list or tuple a caller passed, and monomial coerces
-its one coefficient.  The window methods (truncate, shift, dissect,
-deflate, and extend for its stored part) only select, move or zero-fill
+Each coefficient is checked once, where it is computed or passed in,
+and never converted: the constructor runs Ring.check over every window
+a kernel computed and every list or tuple a caller passed, which checks
+that each has the ring's own type (int, Fraction, or a count vector of
+the ring's modulus; never a bool or a float), and monomial, combine and
+div_binomial check their scalars the same way.  min_exp and prec must be
+ints.  The window methods (truncate, shift, dissect, deflate, and
+extend for its stored part) only select, move or zero-fill
 coefficients that were checked when their series was built, so they
 carry the check: they hand the constructor a _Checked window, which it
 stores without a scan.  The mark is bound to the ring of the series it
@@ -100,7 +103,11 @@ class Series:
         if type(coeffs) is _Checked and coeffs.ring is ring:
             coeffs = tuple(coeffs.values)
         else:
-            coeffs = ring.coerce_all(coeffs)
+            coeffs = ring.check(coeffs)
+        if type(min_exp) is not int or type(prec) is not int:
+            raise SeriesError(
+                f"min_exp and prec must be ints, got {min_exp!r} and {prec!r}"
+            )
         if min_exp > prec:
             raise SeriesError(f"min_exp {min_exp} exceeds prec {prec}")
         if len(coeffs) != prec - min_exp:
@@ -130,11 +137,13 @@ class Series:
     @classmethod
     def monomial(cls, ring: Ring, exponent: int, prec: int, coeff=1) -> "Series":
         """coeff * q^exponent, known through prec; coeff is the one value
-        checked."""
+        checked, and must have the ring's own type: on the rational ring,
+        pass coeff=Fraction(1) for the monomial q^exponent."""
+        ring.check((coeff,))
         if prec <= exponent:
             return cls.zero(ring, prec)
         window = [ring.zero] * (prec - exponent)
-        window[0] = ring.coerce(coeff)
+        window[0] = coeff
         return cls(ring, exponent, _Checked(ring, window), prec)
 
     @classmethod
@@ -143,11 +152,12 @@ class Series:
         window [min(prec, every min_exp), min(prec, every prec)).
 
         A term with c = 0 still bounds the window; no terms give the zero
-        series through prec.  Each c goes through INTEGER.coerce, so a
-        weight of 1/2 is refused before any work, and every s must be an
-        integer series.
+        series through prec.  Every c must be an int: INTEGER.check
+        refuses a weight of Fraction(1, 2), Fraction(2), True or 2.0
+        before any work, and every s must be an integer series.
         """
-        terms = [(INTEGER.coerce(c), s) for c, s in terms]
+        terms = list(terms)
+        INTEGER.check(c for c, _ in terms)
         _require_ring(INTEGER, *(s for _, s in terms))
         min_exp = min([prec, *(s.min_exp for _, s in terms)])
         prec = min([prec, *(s.prec for _, s in terms)])
@@ -302,7 +312,7 @@ class Series:
         if e < 1:
             raise SeriesError("binomial exponent must be positive")
         _require_ring(INTEGER, self)
-        c = INTEGER.coerce(c)
+        INTEGER.check((c,))
         out = [0] * (self.prec - self.min_exp)
         out[: len(self.coeffs)] = list(self.coeffs)
         for k in range(e, len(out)):
@@ -405,7 +415,7 @@ class Series:
         """This series with coeffs appended as its coefficients at prec,
         prec + 1, ...: the window grows upward by len(coeffs).  Only the
         new coefficients are checked."""
-        coeffs = self.ring.coerce_all(coeffs)
+        coeffs = self.ring.check(coeffs)
         return Series(self.ring, self.min_exp, _Checked(self.ring, self.coeffs + coeffs),
                       self.prec + len(coeffs))
 

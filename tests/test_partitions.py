@@ -455,19 +455,19 @@ def test_reading_every_class_of_one_n_builds_one_window(monkeypatch):
     # a truncation of it is scanned again
     monkeypatch.setattr(partitions, "_count_cache", {})
     built, scanned = [], []
-    init, coerce_all = Series.__init__, Ring.coerce_all
+    init, check = Series.__init__, Ring.check
 
     def counting_init(self, *args):
         built.append(args[2])
         init(self, *args)
 
-    def counting_coerce_all(self, values):
-        values = coerce_all(self, values)
+    def counting_check(self, values):
+        values = check(self, values)
         scanned.append(len(values))
         return values
 
     monkeypatch.setattr(Series, "__init__", counting_init)
-    monkeypatch.setattr(Ring, "coerce_all", counting_coerce_all)
+    monkeypatch.setattr(Ring, "check", counting_check)
 
     def read_every_class():
         built.clear()

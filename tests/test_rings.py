@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qdissect.rings import (
@@ -19,14 +21,22 @@ def test_count_vectors_have_no_arithmetic():
     assert repr(x) == "CyclicLaurent(4, (1, -1, 0, 2))"
     with pytest.raises(ValueError):
         CyclicLaurent(4, (1, 2, 3))
+    # the modulus and every count are ints; a bool or a float is refused
+    for modulus in (2.0, True):
+        with pytest.raises(ValueError, match="modulus must be a positive integer"):
+            CyclicLaurent(modulus, (1,) * int(modulus))
+    for counts in ((1.5, 0), (True, 0), (1, Fraction(0))):
+        with pytest.raises(RingError, match="counts must be ints"):
+            CyclicLaurent(2, counts)
     for op in ("__add__", "__sub__", "__neg__", "__mul__", "rotate", "augmentation"):
         assert not hasattr(CyclicLaurent, op), op
     with pytest.raises(TypeError):
         x + x
-    with pytest.raises(RingError):
-        ring.coerce(1)
-    with pytest.raises(RingError):
-        ring.coerce(CyclicLaurent(3, (1, 0, 0)))
+    assert ring.check([x, ring.zero]) == (x, ring.zero)
+    with pytest.raises(RingError, match="^1 is not in the cyclic-laurent"):
+        ring.check([x, 1])
+    with pytest.raises(RingError, match=r"^CyclicLaurent\(3, \(1, 0, 0\)\) is not in"):
+        ring.check([x, CyclicLaurent(3, (1, 0, 0))])
 
 
 def test_ring_tags():

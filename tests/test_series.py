@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdissect.rings import INTEGER, RATIONAL, RingError, cyclic_ring, CyclicLaurent
+from qdissect.rings import INTEGER, RATIONAL, Ring, RingError, cyclic_ring, CyclicLaurent
 from qdissect.series import Comparison, PrecisionError, Series, SeriesError
 from qdissect import theta
 from qdissect.partitions import count_series, deviation_series
@@ -193,7 +193,7 @@ def test_compare_equal_and_empty_window():
 
 def test_compare_ring_mismatch():
     with pytest.raises(RingError):
-        Series.one(5).compare(Series.monomial(RATIONAL, 0, 5))
+        Series.one(5).compare(Series.monomial(RATIONAL, 0, 5, Fraction(1)))
 
 
 def test_constructor_checks_every_coefficient():
@@ -203,11 +203,14 @@ def test_constructor_checks_every_coefficient():
         Series(INTEGER, 0, [1, 2, "3"], 3)
     with pytest.raises(RingError):  # the last slot is checked too
         Series(INTEGER, 0, [1] * 40 + [Fraction(1, 2)], 41)
-    f = Series(INTEGER, 0, [1, Fraction(3)], 2)
-    assert f.coeffs == (1, 3) and type(f.coeffs[1]) is int
-    f = Series(INTEGER, 0, [Fraction(3, 1), 5, 7], 3)
-    assert f.coeffs == (3, 5, 7) and all(type(c) is int for c in f.coeffs)
-    f = Series(RATIONAL, 0, [1, Fraction(1, 2)], 2)
+    # nothing is converted: an integral Fraction is no int, an int no rational
+    with pytest.raises(RingError, match=re.escape("Fraction(3, 1) is not in the integer ring")):
+        Series(INTEGER, 0, [1, Fraction(3)], 2)
+    with pytest.raises(RingError):
+        Series(INTEGER, 0, [Fraction(3, 1), 5, 7], 3)
+    with pytest.raises(RingError, match="^1 is not in the rational ring"):
+        Series(RATIONAL, 0, [1, Fraction(1, 2)], 2)
+    f = Series(RATIONAL, 0, [Fraction(1), Fraction(1, 2)], 2)
     assert f.coeffs == (Fraction(1), Fraction(1, 2))
     assert all(type(c) is Fraction for c in f.coeffs)
     ring = cyclic_ring(4)
@@ -220,28 +223,67 @@ def test_constructor_checks_every_coefficient():
         Series(ring, 0, [vector, CyclicLaurent(5, (1, 0, 0, 0, 0))], 2)
 
 
+# a value outside each ring, for each way a value gets into a series:
+# nothing is converted, so an integral Fraction is no int, an int is no
+# rational, and a bool or a float is in no ring
+REFUSED = [
+    (INTEGER, True), (INTEGER, Fraction(3)), (INTEGER, 2.0),
+    (RATIONAL, 1), (RATIONAL, True),
+    (cyclic_ring(4), 2), (cyclic_ring(4), CyclicLaurent(5, (1, 0, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("ring, value", REFUSED,
+                         ids=lambda x: x.tag() if isinstance(x, Ring) else type(x).__name__)
+def test_every_ring_refuses_a_value_of_another_type(ring, value):
+    own = _bumped(ring, ring.zero)
+
+    def refused():
+        message = f"{value!r} is not in the {ring.tag()} ring"
+        return pytest.raises(RingError, match="^" + re.escape(message))
+
+    for window in ([value], [own, value, own], [own] * 40 + [value]):
+        with refused():
+            Series(ring, 0, window, len(window))
+    with refused():  # the first value that does not belong is named
+        Series(ring, 0, [own, value, 2.5], 3)
+    with refused():
+        Series(ring, 0, [own], 1).extend([own, value])
+    for exponent in (0, 5):  # checked even where the window ends below it
+        with refused():
+            Series.monomial(ring, exponent, 3, value)
+    assert Series(ring, 0, [own, own], 2).coeffs == (own, own)
+
+
+@pytest.mark.parametrize("min_exp, prec", [(0, 2.0), (0.0, 2), (False, 2), (0, True)])
+def test_window_bounds_must_be_ints(min_exp, prec):
+    with pytest.raises(SeriesError, match="must be ints"):
+        Series(INTEGER, min_exp, [1, 2][: int(prec) - int(min_exp)], prec)
+
+
 def test_window_coefficients_are_checked_again_under_another_ring():
     # a window method spares the constructor's scan for its own ring only;
     # the coefficients a series stores, passed in again, are outside input
     s = Series(INTEGER, -1, [3, -1, 4, 1, 5, 9], 5)
     for window in (s.truncate(3), s.shift(2), s.dissect(2, 1), s.extend([2, 6]),
                    Series.monomial(INTEGER, 1, 4, 7)):
-        f = Series(RATIONAL, window.min_exp, window.coeffs, window.prec)
-        assert f.coeffs == window.coeffs and all(type(c) is Fraction for c in f.coeffs)
+        with pytest.raises(RingError, match="is not in the rational ring"):
+            Series(RATIONAL, window.min_exp, window.coeffs, window.prec)
     counts = count_series("rank", 5, 12)
     for window in (counts.truncate(6), counts.shift(1), counts.dissect(3, 0), counts):
         with pytest.raises(RingError):
             Series(INTEGER, window.min_exp, window.coeffs, window.prec)
     # a bad value stays bad after a window of its own ring was built from it
-    values = (1, Fraction(1, 2), 2)
+    values = (Fraction(1), Fraction(1, 2), Fraction(2))
     window = Series(RATIONAL, 0, values, 3).truncate(2).shift(1)
     assert window.coeffs == (Fraction(1), Fraction(1, 2))
     for coeffs in (values, list(values)):
         with pytest.raises(RingError):
             Series(INTEGER, 0, coeffs, 3)
-    # extend checks the coefficients it appends
-    assert s.extend([Fraction(4)]).coeffs == s.coeffs + (4,)
-    assert type(s.extend([Fraction(4)]).coeffs[-1]) is int
+    # extend checks the coefficients it appends, and converts none of them
+    assert s.extend([4]).coeffs == s.coeffs + (4,)
+    with pytest.raises(RingError):
+        s.extend([Fraction(4)])
     with pytest.raises(RingError):
         s.extend([1, Fraction(1, 2)])
     with pytest.raises(RingError):
@@ -333,7 +375,8 @@ def _random_coeff(rng, ring, bits=70):
     if ring.kind == "cyclic-laurent":
         return CyclicLaurent(ring.modulus, [big() for _ in range(ring.modulus)])
     if rng.random() < 0.3:
-        return rng.choice([1, -1])
+        unit = rng.choice([1, -1])
+        return Fraction(unit) if ring == RATIONAL else unit
     if ring == RATIONAL:
         return Fraction(big(), rng.randrange(1, 2**16))
     return big()
@@ -568,7 +611,7 @@ def test_combine_of_no_terms_is_zero_through_prec():
 
 
 def test_combine_rejects_a_term_over_another_ring():
-    one, half = Series.one(5), Series.monomial(RATIONAL, 0, 5)
+    one, half = Series.one(5), Series.monomial(RATIONAL, 0, 5, Fraction(1))
     with pytest.raises(RingError, match="ring mismatch: integer vs rational"):
         Series.combine(5, [(1, one), (0, half)])
     # the arithmetic names the integer ring it needs, whichever side is off
@@ -580,14 +623,20 @@ def test_combine_rejects_a_term_over_another_ring():
         half.compare(one)
 
 
-def test_combine_coerces_each_scalar():
-    zero = Series.zero(INTEGER, 4)
-    # the scalar itself is checked, even on a term with no coefficients
-    with pytest.raises(RingError, match="1/2 is not an integer"):
-        Series.combine(4, [(Fraction(1, 2), zero)])
-    with pytest.raises(RingError, match="cannot coerce"):
-        Series.one(4).scale(1.0)
-    out = Series.combine(4, [(Fraction(6, 3), Series.one(4))])
+def test_combine_checks_each_scalar():
+    zero, one = Series.zero(INTEGER, 4), Series.one(4)
+    # the scalar itself is checked, even on a term with no coefficients, and
+    # only an int is a scalar: Fraction(6, 3) is refused like 1/2
+    for c in (Fraction(1, 2), Fraction(6, 3), True, 1.0):
+        calls = [lambda: Series.combine(4, [(c, zero)]),
+                 lambda: Series.combine(4, [(2, one), (c, one)]),
+                 lambda: one.scale(c),
+                 lambda: one.mul_binomial(c, 1),
+                 lambda: one.div_binomial(c, 1)]
+        for call in calls:
+            with pytest.raises(RingError, match="^" + re.escape(f"{c!r} is not in the integer ring")):
+                call()
+    out = Series.combine(4, [(2, one)])
     assert out.coeffs == (2, 0, 0, 0) and all(type(c) is int for c in out.coeffs)
 
 
@@ -759,7 +808,7 @@ def test_divide_error_paths():
     with pytest.raises(RingError, match="exponent 3"):
         one.divide(jbar.shift(3))
     with pytest.raises(RingError, match="ring mismatch"):
-        Series.monomial(RATIONAL, 0, 20).divide(jbar)
+        Series.monomial(RATIONAL, 0, 20, Fraction(1)).divide(jbar)
 
 
 @pytest.mark.parametrize("lead", [1, -1])
@@ -841,10 +890,15 @@ def test_window_methods_work_on_every_ring(ring):
     deflated = part.deflate(3, 1)
     for n in range(deflated.min_exp, deflated.prec):
         assert deflated.coeff(n) == f.coeff(3 * n + 1)
-    # the default coefficient 1 is coerced like any other
-    if ring.kind != "cyclic-laurent":
-        one = Series.monomial(ring, 0, 2)
-        assert one.coeffs == (1, 0) and type(one.coeffs[0]) is type(ring.zero)
+    # the default coefficient 1 is an int, so only the integer ring takes it;
+    # every ring takes a coefficient of its own type
+    one = _bumped(ring, ring.zero)
+    assert Series.monomial(ring, 0, 2, one).coeffs == (one, ring.zero)
+    if ring == INTEGER:
+        assert Series.monomial(ring, 0, 2).coeffs == (1, 0)
+    else:
+        with pytest.raises(RingError, match="^1 is not in the"):
+            Series.monomial(ring, 0, 2)
 
 
 def test_kernels_through_q800():
