@@ -47,12 +47,10 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 from typing import List, Tuple
 
 from .rings import CyclicLaurent, cyclic_ring, INTEGER, RATIONAL
-from .series import Series
+from .series import Series, weighted_sum
 
 _PENTAGONAL: Tuple[List[int], List[int]] = ([], [])
 
@@ -244,7 +242,8 @@ def count_combination(parts, prec: int, t: int = 1, r: int = 0) -> Series:
     is c p(n).
 
     Every row is read on the progression, straight from the tables and
-    under one lock; the series is built once, at its own width.  At
+    under one lock, and the weighted rows are summed in one
+    series.weighted_sum pass; the series is built once, at its own width.  At
     prec <= 0, once every part is checked, it is the zero series through prec.
     """
     if t < 1 or not 0 <= r < t:
@@ -258,10 +257,8 @@ def count_combination(parts, prec: int, t: int = 1, r: int = 0) -> Series:
                    for c, stat, a, M in parts]
     if prec <= 0:
         return Series.zero(INTEGER, prec)
-    total = [0] * prec
-    for c, column in columns:
-        total = list(map(add, total, column if c == 1 else map(mul, repeat(c), column)))
-    return Series(INTEGER, 0, total, prec)
+    # every column holds n = 0 .. prec - 1, so the weighted sum is one pass
+    return Series(INTEGER, 0, weighted_sum(columns) if columns else [0] * prec, prec)
 
 
 def residue_series(stat: str, a: int, M: int, prec: int) -> Series:

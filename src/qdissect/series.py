@@ -18,7 +18,11 @@ count-vector series are built, read and printed, never added or
 multiplied.
 
 Every weighted sum is one Series.combine, built in a single window:
-a + b and s.scale(c) are its two-term and one-term cases.
+a + b and s.scale(c) are its two-term and one-term cases.  It groups
+its terms by the exponent they start at and sums each group in one
+lazy pass of C-level maps (weighted_sum, which the count rows share),
+so a sum of aligned windows reads each window once and builds no list
+before the constructor's check.
 
 Each coefficient is checked once, where it is computed or passed in,
 and never converted: the constructor runs Ring.check over every window
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Optional, Sequence, Tuple
 
 from .rings import INTEGER, Ring, RingError
@@ -92,6 +96,33 @@ def _require_ring(ring: Ring, *series: "Series") -> None:
     for s in series:
         if s.ring != ring:
             raise RingError(f"ring mismatch: {ring.tag()} vs {s.ring.tag()}")
+
+
+# a longer chain of nested maps is evaluated first: about 10^5 of them
+# overflow the C stack when read
+_CHAIN_DEPTH = 256
+
+
+def weighted_sum(terms):
+    """The sum of c * w over the (c, w) terms, windows of one length and
+    int weights, as a lazy chain of C-level maps read once by the caller:
+    add for c = 1, sub for c = -1, and mul then add for any other c.  One
+    pass over the windows in lockstep, with no list in between, except
+    that every _CHAIN_DEPTH terms the chain so far is evaluated into one.
+    Series.combine and partitions.count_combination sum through it."""
+    (c, total), *rest = terms
+    if c != 1:
+        total = map(neg, total) if c == -1 else map(mul, repeat(c), total)
+    for k, (c, w) in enumerate(rest, 1):
+        if k % _CHAIN_DEPTH == 0:
+            total = list(total)
+        if c == 1:
+            total = map(add, total, w)
+        elif c == -1:
+            total = map(sub, total, w)
+        else:
+            total = map(add, total, map(mul, repeat(c), w))
+    return total
 
 
 class Series:
@@ -155,20 +186,32 @@ class Series:
         series through prec.  Every c must be an int: INTEGER.check
         refuses a weight of Fraction(1, 2), Fraction(2), True or 2.0
         before any work, and every s must be an integer series.
+
+        The terms with c != 0 are grouped by the exponent they start at,
+        and each group's live windows s.coeffs[: prec - s.min_exp], with
+        no zero padding, are summed in one lazy weighted_sum pass.  The
+        group at the window's start, if any, is the output; every other
+        group is added into it over its own range.  A lone group at the
+        start goes to the constructor unevaluated, so its one Ring.check
+        scan both evaluates and checks the sum.
         """
         terms = list(terms)
         INTEGER.check(c for c, _ in terms)
         _require_ring(INTEGER, *(s for _, s in terms))
         min_exp = min([prec, *(s.min_exp for _, s in terms)])
         prec = min([prec, *(s.prec for _, s in terms)])
-        out = [0] * (prec - min_exp)
+        groups: dict = {}
         for c, s in terms:
-            # s holds exponents [s.min_exp, prec) at out[i : i + n]
-            n = prec - s.min_exp
-            if n > 0 and c:
-                i = s.min_exp - min_exp
-                window = s.coeffs[:n] if c == 1 else map(mul, repeat(c), s.coeffs[:n])
-                out[i : i + n] = map(add, out[i : i + n], window)
+            if c and s.min_exp < prec:
+                groups.setdefault(s.min_exp, []).append((c, s.coeffs[: prec - s.min_exp]))
+        head = groups.pop(min_exp, None)
+        out = weighted_sum(head) if head else [0] * (prec - min_exp)
+        if groups:
+            out = list(out)
+            for start, group in groups.items():
+                # the group holds exponents [start, prec) at out[start - min_exp :]
+                i = start - min_exp
+                out[i:] = map(add, out[i:], weighted_sum(group))
         return cls(INTEGER, min_exp, out, prec)
 
     # -- basic accessors ---------------------------------------------------
@@ -427,8 +470,9 @@ class Series:
             raise SeriesError("dissection modulus must be >= 1")
         if not 0 <= r < t:
             raise SeriesError(f"residue {r} out of range for modulus {t}")
+        zero = self.ring.zero  # one value: a count-vector zero is built on each read
         out = [
-            c if (self.min_exp + i) % t == r else self.ring.zero
+            c if (self.min_exp + i) % t == r else zero
             for i, c in enumerate(self.coeffs)
         ]
         return Series(self.ring, self.min_exp, _Checked(self.ring, out), self.prec)

@@ -41,10 +41,12 @@ denominator atom in turn, the lone inverse ((sign, a, m, -1),)
 included.  A product of two atoms costs one step per pair of their
 nonzeros; a product or an exact power-series division of a dense
 running product by one atom costs the atom's nonzeros times the window.
-Mock-g specializations share the memo under ("g", sign, a, m).
-It keeps the widest window computed so far and serves narrower requests
-by truncation, so a repeated quotient costs no products or divisions; a
-wider request is computed outside the lock and replaces the entry.
+Mock-g specializations share the memo under ("g", sign, a, m), and the
+Eulerian sums under ("eulerian", "f0") and ("eulerian", "f1").  It keeps
+the widest window computed so far and serves narrower requests by
+truncation, so a repeated quotient, g or Eulerian sum costs no products
+or divisions; a wider request is computed outside the lock and replaces
+the entry.
 Concurrent verification tasks may share it.
 """
 
@@ -195,10 +197,12 @@ def _quotient_product(factors: tuple, width: int) -> Series:
 
 def cached_atoms() -> list:
     """Canonical atoms evaluated so far (the acceptance suite checks
-    each one the registry touched against the triple product)."""
+    each one the registry touched against the triple product): the
+    memo's lone-atom keys, not its products, g or Eulerian entries."""
     with _memo_lock:
         keys = list(_memo)
-    # a ("g", sign, a, m) key has four entries, a lone atom one
+    # a lone atom's key has one entry; ("g", sign, a, m) has four and
+    # ("eulerian", kind) two
     return [ThetaAtom(*key[0][:3]) for key in keys if len(key) == 1 and key[0][3] == 1]
 
 
@@ -312,9 +316,17 @@ def eulerian_sum(kind: str, prec: int) -> Series:
 
         f0(q) = sum_n q^(n^2)   / (-q;q)_n
         f1(q) = sum_n q^(n^2+n) / (-q;q)_n
+
+    Memoized like g, under ("eulerian", kind): each is summed once, at
+    the widest precision asked for so far, and a narrower request is a
+    truncation.
     """
     if kind not in ("f0", "f1"):
         raise ValueError(f"unknown Eulerian sum {kind!r}")
+    return _widest(("eulerian", kind), prec, lambda p: _eulerian_sum(kind, p))
+
+
+def _eulerian_sum(kind: str, prec: int) -> Series:
     extra = 0 if kind == "f0" else 1  # f1's q^n: term n starts at q^(n^2 + extra*n)
     term = Series.one(prec)
     terms = [(1, term)]

@@ -34,6 +34,16 @@ def poly_scale(a: dict, c) -> dict:
     return {e: c * v for e, v in a.items()}
 
 
+def weighted_sum(terms, prec: int) -> dict:
+    """sum c * a below prec over the (c, a) terms, exponent by exponent."""
+    out = {}
+    for c, a in terms:
+        for e, v in a.items():
+            if e < prec:
+                out[e] = out.get(e, 0) + c * v
+    return {e: v for e, v in out.items() if v}
+
+
 def binomial(c, e: int) -> dict:
     """1 + c*q^e."""
     return {0: 1, e: c}

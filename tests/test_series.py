@@ -662,6 +662,68 @@ def test_combine_matches_folded_add_and_scale(ring, data):
     assert all(type(c) is type(ring.zero) for c in out.coeffs)
 
 
+def _weighted_terms(rng, count, starts, prec):
+    """count integer terms, each starting at a choice of starts and known
+    through prec or a little further (one in 50 ends a little below it),
+    weighted 0, +-1 or otherwise."""
+    terms = []
+    for _ in range(count):
+        lo = rng.choice(starts)
+        top = max(lo, prec) + rng.randint(0, 4)
+        if rng.random() < 0.02:
+            top = max(lo, prec - rng.randint(1, 6))
+        coeffs = [rng.choice([0, 1, -1, rng.randint(-10**20, 10**20)]) for _ in range(lo, top)]
+        weight = rng.choice([0, 1, -1, 2, -3, rng.randint(-10**20, 10**20)])
+        terms.append((weight, Series(INTEGER, lo, coeffs, top)))
+    return terms
+
+
+@pytest.mark.parametrize("starts", [[-3], list(range(-20, 70))], ids=["aligned", "staggered"])
+def test_combine_matches_the_weighted_sum_oracle(starts):
+    # 500 terms: more than one chain's depth of aligned terms, or many
+    # groups with staggered starts, some at or past prec
+    rng = random.Random(f"combine {len(starts)}")
+    for prec in (60, 1):
+        terms = _weighted_terms(rng, 500, starts, prec)
+        out = Series.combine(prec, terms)
+        assert out.min_exp == min([prec, *(s.min_exp for _, s in terms)])
+        assert out.prec == min([prec, *(s.prec for _, s in terms)])
+        want = oracles.weighted_sum([(c, oracles.series_to_poly(s)) for c, s in terms], out.prec)
+        assert oracles.series_to_poly(out) == want
+        assert type(out.coeffs) is tuple and all(type(c) is int for c in out.coeffs)
+    # one group that does not start at the window's start
+    rng = random.Random("combine late group")
+    late = _weighted_terms(rng, 40, [7], 30)
+    out = Series.combine(30, [(0, Series.one(30)), *late])
+    assert out.min_exp == 0 and out.coeffs[:7] == (0,) * 7
+    assert oracles.series_to_poly(out) == oracles.weighted_sum(
+        [(c, oracles.series_to_poly(s)) for c, s in late], out.prec)
+
+
+def test_combine_sums_any_number_of_aligned_terms():
+    # read as one chain, 150,000 nested maps would overflow the C stack
+    s = S([1, -2, 3])
+    out = Series.combine(3, [(1, s), (-1, s), (2, s)] * 50_000)
+    assert out.coeffs == (100_000, -200_000, 300_000)
+
+
+def test_dissect_reads_the_zero_once(monkeypatch):
+    counts = count_series("rank", 5, 300)
+    built = []
+    real = CyclicLaurent.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(CyclicLaurent, "__init__", counting)
+    part = counts.dissect(3, 0)
+    assert len(built) <= 1
+    zero = CyclicLaurent.zero(5)
+    assert part.coeffs == tuple(c if e % 3 == 0 else zero
+                                for e, c in enumerate(counts.coeffs))
+
+
 @pytest.mark.parametrize("ring", WINDOW_RINGS, ids=lambda r: r.tag())
 def test_compare_matches_oracle(ring):
     for a, b in _window_pairs(ring, random.Random(f"compare {ring.tag()}")):

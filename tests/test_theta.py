@@ -507,13 +507,42 @@ def test_memo_stores_only_products_of_canonical_atoms(monkeypatch):
         assert _same_window(got, Series.one(40).divide(theta_j(atom, 40)))
     assert inverses == []
 
-    # a cold registry pass stores folded factor tuples and g specializations only
+    # a cold registry pass stores folded factor tuples, g specializations
+    # and the two Eulerian sums only
     monkeypatch.setattr(theta, "_memo", {})
     assert all(r.status == "pass" for r in verify_all(build_registry()))
     g_keys = [key for key in theta._memo if key[:1] == ("g",)]
     assert g_keys and all(key[1] in (1, -1) and 0 < key[2] < key[3] for key in g_keys)
-    for key in theta._memo.keys() - set(g_keys):
+    eulerian_keys = {("eulerian", "f0"), ("eulerian", "f1")}
+    assert eulerian_keys <= theta._memo.keys()
+    for key in theta._memo.keys() - set(g_keys) - eulerian_keys:
         assert _is_factor_tuple(key), key
+
+
+def test_eulerian_sums_share_the_memo(monkeypatch):
+    monkeypatch.setattr(theta, "_memo", {})
+    wide = eulerian_sum("f0", 120)
+    quotients = _count_calls(monkeypatch, "div_binomial")
+    # a narrower request is a truncation ...
+    assert _same_window(eulerian_sum("f0", 80), wide.truncate(80))
+    assert quotients == []
+    # ... and a wider one is summed again and replaces the entry
+    wider = eulerian_sum("f0", 160)
+    assert quotients and theta._memo[("eulerian", "f0")] is wider
+    assert _same_window(wider.truncate(120), wide)
+    eulerian_sum("f1", 50)
+    assert theta._memo.keys() == {("eulerian", "f0"), ("eulerian", "f1")}
+
+
+def test_a_warm_pass_only_adds(monkeypatch):
+    # every product, quotient, g and Eulerian sum of the second pass is a
+    # memo hit: the pass adds windows and compares them, nothing more
+    monkeypatch.setattr(theta, "_memo", {})
+    verify_all(build_registry())
+    calls = {method: _count_calls(monkeypatch, method)
+             for method in ("__mul__", "divide", "div_binomial")}
+    assert all(r.status == "pass" for r in verify_all(build_registry()))
+    assert {method: len(c) for method, c in calls.items()} == dict.fromkeys(calls, 0)
 
 
 def test_quotient_memo_vanishing_factors(monkeypatch):
